@@ -27,7 +27,7 @@ from .iterative import (AnnealingSchedule, IterationTrace, iterate_update,
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
 from .problems import PROBLEM_IDS, Problem, build_problem
 from .record import RunRecord, emit_csv, emit_linechart, emit_summary, load_csv, rmse
-from .rng import RngStream, brownian_increments, particle_streams
+from .rng import ParticleNoise, RngStream, brownian_increments, particle_streams
 from .sde import em_step, predict_ensemble, simulate_truth, synth_measurements
 
 __version__ = "0.1.0"
@@ -36,7 +36,8 @@ __all__ = [
     "AnnealingSchedule", "ConvergenceReport", "EnkfConfig", "EnkfState",
     "ExperimentConfig", "FilterConfig", "FilterState", "InnovationRecord",
     "IterationTrace", "LinearGaussianSpec", "MeasurementModel",
-    "MeasurementSeries", "NumericFailure", "PendulumSpec", "PopulationSpec",
+    "MeasurementSeries", "NumericFailure", "ParticleNoise", "PendulumSpec",
+    "PopulationSpec",
     "PROBLEM_IDS", "Problem", "ProcessModel", "RngStream", "RunRecord",
     "ShearFrameSpec", "additive_update", "blended_denominator",
     "brownian_increments", "build_damaged_frame", "build_linear_gaussian",

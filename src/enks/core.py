@@ -32,14 +32,13 @@ keeping the gain bounded; all shipped experiments use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel, validate_ensemble
-from .rng import RngStream
+from .rng import ParticleNoise
 from .sde import predict_ensemble
 
 
@@ -154,8 +153,10 @@ def innovation_covariance(h_pred: np.ndarray, h_mean: np.ndarray) -> np.ndarray:
     if h_pred.ndim != 2 or h_pred.shape[1] < 2:
         raise ValueError("innovation covariance needs at least 2 columns")
     d = h_pred - np.asarray(h_mean, dtype=float).reshape(-1, 1)
-    S = d @ d.T / (h_pred.shape[1] - 1)
-    return 0.5 * (S + S.T)
+    # a diverging ensemble overflows here; blended_denominator reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = d @ d.T / (h_pred.shape[1] - 1)
+        return 0.5 * (S + S.T)
 
 
 def blended_denominator(S: np.ndarray, sigma_gram: np.ndarray,
@@ -194,14 +195,16 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
         raise ValueError("lagged means have wrong dimensions")
     tc, tp = state.t_curr, state.t_prev
 
-    x_mean = pred.mean(axis=1)
-    h_mean = h_pred.mean(axis=1)
-    Xd = pred - x_mean[:, None]
-    Hd = h_pred - h_mean[:, None]
+    # a diverging ensemble overflows here; the finite checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean = pred.mean(axis=1)
+        h_mean = h_pred.mean(axis=1)
+        Xd = pred - x_mean[:, None]
+        Hd = h_pred - h_mean[:, None]
 
-    first = Hd.T * tc + state.prev_meas_mean[None, :] * (tc - tp)
-    lag_shift = x_mean * tc - state.prev_state_mean * tp
-    numerator = (Xd @ first + np.outer(lag_shift, Hd.sum(axis=1))) / N
+        first = Hd.T * tc + state.prev_meas_mean[None, :] * (tc - tp)
+        lag_shift = x_mean * tc - state.prev_state_mean * tp
+        numerator = (Xd @ first + np.outer(lag_shift, Hd.sum(axis=1))) / N
 
     S = innovation_covariance(h_pred, h_mean)
     denom = blended_denominator(S, sigma_gram, cfg.alpha)
@@ -210,7 +213,8 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     except LinAlgError as err:
         raise NumericFailure("gain denominator is not positive definite",
                              t=tc) from err
-    gain = cho_solve(factor, numerator.T).T
+    # a non-finite numerator is reported below, not as scipy's ValueError
+    gain = cho_solve(factor, numerator.T, check_finite=False).T
     if not np.isfinite(gain).all():
         raise NumericFailure("non-finite gain", t=tc)
     return gain
@@ -236,7 +240,7 @@ def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
 
 def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: FilterConfig,
-              streams: Sequence[RngStream]) -> FilterState:
+              noise: ParticleNoise) -> FilterState:
     """Advance the filter one assimilation step.
 
     Predict the ensemble over ``cfg.dt``, evaluate the measurement map,
@@ -248,10 +252,11 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + cfg.dt
     try:
-        pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, streams)
+        pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise)
         h_pred = meas.evaluate(pred, t_new)
     except NumericFailure as err:
-        raise NumericFailure("prediction failed", t=t_new) from err
+        raise NumericFailure("prediction failed", t=t_new,
+                             particle=err.particle) from err
 
     if cfg.time_origin == "step":
         gain_state = replace(state, t_curr=cfg.dt, t_prev=0.0)

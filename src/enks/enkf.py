@@ -11,14 +11,13 @@ independently perturbed copy of the observation,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
-from .rng import RngStream
+from .rng import ParticleNoise, RngStream
 from .sde import predict_ensemble
 
 
@@ -79,11 +78,13 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 
     Xd = pred - pred.mean(axis=1, keepdims=True)
     Hd = h_pred - h_pred.mean(axis=1, keepdims=True)
-    C_xh = Xd @ Hd.T / (N - 1)
-    C_hh = Hd @ Hd.T / (N - 1)
-    denom = 0.5 * (C_hh + C_hh.T) + cfg.R
-    if not np.isfinite(denom).all():
-        raise NumericFailure("non-finite innovation covariance in analysis")
+    # a diverging ensemble overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_xh = Xd @ Hd.T / (N - 1)
+        C_hh = Hd @ Hd.T / (N - 1)
+        denom = 0.5 * (C_hh + C_hh.T) + cfg.R
+    if not (np.isfinite(denom).all() and np.isfinite(C_xh).all()):
+        raise NumericFailure("non-finite ensemble covariance in analysis")
     try:
         factor = cho_factor(denom)
     except LinAlgError as err:
@@ -99,14 +100,14 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 
 
 def enkf_step(state: EnkfState, proc: ProcessModel, meas: MeasurementModel,
-              y: np.ndarray, cfg: EnkfConfig, streams: Sequence[RngStream],
+              y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
               perturbation_stream: RngStream, dt: float) -> EnkfState:
     """Forecast with the shared EM predictor, then analyze."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, streams)
+    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise)
     h_pred = meas.evaluate(pred, t_new)
     analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream)
     return EnkfState(t_curr=t_new, ensemble=analysis)

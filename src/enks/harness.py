@@ -2,11 +2,14 @@
 
 ``run_experiment`` generates (or loads) truth and measurements, runs every
 selected filter over the same data with paired random streams, and writes
-the run record.  ``convergence_sweep`` estimates empirical convergence
-orders in ensemble size or step length, each against the limit of the
-filter being swept: on the linear-Gaussian problem the exact large-N
-limit (the Kalman mean for the EnKF, the EnKS limit recursion for the
-EnKS filters), elsewhere a high-resolution self-reference.
+the run record; each filter run draws its Brownian increments from one
+:class:`enks.rng.ParticleNoise`, which reads the particle streams a block
+of steps ahead (at most ``BLOCK_BYTES``) with no change to any draw.
+``convergence_sweep`` estimates empirical convergence orders in ensemble
+size or step length, each against the limit of the filter being swept: on
+the linear-Gaussian problem the exact large-N limit (the Kalman mean for
+the EnKF, the EnKS limit recursion for the EnKS filters), elsewhere a
+high-resolution self-reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .models import MeasurementSeries
 from .problems import PROBLEM_IDS, Problem, build_problem
 from .record import RunRecord, emit_csv, emit_linechart, emit_summary
 from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
-                  PERTURBATION_STREAM, TRUTH_STREAM, RngStream,
+                  PERTURBATION_STREAM, TRUTH_STREAM, ParticleNoise, RngStream,
                   particle_streams)
 from .sde import simulate_truth, synth_measurements
 
@@ -160,13 +163,16 @@ def initial_ensemble(problem: Problem, N: int, seed: int) -> np.ndarray:
 def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
                       ens0: np.ndarray, cfg: FilterConfig,
                       schedule: Optional[AnnealingSchedule] = None,
-                      collect_traces: bool = False, streams=None):
+                      collect_traces: bool = False,
+                      streams: Optional[ParticleNoise] = None):
     """Run one filter over a measurement series.
 
     Returns ``(means, stds, extra)`` where ``means``/``stds`` are (n, M)
     and ``extra`` is a list of per-step IterationTrace objects for
     "enks-iter" when ``collect_traces`` is set, else None.  ``streams``
-    defaults to the per-particle substreams of ``cfg.seed``.
+    is the ensemble's noise source and defaults to the per-particle
+    substreams of ``cfg.seed``.  A step's ``NumericFailure`` is re-raised
+    with the filter kind and the step index, its particle and time kept.
     """
     n, N = ens0.shape
     M = len(series)
@@ -175,42 +181,45 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     if streams is None:
         streams = particle_streams(cfg.seed, N)
     extra = [] if collect_traces else None
+    proc, meas = problem.proc_filter, problem.meas
 
     if kind == "enkf":
         R = np.diag(np.asarray(problem.noise_std, dtype=float) ** 2)
         enkf_cfg = EnkfConfig(N=N, R=R, seed=cfg.seed)
         perturb = RngStream(cfg.seed, PERTURBATION_STREAM)
         state = EnkfState(t_curr=0.0, ensemble=ens0.copy())
-        for i in range(M):
-            state = enkf_step(state, problem.proc_filter, problem.meas,
-                              series.values[:, i], enkf_cfg, streams, perturb,
-                              cfg.dt)
-            means[:, i] = state.ensemble.mean(axis=1)
-            stds[:, i] = state.ensemble.std(axis=1, ddof=1)
-        return means, stds, extra
 
-    state = make_initial_state(ens0.copy(), problem.meas, t0=0.0)
-    if kind == "enks":
-        for i in range(M):
-            state = enks_step(state, problem.proc_filter, problem.meas,
-                              series.values[:, i], cfg, streams)
-            means[:, i] = state.ensemble.mean(axis=1)
-            stds[:, i] = state.ensemble.std(axis=1, ddof=1)
-        return means, stds, extra
-    if kind == "enks-iter":
+        def step(state, y):
+            return enkf_step(state, proc, meas, y, enkf_cfg, streams, perturb,
+                             cfg.dt)
+    elif kind == "enks":
+        state = make_initial_state(ens0.copy(), meas, t0=0.0)
+
+        def step(state, y):
+            return enks_step(state, proc, meas, y, cfg, streams)
+    elif kind == "enks-iter":
         if schedule is None:
             raise ValueError("enks-iter needs an annealing schedule")
-        for i in range(M):
-            state, trace = iterative_enks_step(state, problem.proc_filter,
-                                               problem.meas,
-                                               series.values[:, i], cfg,
+        state = make_initial_state(ens0.copy(), meas, t0=0.0)
+
+        def step(state, y):
+            state, trace = iterative_enks_step(state, proc, meas, y, cfg,
                                                streams, schedule)
             if collect_traces:
                 extra.append(trace)
-            means[:, i] = state.ensemble.mean(axis=1)
-            stds[:, i] = state.ensemble.std(axis=1, ddof=1)
-        return means, stds, extra
-    raise ValueError(f"unknown filter kind '{kind}'")
+            return state
+    else:
+        raise ValueError(f"unknown filter kind '{kind}'")
+
+    for i in range(M):
+        try:
+            state = step(state, series.values[:, i])
+        except NumericFailure as err:
+            raise NumericFailure(f"{kind} filter failed", t=err.t, step=i,
+                                 particle=err.particle) from err
+        means[:, i] = state.ensemble.mean(axis=1)
+        stds[:, i] = state.ensemble.std(axis=1, ddof=1)
+    return means, stds, extra
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -367,26 +376,6 @@ def _run_one(problem: Problem, series: MeasurementSeries, N: int, dt: float,
     return means
 
 
-class _NestedIncrementStream:
-    """Per-particle stream whose draws aggregate a fine Brownian path.
-
-    Each ``standard_normal(m)`` call consumes ``stride`` fine-grid draws
-    from the particle's base stream and returns their scaled sum, so runs
-    at different step lengths integrate the *same* underlying Brownian
-    path: the requirement for measuring a strong convergence order.
-    """
-
-    def __init__(self, base: RngStream, stride: int):
-        self.base = base
-        self.stride = stride
-
-    def standard_normal(self, size=None):
-        m = 1 if size is None else int(size)
-        block = self.base.standard_normal((self.stride, m))
-        out = block.sum(axis=0) / np.sqrt(self.stride)
-        return out if size is not None else float(out[0])
-
-
 def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
                      dt_ref: float, kind: str) -> np.ndarray:
     """Errors of coarse-step runs against the fine-step self-reference.
@@ -394,7 +383,9 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
     One fine-grid truth path, one measurement-noise panel, one initial
     ensemble, and one Brownian path per particle are shared by every
     resolution; coarser grids aggregate increments and subsample data,
-    so the deviation isolates the step-size effect.
+    so the deviation isolates the step-size effect.  The coarse runs take
+    ``particle_streams(seed, N, stride)``, whose block read-ahead sums
+    ``stride`` fine draws per step and changes no draw.
     """
     problem, N, _, horizon = _resolve(cfg)
     M_ref = int(round(horizon / dt_ref))
@@ -423,8 +414,6 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
         clean = np.column_stack([prob_dt.meas.h(truth_fine[:, k], fine_grid[k])
                                  for k in idx])
         series = MeasurementSeries(times=grid, values=clean + eps_fine[:, idx])
-        nested = [_NestedIncrementStream(s, stride)
-                  for s in particle_streams(cfg.seed, N)]
         return run_filter_series(kind, prob_dt, series,
                                  initial_ensemble(prob_dt, N, cfg.seed),
                                  FilterConfig(N=N, dt=dt_v, alpha=cfg.alpha,
@@ -432,7 +421,8 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
                                               param_diffusion=cfg.param_diffusion,
                                               time_origin=cfg.time_origin),
                                  schedule=make_schedule(cfg.kappa),
-                                 streams=nested)[0], idx
+                                 streams=particle_streams(cfg.seed, N,
+                                                          stride))[0], idx
 
     means_ref, _ = run_at(dt_ref)
     errs = np.empty(len(values))

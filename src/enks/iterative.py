@@ -10,7 +10,6 @@ iterations; only the outer time step advances them.  One undamped pass
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .core import (FilterConfig, FilterState, additive_update, compute_gain,
                    innovation_record)
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
-from .rng import RngStream
+from .rng import ParticleNoise
 from .sde import predict_ensemble
 
 
@@ -108,14 +107,14 @@ def iterate_update(pred: np.ndarray, state: FilterState, y: np.ndarray,
 
 def iterative_enks_step(state: FilterState, proc: ProcessModel,
                         meas: MeasurementModel, y: np.ndarray,
-                        cfg: FilterConfig, streams: Sequence[RngStream],
+                        cfg: FilterConfig, noise: ParticleNoise,
                         schedule: AnnealingSchedule) -> tuple[FilterState, IterationTrace]:
     """One assimilation step with the annealed inner-iteration update."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + cfg.dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, streams)
+    pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise)
     h_pred = meas.evaluate(pred, t_new)
 
     if cfg.time_origin == "step":

@@ -2,18 +2,19 @@
 
 These routines are shared by every filter: single-step and ensemble
 prediction, reference-trajectory simulation, and measurement synthesis
-for twin experiments.
+for twin experiments.  Ensemble prediction takes its Brownian increments
+from a :class:`enks.rng.ParticleNoise`, which reads each particle's stream
+a block of steps ahead (a byte budget sets the block) and serves draws
+bit-identical to per-step ones.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericFailure
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
-from .rng import RngStream, brownian_increments
+from .rng import ParticleNoise, RngStream, brownian_increments
 
 
 def em_step(model: ProcessModel, x: np.ndarray, t: float, dt: float,
@@ -65,29 +66,27 @@ def _ensemble_drift(model: ProcessModel, ens: np.ndarray, t: float) -> np.ndarra
 
 
 def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
-                     dt: float, streams: Sequence[RngStream]) -> np.ndarray:
+                     dt: float, noise: ParticleNoise) -> np.ndarray:
     """Propagate every particle one EM step with its own Brownian stream.
 
     Column j of the result is ``em_step`` applied to column j of ``ens``
-    with the increment drawn from ``streams[j]``; column order is
-    preserved, so results are reproducible no matter how columns would be
-    distributed over workers.
+    with the increment drawn from particle j's stream in ``noise``;
+    column order is preserved, so results are reproducible no matter how
+    columns would be distributed over workers.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n, N = ens.shape
     if n != model.n:
         raise ValueError(f"ensemble has {n} rows, model expects {model.n}")
-    if len(streams) < N:
-        raise ValueError(f"{len(streams)} streams for {N} particles")
+    if noise.N != N:
+        raise ValueError(f"{noise.N} particle streams for {N} particles")
 
     with np.errstate(over="ignore", invalid="ignore"):
         drift = _ensemble_drift(model, ens, t_prev)
         out = ens + drift * dt
         if model.m:
-            dB = np.empty((model.m, N))
-            for j in range(N):
-                dB[:, j] = brownian_increments(streams[j], model.m, dt)
+            dB = noise.increments(model.m, dt)
             if model.constant_diffusion is not None:
                 out = out + model.constant_diffusion @ dB
             else:

@@ -7,6 +7,8 @@ oracle value exercises two independent code paths.
 
 import numpy as np
 
+from enks.rng import PARTICLE_BASE, RngStream, brownian_increments
+
 
 def brute_covariance(columns):
     """Sample covariance of a list of vectors, (1/(N-1)) normalization."""
@@ -127,3 +129,46 @@ def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
         means.append(m.copy())
         covs.append(P.copy())
     return np.array(means), np.array(covs)
+
+
+class NestedIncrementStream:
+    """Per-particle stream whose draws aggregate a fine Brownian path.
+
+    Each ``standard_normal(m)`` call consumes ``stride`` fine-grid draws
+    from ``base`` and returns their sum divided by sqrt(stride).
+    """
+
+    def __init__(self, base, stride):
+        self.base = base
+        self.stride = stride
+
+    def standard_normal(self, size=None):
+        m = 1 if size is None else int(size)
+        block = self.base.standard_normal((self.stride, m))
+        out = block.sum(axis=0) / np.sqrt(self.stride)
+        return out if size is not None else float(out[0])
+
+
+class PerParticleNoise:
+    """Ensemble noise drawn one particle and one step at a time.
+
+    Each step, column j is ``brownian_increments`` on particle j's stream
+    keyed (seed, PARTICLE_BASE + j), wrapped in a NestedIncrementStream
+    when ``stride > 1``.  Stands in for ``enks.rng.ParticleNoise``.
+    """
+
+    def __init__(self, seed, N, stride=1):
+        streams = [RngStream(seed, PARTICLE_BASE + j) for j in range(N)]
+        if stride > 1:
+            streams = [NestedIncrementStream(s, stride) for s in streams]
+        self.streams = streams
+
+    @property
+    def N(self):
+        return len(self.streams)
+
+    def increments(self, m, dt):
+        dB = np.empty((m, self.N))
+        for j, stream in enumerate(self.streams):
+            dB[:, j] = brownian_increments(stream, m, dt)
+        return dB

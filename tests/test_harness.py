@@ -1,9 +1,18 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from enks.harness import (ExperimentConfig, convergence_sweep,
-                          make_twin_data, run_experiment)
+from enks.core import FilterConfig
+from enks.errors import NumericFailure
+from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
+                          initial_ensemble, make_twin_data, run_experiment,
+                          run_filter_series)
+from enks.iterative import make_schedule
 from enks.record import load_csv
+
+from oracles import PerParticleNoise
 
 POPULATION_SEED = 2  # truth stays bounded through T = 5 for this seed
 
@@ -183,3 +192,58 @@ class TestConvergenceSweep:
                                    repeats=5, ref_factor=5)
         assert report.errors.shape == (3, 5)
         assert np.isfinite(report.mean_errors).all()
+
+
+class TestRunFilterSeries:
+    def setup_data(self, problem, N, horizon, seed=3):
+        cfg = ExperimentConfig(problem=problem, N=N, horizon=horizon,
+                               seed=seed, emit_outputs=False)
+        problem, _, series, grid = make_twin_data(cfg)
+        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        return problem, series, initial_ensemble(problem, N, seed), fcfg
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("problem_id", ["linear-gaussian", "frame4-damaged"])
+    def test_matches_per_particle_noise_loop(self, problem_id, kind):
+        # 70 steps cross the first read-ahead block (64 steps at this size)
+        problem, series, ens0, fcfg = self.setup_data(problem_id, 12, 0.7)
+        runs = [run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(3), streams=streams)
+                for streams in (None, PerParticleNoise(fcfg.seed, 12))]
+        (means, stds, _), (means_o, stds_o, _) = runs
+        assert np.array_equal(means, means_o)
+        assert np.array_equal(stds, stds_o)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_failure_carries_filter_step_and_particle(self, kind):
+        problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
+        proc = problem.proc_filter
+
+        def blowup(x, t):
+            out = -x
+            if t > 0.025:  # the step starting at t = 0.03, step index 3
+                out[:, 5] = np.inf
+            return out
+
+        problem = replace(problem, proc_filter=replace(proc,
+                                                       drift_ensemble=blowup))
+        with pytest.raises(NumericFailure) as info:
+            run_filter_series(kind, problem, series, ens0, fcfg,
+                              schedule=make_schedule(3))
+        err = info.value
+        assert (err.step, err.particle) == (3, 5)
+        assert kind in str(err)
+        assert isinstance(err.__cause__, NumericFailure)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_overflowing_ensemble_fails_without_warnings(self, kind):
+        # finite members whose statistics overflow: a NumericFailure, and
+        # no numpy RuntimeWarning on the way
+        problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
+        ens0 = 1e160 * np.array([[1.0, -1.0] * 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure) as info:
+                run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(3))
+        assert info.value.step == 0

@@ -1,7 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from enks.rng import RngStream, brownian_increments, particle_streams
+from enks import rng
+from enks.rng import (ParticleNoise, RngStream, brownian_increments,
+                      particle_streams)
+
+from oracles import PerParticleNoise
 
 
 def test_increment_law():
@@ -41,11 +48,11 @@ def test_counter_advances_within_stream():
 
 
 def test_particle_streams_keying():
-    streams = particle_streams(seed=3, n_particles=4)
+    streams = particle_streams(seed=3, n_particles=4).streams
     assert len(streams) == 4
     assert len({s.stream_id for s in streams}) == 4
     # replaying the same particle id reproduces its draws
-    again = particle_streams(seed=3, n_particles=4)
+    again = particle_streams(seed=3, n_particles=4).streams
     for a, b in zip(streams, again):
         assert np.array_equal(a.standard_normal(2), b.standard_normal(2))
 
@@ -53,3 +60,53 @@ def test_particle_streams_keying():
 def test_negative_key_rejected():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 5), m=st.integers(1, 4),
+       stride=st.sampled_from([1, 2, 3, 7, 8, 9, 10, 20, 40, 80]),
+       dts=st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=140),
+       budget=st.sampled_from([8, 200, 4096, rng.BLOCK_BYTES]),
+       seed=st.integers(0, 2**32))
+def test_particle_noise_matches_per_particle_draws(N, m, stride, dts, budget,
+                                                   seed):
+    # read-ahead blocks of any size, crossed at any step, give the draws
+    # of the per-particle loop bit for bit, the nested sum included
+    with mock.patch.object(rng, "BLOCK_BYTES", budget):
+        noise = particle_streams(seed, N, stride)
+        oracle = PerParticleNoise(seed, N, stride)
+        for dt in dts:
+            assert np.array_equal(noise.increments(m, dt),
+                                  oracle.increments(m, dt))
+
+
+def test_particle_noise_reads_each_stream_once_per_block():
+    calls = []
+    draw = RngStream.standard_normal
+
+    def counted(self, size=None):
+        calls.append(size)
+        return draw(self, size)
+
+    with mock.patch.object(RngStream, "standard_normal", counted):
+        noise = particle_streams(0, 2000)  # 1 MiB / (8 * 2000) -> K = 64
+        for _ in range(65):
+            assert noise.increments(1, 0.01).shape == (1, 2000)
+        assert calls == [(64, 1)] * 4000
+        calls.clear()
+        wide = particle_streams(0, 800)  # 1 MiB / (8 * 800 * 150) -> K = 1
+        wide.increments(150, 0.01)
+        assert calls == [(1, 150)] * 800
+
+
+def test_particle_noise_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        ParticleNoise([])
+    with pytest.raises(ValueError):
+        particle_streams(0, 2, stride=0)
+    noise = particle_streams(0, 2)
+    with pytest.raises(ValueError):
+        noise.increments(1, 0.0)
+    noise.increments(2, 0.1)
+    with pytest.raises(ValueError):
+        noise.increments(3, 0.1)  # the buffered block holds m = 2

@@ -3,7 +3,7 @@ import pytest
 
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, ProcessModel
-from enks.rng import RngStream, particle_streams
+from enks.rng import ParticleNoise, RngStream, particle_streams
 from enks.sde import em_step, predict_ensemble, simulate_truth, synth_measurements
 
 
@@ -88,12 +88,18 @@ class TestPredictEnsemble:
         # streams together permutes the output
         model = scalar_model(lambda x: 0.0, lambda x: 1.0)
         ens = np.array([[1.0, 2.0, 3.0]])
-        streams = particle_streams(9, 3)
-        out = predict_ensemble(model, ens, 0.0, 0.1, streams)
+        out = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(9, 3))
         perm = [2, 0, 1]
+        streams = particle_streams(9, 3).streams
         out_p = predict_ensemble(model, ens[:, perm], 0.0, 0.1,
-                                 [particle_streams(9, 3)[j] for j in perm])
-        assert np.allclose(out[:, perm], out_p)
+                                 ParticleNoise([streams[j] for j in perm]))
+        assert np.array_equal(out[:, perm], out_p)
+
+    def test_stream_count_must_match_particles(self):
+        model = scalar_model(lambda x: 0.0, lambda x: 1.0)
+        with pytest.raises(ValueError):
+            predict_ensemble(model, np.zeros((1, 3)), 0.0, 0.1,
+                             particle_streams(0, 4))
 
 
 class TestSimulateTruth:
