@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .configfile import ConfigError, experiment_config, parse_config_file
-from .errors import NumericFailure
+from .configfile import experiment_config, parse_config_file
+from .errors import ConfigError, NumericFailure
 from .harness import convergence_sweep, make_twin_data, run_experiment
 from .record import _fmt
 
@@ -77,15 +77,18 @@ def _read_series_csv(path: Path):
         if header != ["step", "time", "channel", "value"]:
             raise ConfigError(f"unrecognized dataset header in {path}")
         rows = list(reader)
-    steps = sorted({int(r[0]) for r in rows})
-    channels = sorted({int(r[2]) for r in rows})
-    pos = {s: i for i, s in enumerate(steps)}
-    times = np.zeros(len(steps))
-    values = np.zeros((len(channels), len(steps)))
-    for r in rows:
-        i = pos[int(r[0])]
-        times[i] = float(r[1])
-        values[int(r[2]), i] = float(r[3])
+    try:
+        steps = sorted({int(r[0]) for r in rows})
+        channels = sorted({int(r[2]) for r in rows})
+        pos = {s: i for i, s in enumerate(steps)}
+        times = np.zeros(len(steps))
+        values = np.zeros((len(channels), len(steps)))
+        for r in rows:
+            i = pos[int(r[0])]
+            times[i] = float(r[1])
+            values[int(r[2]), i] = float(r[3])
+    except (ValueError, IndexError) as err:
+        raise ConfigError(f"malformed dataset row in {path}: {err}") from err
     return times, values
 
 
@@ -99,8 +102,12 @@ def load_dataset(data_dir) -> tuple:
             raise ConfigError(f"dataset file missing: {data_dir / name}")
     _, truth = _read_series_csv(data_dir / "truth.csv")
     times, values = _read_series_csv(data_dir / "measurements.csv")
-    noise_lines = (data_dir / "noise_std.csv").read_text().splitlines()[1:]
-    noise_std = np.array([float(l.split(",")[1]) for l in noise_lines])
+    noise_path = data_dir / "noise_std.csv"
+    try:
+        noise_std = np.array([float(l.split(",")[1])
+                              for l in noise_path.read_text().splitlines()[1:]])
+    except (ValueError, IndexError) as err:
+        raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
     return truth, MeasurementSeries(times=times, values=values), noise_std
 
 
@@ -135,8 +142,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_cfg(args)
-    values = [float(v) if args.variable == "dt" else int(v)
-              for v in args.values.split(",")]
+    try:
+        values = [float(v) if args.variable == "dt" else int(v)
+                  for v in args.values.split(",")]
+    except ValueError as err:
+        raise ConfigError(f"bad --values {args.values!r}: {err}") from err
     report = convergence_sweep(cfg, args.variable, values, args.repeats)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -200,9 +210,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericFailure as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from .errors import ConfigError
 from .harness import ExperimentConfig
 
 _STR_KEYS = {"problem", "out", "time_origin"}
@@ -23,10 +24,6 @@ _FLOAT_KEYS = {"dt", "alpha", "horizon", "proc_noise", "meas_noise_std",
                "param_diffusion", "init_spread_scale"}
 _LIST_KEYS = {"filter", "tracked_channels"}
 KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS
-
-
-class ConfigError(ValueError):
-    """A configuration file or flag set could not be validated."""
 
 
 def parse_config_file(path) -> dict:
@@ -90,7 +87,4 @@ def experiment_config(settings: dict, overrides: Optional[dict] = None
         time_origin=merged.get("time_origin", "step"),
         tracked_channels=merged.get("tracked_channels"),
     )
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return ExperimentConfig(**kwargs)

@@ -27,6 +27,9 @@ empirically the update then over-amplifies ensemble spread once
 ``time_origin="step"`` restarts the clock at each assimilation interval,
 ``(tc, tp) = (dt, 0)``, which preserves the update structure while
 keeping the gain bounded; all shipped experiments use it.
+
+Dense solves go through numpy's own LAPACK (``spd_solve``): a step then
+runs all its BLAS work in one library and one thread pool.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel, validate_ensemble
@@ -172,6 +174,22 @@ def blended_denominator(S: np.ndarray, sigma_gram: np.ndarray,
     return 0.5 * (out + out.T)
 
 
+def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
+              t: float | None = None) -> np.ndarray:
+    """Solve ``A X = B`` for symmetric positive definite ``A``.
+
+    ``A`` is factored as ``L L^T`` and the two triangular systems are
+    solved in turn.  An ``A`` that is not positive definite raises
+    ``NumericFailure(message, t=t)``.  A non-finite ``B`` yields a
+    non-finite ``X`` without a warning; callers check the result.
+    """
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as err:
+        raise NumericFailure(message, t=t) from err
+    return np.linalg.solve(L.T, np.linalg.solve(L, B))
+
+
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                  cfg: FilterConfig, sigma_gram: np.ndarray) -> np.ndarray:
     """Gain matrix of the additive update, shape (n, q).
@@ -208,13 +226,8 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
 
     S = innovation_covariance(h_pred, h_mean)
     denom = blended_denominator(S, sigma_gram, cfg.alpha)
-    try:
-        factor = cho_factor(denom)
-    except LinAlgError as err:
-        raise NumericFailure("gain denominator is not positive definite",
-                             t=tc) from err
-    # a non-finite numerator is reported below, not as scipy's ValueError
-    gain = cho_solve(factor, numerator.T, check_finite=False).T
+    gain = spd_solve(denom, numerator.T,
+                     "gain denominator is not positive definite", t=tc).T
     if not np.isfinite(gain).all():
         raise NumericFailure("non-finite gain", t=tc)
     return gain

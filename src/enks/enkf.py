@@ -6,15 +6,18 @@ independently perturbed copy of the observation,
 
     x_j  <-  x_j + C_xh (C_hh + R)^{-1} (y + eps_j - h(x_j)),
     eps_j ~ N(0, R).
+
+The innovation covariance is solved with ``enks.core.spd_solve``, so the
+analysis stays in numpy's LAPACK like the EnKS gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
+from .core import spd_solve
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise, RngStream
@@ -23,11 +26,15 @@ from .sde import predict_ensemble
 
 @dataclass(frozen=True)
 class EnkfConfig:
-    """Ensemble size, observation-error covariance, and seed."""
+    """Ensemble size, observation-error covariance, and seed.
+
+    ``chol_R`` is the lower Cholesky factor of ``R``, set on construction.
+    """
 
     N: int
     R: np.ndarray
     seed: int = 0
+    chol_R: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -37,9 +44,12 @@ class EnkfConfig:
             raise ValueError("R must be square")
         if not np.allclose(R, R.T):
             raise ValueError("R must be symmetric")
-        if np.any(np.linalg.eigvalsh(R) <= 0):
-            raise ValueError("R must be positive definite")
+        try:
+            chol_R = np.linalg.cholesky(R)
+        except np.linalg.LinAlgError as err:
+            raise ValueError("R must be positive definite") from err
         object.__setattr__(self, "R", R)
+        object.__setattr__(self, "chol_R", chol_R)
 
 
 @dataclass
@@ -85,14 +95,10 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
         denom = 0.5 * (C_hh + C_hh.T) + cfg.R
     if not (np.isfinite(denom).all() and np.isfinite(C_xh).all()):
         raise NumericFailure("non-finite ensemble covariance in analysis")
-    try:
-        factor = cho_factor(denom)
-    except LinAlgError as err:
-        raise NumericFailure("singular innovation covariance in analysis") from err
-    gain = cho_solve(factor, C_xh.T).T
+    gain = spd_solve(denom, C_xh.T,
+                     "singular innovation covariance in analysis").T
 
-    chol_R = np.linalg.cholesky(cfg.R)
-    eps = chol_R @ stream.standard_normal((q, N))
+    eps = cfg.chol_R @ stream.standard_normal((q, N))
     analysis = pred + gain @ (y[:, None] + eps - h_pred)
     if not np.isfinite(analysis).all():
         raise NumericFailure("non-finite analysis ensemble")

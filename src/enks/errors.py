@@ -1,11 +1,17 @@
 """Error types shared across the package.
 
 Contract violations (bad shapes, out-of-range parameters) raise the
-built-in ``ValueError``; ``NumericFailure`` is reserved for runs that were
+built-in ``ValueError``; ``ConfigError``, a ``ValueError``, marks the ones
+that come from a run's configuration or input data, which the CLI reports
+with exit status 2.  ``NumericFailure`` is reserved for runs that were
 well-posed on entry but produced non-finite numbers along the way.
 """
 
 from __future__ import annotations
+
+
+class ConfigError(ValueError):
+    """A run configuration, its flags or its input data could not be validated."""
 
 
 class NumericFailure(RuntimeError):

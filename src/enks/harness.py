@@ -24,7 +24,7 @@ import numpy as np
 from .benchmarks import LinearGaussianSpec, enks_limit_oracle, kalman_oracle
 from .core import FilterConfig, enks_step, make_initial_state
 from .enkf import EnkfConfig, EnkfState, enkf_step
-from .errors import NumericFailure
+from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
 from .models import MeasurementSeries
 from .problems import PROBLEM_IDS, Problem, build_problem
@@ -60,25 +60,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
-            raise ValueError(f"unknown problem id '{self.problem}' "
-                             f"(expected one of {', '.join(PROBLEM_IDS)})")
+            raise ConfigError(f"unknown problem id '{self.problem}' "
+                              f"(expected one of {', '.join(PROBLEM_IDS)})")
         self.filters = tuple(self.filters)
         for f in self.filters:
             if f not in FILTER_KINDS:
-                raise ValueError(f"unknown filter '{f}' "
-                                 f"(expected one of {', '.join(FILTER_KINDS)})")
+                raise ConfigError(f"unknown filter '{f}' "
+                                  f"(expected one of {', '.join(FILTER_KINDS)})")
         if not self.filters:
-            raise ValueError("at least one filter must be selected")
+            raise ConfigError("at least one filter must be selected")
         if self.N is not None and self.N < 2:
-            raise ValueError("N must be >= 2")
+            raise ConfigError("N must be >= 2")
         if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
+            raise ConfigError("alpha must lie strictly inside (0, 1)")
         if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
+            raise ConfigError("kappa must be >= 1")
         if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise ConfigError("horizon must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.proc_noise is not None and self.proc_noise < 0:
+            raise ConfigError("proc_noise must be >= 0")
+        if self.meas_noise_std is not None and self.meas_noise_std <= 0:
+            raise ConfigError("meas_noise_std must be positive")
+        if self.param_diffusion < 0:
+            raise ConfigError("param_diffusion must be >= 0")
+        if self.time_origin not in ("step", "absolute"):
+            raise ConfigError("time_origin must be 'step' or 'absolute'")
 
 
 @dataclass
@@ -123,7 +133,7 @@ def make_twin_data(cfg: ExperimentConfig
     problem, N, dt, horizon = _resolve(cfg)
     M = int(round(horizon / dt))
     if M < 1:
-        raise ValueError("horizon shorter than one step")
+        raise ConfigError("horizon shorter than one step")
     grid = dt * np.arange(1, M + 1)
 
     truth_stream = RngStream(cfg.seed, TRUTH_STREAM)
@@ -239,12 +249,19 @@ def run_experiment(cfg: ExperimentConfig,
     else:
         truth, series, noise_std = data
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
-        noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float),
-                                    (problem.meas.q,))
-        problem = problem.with_noise_std(noise_std, dt)
+        noise_std = np.asarray(noise_std, dtype=float).reshape(-1)
+        q = problem.meas.q
+        if (truth.shape != (problem.proc_truth.n, len(series))
+                or series.values.shape[0] != q or noise_std.size not in (1, q)):
+            raise ConfigError("loaded dataset shape does not match the problem")
+        problem = problem.with_noise_std(np.broadcast_to(noise_std, (q,)), dt)
         grid = series.times
-        if truth.shape != (problem.proc_truth.n, len(series)):
-            raise ValueError("loaded truth shape does not match the problem")
+    tracked = cfg.tracked_channels
+    if tracked is None:
+        tracked = tuple(range(min(truth.shape[0], 4)))
+    if any(not 0 <= c < truth.shape[0] for c in tracked):
+        raise ConfigError(f"tracked channels {tracked} outside "
+                          f"0..{truth.shape[0] - 1}")
 
     fcfg = FilterConfig(N=N, dt=dt, alpha=cfg.alpha, seed=cfg.seed,
                         param_diffusion=cfg.param_diffusion,
@@ -268,9 +285,6 @@ def run_experiment(cfg: ExperimentConfig,
         out = Path(cfg.out_dir)
         emit_csv(record, out / f"{cfg.problem}_rows.csv")
         emit_summary(record, out / f"{cfg.problem}_summary.csv")
-        tracked = cfg.tracked_channels
-        if tracked is None:
-            tracked = tuple(range(min(record.n_channels, 4)))
         for c in tracked:
             emit_linechart(record, [c], out / f"{cfg.problem}_ch{c}.svg")
     return record
@@ -304,12 +318,12 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
     each (value, repeat) pair directly and no simulation runs.
     """
     if variable not in ("N", "dt"):
-        raise ValueError("variable must be 'N' or 'dt'")
+        raise ConfigError("variable must be 'N' or 'dt'")
     values = list(values)
     if len(values) < 3:
-        raise ValueError("need at least 3 sweep values")
+        raise ConfigError("need at least 3 sweep values")
     if repeats < 5:
-        raise ValueError("need at least 5 repeats")
+        raise ConfigError("need at least 5 repeats")
     kind = cfg.filters[0]
 
     errors = np.empty((len(values), repeats))
@@ -337,8 +351,8 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
         for i, dt_v in enumerate(values):
             ratio = dt_v / dt_ref
             if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(f"dt={dt_v} is not a multiple of the "
-                                 f"reference step {dt_ref}")
+                raise ConfigError(f"dt={dt_v} is not a multiple of the "
+                                  f"reference step {dt_ref}")
         for r in range(repeats):
             run_cfg = ExperimentConfig(**{**cfg.__dict__, "seed": cfg.seed + r,
                                           "emit_outputs": False})
@@ -400,7 +414,7 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
     truth_fine = simulate_truth(problem.proc_truth, x0, fine_grid, truth_stream)
 
     if problem.noise_std is None:
-        raise ValueError("dt sweeps need a problem with explicit noise_std")
+        raise ConfigError("dt sweeps need a problem with explicit noise_std")
     noise_std = np.broadcast_to(np.asarray(problem.noise_std, dtype=float),
                                 (problem.meas.q,))
     eps_fine = noise_std[:, None] * RngStream(

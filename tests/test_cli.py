@@ -61,6 +61,31 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch,
+                                                        capsys):
+        def broken(cfg, data=None):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr("enks.cli.run_experiment", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["run", "--problem", "population", "--out", "/tmp/enks-x"])
+        assert "config error" not in capsys.readouterr().err
+
+    def test_bad_sweep_values_exit_2(self, capsys):
+        code = main(["sweep", "--problem", "linear-gaussian", "--variable", "N",
+                     "--values", "20,forty,80", "--out", "/tmp/enks-x"])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_mismatched_dataset_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--problem", "population", "--horizon", "1.0",
+                     "--out", str(tmp_path / "data")]) == EXIT_OK
+        code = main(["run", "--problem", "pendulum", "--horizon", "1.0",
+                     "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert "does not match the problem" in capsys.readouterr().err
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),

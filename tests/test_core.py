@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from enks.core import (FilterConfig, FilterState, additive_update,
                        ensemble_mean, innovation_covariance, innovation_record,
                        make_initial_state)
 from enks.benchmarks import enks_limit_oracle, scalar_linear_gaussian
+from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
 from enks.rng import RngStream, particle_streams
 
@@ -151,6 +154,29 @@ class TestComputeGain:
         state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
         with pytest.raises(ValueError):
             compute_gain(np.ones((2, 3)), np.ones((1, 4)), state, cfg, np.eye(1))
+
+    def test_indefinite_denominator_is_a_numeric_failure(self):
+        # a negative noise Gram makes alpha S + (1 - alpha) sigma^T sigma
+        # indefinite; the Cholesky factorization must report it
+        pred = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
+        h = np.array([[0.1, 0.2, 0.4]])
+        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
+        with pytest.raises(NumericFailure,
+                           match="gain denominator is not positive definite"):
+            compute_gain(pred, h, state, cfg, -np.eye(1))
+
+    def test_non_finite_numerator_is_a_numeric_failure(self):
+        # state means overflow to inf, so the numerator is NaN while the
+        # denominator stays finite; the solve must pass it on silently
+        pred = np.array([[1e308, 1e308, -1e308], [0.0, 1.0, -1.0]])
+        h = np.array([[0.1, 0.2, 0.4]])
+        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure, match="non-finite gain"):
+                compute_gain(pred, h, state, cfg, np.eye(1))
 
 
 class TestAdditiveUpdate:

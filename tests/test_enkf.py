@@ -55,6 +55,40 @@ class TestEnkfUpdate:
         with np.errstate(over="ignore"), pytest.raises(NumericFailure):
             enkf_update(pred, pred.copy(), np.array([0.0]), cfg, ZeroStream())
 
+    def test_singular_innovation_covariance_is_a_numeric_failure(self):
+        # two identical measurement rows give C_hh = 2^80 [[1, 1], [1, 1]],
+        # exactly; R = 1e-12 I is below its rounding, so C_hh + R is
+        # singular in floating point and its Cholesky factorization fails
+        a = 2.0 ** 40
+        h = np.array([[a, -a, 0.0], [a, -a, 0.0]])
+        pred = np.array([[1.0, 2.0, 3.0]])
+        cfg = EnkfConfig(N=3, R=1e-12 * np.eye(2))
+        with pytest.raises(NumericFailure,
+                           match="singular innovation covariance in analysis"):
+            enkf_update(pred, h, np.zeros(2), cfg, ZeroStream())
+
+    def test_perturbations_use_cholesky_factor_of_R(self):
+        # correlated R: eps_j = chol(R) z_j, with the same z draws as the
+        # stream yields; the factor is computed once, on construction
+        R = np.array([[0.5, 0.2], [0.2, 0.3]])
+        cfg = EnkfConfig(N=6, R=R)
+        assert np.array_equal(cfg.chol_R, np.linalg.cholesky(R))
+        rng = np.random.default_rng(3)
+        pred = rng.standard_normal((3, 6))
+        h = pred[:2] + 0.1 * rng.standard_normal((2, 6))
+        y = np.array([0.3, -0.2])
+        out = enkf_update(pred, h, y, cfg, RngStream(7, 4))
+
+        eps = np.linalg.cholesky(R) @ RngStream(7, 4).standard_normal((2, 6))
+        Xd = pred - pred.mean(axis=1, keepdims=True)
+        Hd = h - h.mean(axis=1, keepdims=True)
+        C_xh, C_hh = Xd @ Hd.T / 5, Hd @ Hd.T / 5
+        gain = np.linalg.solve(C_hh + R, C_xh.T).T
+        expected = pred + gain @ (y[:, None] + eps - h)
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(out, enkf_update(pred, h, y, EnkfConfig(N=6, R=R),
+                                               RngStream(7, 4)))
+
     def test_shape_checks(self):
         cfg = EnkfConfig(N=3, R=np.eye(2))
         with pytest.raises(ValueError):
