@@ -3,8 +3,8 @@
 ``run_experiment`` generates (or loads) truth and measurements, runs every
 selected filter over the same data with paired random streams, and writes
 the run record; each filter run draws its Brownian increments from one
-:class:`enks.rng.ParticleNoise`, which reads the particle streams a block
-of steps ahead (at most ``BLOCK_BYTES``) with no change to any draw.
+:class:`enks.rng.ParticleNoise`, one panel per step from a stream keyed by
+``(seed, step)``, so every filter of an experiment sees the same noise.
 ``convergence_sweep`` estimates empirical convergence orders in ensemble
 size or step length, each against the limit of the filter being swept: on
 the linear-Gaussian problem the exact large-N limit (the Kalman mean for
@@ -180,9 +180,9 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     Returns ``(means, stds, extra)`` where ``means``/``stds`` are (n, M)
     and ``extra`` is a list of per-step IterationTrace objects for
     "enks-iter" when ``collect_traces`` is set, else None.  ``streams``
-    is the ensemble's noise source and defaults to the per-particle
-    substreams of ``cfg.seed``.  A step's ``NumericFailure`` is re-raised
-    with the filter kind and the step index, its particle and time kept.
+    is the ensemble's noise source and defaults to the step-keyed panels
+    of ``cfg.seed``.  A step's ``NumericFailure`` is re-raised with the
+    filter kind and the step index, its particle and time kept.
     """
     n, N = ens0.shape
     M = len(series)
@@ -398,8 +398,8 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
     ensemble, and one Brownian path per particle are shared by every
     resolution; coarser grids aggregate increments and subsample data,
     so the deviation isolates the step-size effect.  The coarse runs take
-    ``particle_streams(seed, N, stride)``, whose block read-ahead sums
-    ``stride`` fine draws per step and changes no draw.
+    ``particle_streams(seed, N, stride)``, which sums the ``stride`` fine
+    step panels of each coarse step.
     """
     problem, N, _, horizon = _resolve(cfg)
     M_ref = int(round(horizon / dt_ref))

@@ -74,18 +74,21 @@ def iterative_gain(ens_k: np.ndarray, h_k: np.ndarray, state: FilterState,
     return compute_gain(ens_k, h_k, state, cfg, sigma_gram)
 
 
-def iterate_update(pred: np.ndarray, state: FilterState, y: np.ndarray,
-                   schedule: AnnealingSchedule, meas: MeasurementModel,
-                   cfg: FilterConfig, t_eval: float | None = None
+def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
+                   y: np.ndarray, schedule: AnnealingSchedule,
+                   meas: MeasurementModel, cfg: FilterConfig,
+                   t_eval: float | None = None
                    ) -> tuple[np.ndarray, IterationTrace]:
     """Run kappa damped additive passes at the current measurement time.
 
-    Each pass re-evaluates the measurement map on the current iterate,
-    re-assembles the gain, and applies ``beta_k G (y - h_j)`` per
-    particle.  All kappa passes always run; the returned trace records
-    the Frobenius residual between consecutive iterates and the mean
-    innovation norm per pass.  ``t_eval`` is the physical time the
-    measurement map is evaluated at; it defaults to ``state.t_curr``.
+    ``h_pred`` is the measurement image of ``pred`` at ``t_eval``, which
+    the first pass uses; each later pass re-evaluates the measurement map
+    on the current iterate.  Every pass re-assembles the gain and applies
+    ``beta_k G (y - h_j)`` per particle.  All kappa passes always run; the
+    returned trace records the Frobenius residual between consecutive
+    iterates and the mean innovation norm per pass.  ``t_eval`` is the
+    physical time the measurement map is evaluated at; it defaults to
+    ``state.t_curr``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     ens = np.asarray(pred, dtype=float)
@@ -93,8 +96,10 @@ def iterate_update(pred: np.ndarray, state: FilterState, y: np.ndarray,
         t_eval = state.t_curr
     residuals = np.empty(schedule.kappa)
     innov_norms = np.empty(schedule.kappa)
+    h_k = h_pred
     for k, beta in enumerate(schedule.betas):
-        h_k = meas.evaluate(ens, t_eval)
+        if k:
+            h_k = meas.evaluate(ens, t_eval)
         gain = iterative_gain(ens, h_k, state, cfg, meas.sigma_gram)
         new = additive_update(ens, beta * gain, y, h_k)
         if not np.isfinite(new).all():
@@ -121,8 +126,8 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
         gain_state = replace(state, t_curr=cfg.dt, t_prev=0.0)
     else:
         gain_state = replace(state, t_curr=t_new, t_prev=state.t_curr)
-    updated, trace = iterate_update(pred, gain_state, y, schedule, meas, cfg,
-                                    t_eval=t_new)
+    updated, trace = iterate_update(pred, h_pred, gain_state, y, schedule,
+                                    meas, cfg, t_eval=t_new)
     new_state = FilterState(
         t_curr=t_new,
         t_prev=state.t_curr,

@@ -2,33 +2,28 @@
 
 Every source of randomness in the package draws from an ``RngStream``, a
 thin wrapper around numpy's Philox counter-based bit generator keyed by
-``(seed, stream_id)``.  Streams with distinct keys are statistically
+``(seed, stream_id)`` (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11).  Streams with distinct keys are statistically
 independent, and a stream recreated from the same key replays the exact
-same sequence, so runs are bit-reproducible regardless of how work is
-distributed over workers: each particle (or purpose) owns its key and
-consumes only its own stream.
+same sequence, so runs are bit-reproducible.
 
-Purpose ids reserve a block of stream ids well away from the per-particle
-block so that adding particles never collides with harness-level draws.
+Purpose ids reserve the low stream ids; the ensemble's Brownian panels
+are keyed by fine step from STEP_BASE up, so a step key never collides
+with a purpose id.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Stream-id layout: low ids are harness purposes, particle substreams
-# start at PARTICLE_BASE + particle index.
+# Stream-id layout: low ids are harness purposes, the ensemble noise of
+# fine step k is stream STEP_BASE + k.
 TRUTH_STREAM = 0
 MEASUREMENT_STREAM = 1
 INIT_ENSEMBLE_STREAM = 2
 FORCING_STREAM = 3
 PERTURBATION_STREAM = 4
-PARTICLE_BASE = 1 << 20
-
-# ParticleNoise reads at most BLOCK_BYTES of draws, and MAX_BLOCK_STEPS
-# steps, ahead.
-BLOCK_BYTES = 1 << 20
-MAX_BLOCK_STEPS = 64
+STEP_BASE = 1 << 20
 
 
 class RngStream:
@@ -39,7 +34,7 @@ class RngStream:
     seed : int
         64-bit run seed shared by all streams of a run.
     stream_id : int
-        64-bit substream index (purpose id or particle index).
+        64-bit substream index (purpose id or step key).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -59,59 +54,46 @@ class RngStream:
 
 
 class ParticleNoise:
-    """Brownian increments of an ensemble, one stream per particle.
+    """Brownian increments of an ensemble, one keyed panel per fine step.
 
-    Column j of every increment comes from ``streams[j]`` alone.  When
-    the buffer runs out, each stream is read once for the next K steps,
-    ``K = clip(BLOCK_BYTES // (8 N m stride), 1, MAX_BLOCK_STEPS)``, and
-    ``increments`` then serves one step per call.  A Philox generator
-    yields the same sequence whether asked for ``K * m`` normals at once
-    or ``m`` at a time, so each increment is bit-identical to a draw made
-    at its own step: K changes speed and memory, never a result.
+    Fine step k reads ``RngStream(seed, STEP_BASE + k).standard_normal((N, m))``
+    in one call, and row j of that panel is particle j's unit draw.  The
+    panel fills rows in order from a fresh stream, so particle j's draws
+    are the same for every ensemble of more than j particles, and a
+    rerun replays them bit for bit.
 
-    With ``stride > 1`` a step's unit draw is ``sum / sqrt(stride)`` over
-    ``stride`` consecutive draws, so runs at step ``stride * dt_ref``
-    integrate the same fine Brownian path as a run at ``dt_ref``.
+    With ``stride > 1`` a step's unit draw is the in-order sum of
+    ``stride`` consecutive fine panels over ``sqrt(stride)``, so runs at
+    step ``stride * dt_ref`` integrate the same fine Brownian path as a
+    run at ``dt_ref``.
     """
 
-    def __init__(self, streams, stride: int = 1):
-        self.streams = tuple(streams)
-        if not self.streams:
-            raise ValueError("need at least one particle stream")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.N, self.stride = len(self.streams), int(stride)
-        self._block = None  # (N, K, m) unit-variance draws
-        self._next = 0  # next unread step of the block
+    def __init__(self, seed: int, n_particles: int, stride: int = 1):
+        if seed < 0 or n_particles < 1 or stride < 1:
+            raise ValueError(f"need seed >= 0, n_particles >= 1 and stride >= 1, "
+                             f"got {seed}, {n_particles}, {stride}")
+        self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
+        self._step = 0  # next unread fine step
 
     def increments(self, m: int, dt: float) -> np.ndarray:
         """Next step's increments, shape (m, N): column j ~ N(0, dt I_m)."""
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
-        if self._block is not None and self._block.shape[2] != m:
-            raise ValueError(f"m={m} differs from the buffered m")
-        if self._block is None or self._next == self._block.shape[1]:
-            self._refill(m)
+        k0, self._step = self._step, self._step + self.stride
+        panel = RngStream(self.seed, STEP_BASE + k0).standard_normal((self.N, m))
+        if self.stride > 1:
+            for k in range(k0 + 1, self._step):
+                panel += RngStream(self.seed, STEP_BASE + k).standard_normal(
+                    (self.N, m))
+            panel /= np.sqrt(self.stride)
         out = np.empty((m, self.N))
-        np.multiply(np.sqrt(dt), self._block[:, self._next, :].T, out=out)
-        self._next += 1
+        np.multiply(np.sqrt(dt), panel.T, out=out)
         return out
-
-    def _refill(self, m: int) -> None:
-        N, stride = self.N, self.stride
-        K = int(np.clip(BLOCK_BYTES // (8 * N * m * stride), 1, MAX_BLOCK_STEPS))
-        self._block, self._next = np.empty((N, K, m)), 0
-        for j, stream in enumerate(self.streams):
-            draws = stream.standard_normal((K * stride, m))
-            if stride > 1:
-                draws = draws.reshape(K, stride, m).sum(axis=1) / np.sqrt(stride)
-            self._block[j] = draws
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:
-    """Ensemble noise from substreams keyed by (seed, PARTICLE_BASE + j)."""
-    return ParticleNoise([RngStream(seed, PARTICLE_BASE + j)
-                          for j in range(n_particles)], stride)
+    """The ensemble noise of a run: step panels keyed (seed, STEP_BASE + k)."""
+    return ParticleNoise(seed, n_particles, stride)
 
 
 def brownian_increments(stream: RngStream, m: int, dt: float) -> np.ndarray:

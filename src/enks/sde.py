@@ -3,9 +3,8 @@
 These routines are shared by every filter: single-step and ensemble
 prediction, reference-trajectory simulation, and measurement synthesis
 for twin experiments.  Ensemble prediction takes its Brownian increments
-from a :class:`enks.rng.ParticleNoise`, which reads each particle's stream
-a block of steps ahead (a byte budget sets the block) and serves draws
-bit-identical to per-step ones.
+from a :class:`enks.rng.ParticleNoise`, one ``(N, m)`` panel per step
+drawn in a single call from that step's keyed stream.
 """
 
 from __future__ import annotations
@@ -67,12 +66,12 @@ def _ensemble_drift(model: ProcessModel, ens: np.ndarray, t: float) -> np.ndarra
 
 def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
                      dt: float, noise: ParticleNoise) -> np.ndarray:
-    """Propagate every particle one EM step with its own Brownian stream.
+    """Propagate every particle one EM step.
 
     Column j of the result is ``em_step`` applied to column j of ``ens``
-    with the increment drawn from particle j's stream in ``noise``;
-    column order is preserved, so results are reproducible no matter how
-    columns would be distributed over workers.
+    with column j of the step's increments from ``noise``; column order is
+    preserved, so permuting the particles and their increments together
+    permutes the result.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -7,7 +7,7 @@ oracle value exercises two independent code paths.
 
 import numpy as np
 
-from enks.rng import PARTICLE_BASE, RngStream, brownian_increments
+from enks.rng import STEP_BASE, RngStream
 
 
 def brute_covariance(columns):
@@ -131,44 +131,33 @@ def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
     return np.array(means), np.array(covs)
 
 
-class NestedIncrementStream:
-    """Per-particle stream whose draws aggregate a fine Brownian path.
+class StepKeyedNoise:
+    """Ensemble noise built one particle and one fine step at a time.
 
-    Each ``standard_normal(m)`` call consumes ``stride`` fine-grid draws
-    from ``base`` and returns their sum divided by sqrt(stride).
-    """
-
-    def __init__(self, base, stride):
-        self.base = base
-        self.stride = stride
-
-    def standard_normal(self, size=None):
-        m = 1 if size is None else int(size)
-        block = self.base.standard_normal((self.stride, m))
-        out = block.sum(axis=0) / np.sqrt(self.stride)
-        return out if size is not None else float(out[0])
-
-
-class PerParticleNoise:
-    """Ensemble noise drawn one particle and one step at a time.
-
-    Each step, column j is ``brownian_increments`` on particle j's stream
-    keyed (seed, PARTICLE_BASE + j), wrapped in a NestedIncrementStream
-    when ``stride > 1``.  Stands in for ``enks.rng.ParticleNoise``.
+    Fine step k opens a fresh ``RngStream(seed, STEP_BASE + k)`` and gives
+    particle j the (j+1)-th of N ``standard_normal(m)`` calls.  A step of
+    ``stride`` fine steps adds each particle's fine draws in a loop,
+    divides by sqrt(stride) and scales by sqrt(dt).  Stands in for
+    ``enks.rng.ParticleNoise``.
     """
 
     def __init__(self, seed, N, stride=1):
-        streams = [RngStream(seed, PARTICLE_BASE + j) for j in range(N)]
-        if stride > 1:
-            streams = [NestedIncrementStream(s, stride) for s in streams]
-        self.streams = streams
+        self.seed, self.N, self.stride = seed, N, stride
+        self.step = 0  # next fine step
 
-    @property
-    def N(self):
-        return len(self.streams)
+    def fine_draws(self, k, m):
+        """Unit draws of fine step k, one length-m vector per particle."""
+        stream = RngStream(self.seed, STEP_BASE + k)
+        return [stream.standard_normal(m) for _ in range(self.N)]
 
     def increments(self, m, dt):
+        fine = [self.fine_draws(k, m)
+                for k in range(self.step, self.step + self.stride)]
+        self.step += self.stride
         dB = np.empty((m, self.N))
-        for j, stream in enumerate(self.streams):
-            dB[:, j] = brownian_increments(stream, m, dt)
+        for j in range(self.N):
+            total = fine[0][j]
+            for draws in fine[1:]:
+                total = total + draws[j]
+            dB[:, j] = np.sqrt(dt) * (total / np.sqrt(self.stride))
         return dB

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
                           run_filter_series)
 from enks.iterative import make_schedule
 from enks.record import load_csv
+from enks.rng import STEP_BASE, PERTURBATION_STREAM, RngStream, particle_streams
 
-from oracles import PerParticleNoise
+from oracles import StepKeyedNoise
 
 POPULATION_SEED = 2  # truth stays bounded through T = 5 for this seed
 
@@ -205,14 +207,38 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     @pytest.mark.parametrize("problem_id", ["linear-gaussian", "frame4-damaged"])
     def test_matches_per_particle_noise_loop(self, problem_id, kind):
-        # 70 steps cross the first read-ahead block (64 steps at this size)
+        # the default noise is the step-keyed panels, drawn here by the
+        # loop over particles and steps
         problem, series, ens0, fcfg = self.setup_data(problem_id, 12, 0.7)
         runs = [run_filter_series(kind, problem, series, ens0, fcfg,
                                   schedule=make_schedule(3), streams=streams)
-                for streams in (None, PerParticleNoise(fcfg.seed, 12))]
+                for streams in (None, StepKeyedNoise(fcfg.seed, 12))]
         (means, stds, _), (means_o, stds_o, _) = runs
         assert np.array_equal(means, means_o)
         assert np.array_equal(stds, stds_o)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("N", [2, 500])
+    def test_noise_streams_per_run_do_not_grow_with_n(self, N, kind):
+        # cost guard: M steps at stride s open M * s ensemble-noise streams,
+        # whatever N, plus the EnKF's one perturbation stream
+        problem, series, ens0, fcfg = self.setup_data("linear-gaussian", N, 0.05)
+        keys, init = [], RngStream.__init__
+
+        def record(self, seed, stream_id=0):
+            keys.append(stream_id)
+            init(self, seed, stream_id)
+
+        for stride in (1, 3):
+            keys.clear()
+            with mock.patch.object(RngStream, "__init__", record):
+                streams = (None if stride == 1  # the default noise
+                           else particle_streams(fcfg.seed, N, stride))
+                run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(3), streams=streams)
+            assert len([k for k in keys if k >= STEP_BASE]) == len(series) * stride
+            assert [k for k in keys if k < STEP_BASE] == (
+                [PERTURBATION_STREAM] if kind == "enkf" else [])
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_failure_carries_filter_step_and_particle(self, kind):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,13 +123,27 @@ class TestIterateUpdate:
         assert np.array_equal(out_plain.prev_state_mean, out_iter.prev_state_mean)
         assert trace.residuals.shape == (1,)
 
+    def test_step_evaluates_measurement_map_once_per_pass(self):
+        # the first pass reuses the predicted image the step computed
+        N, kappa = 8, 4
+        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=3)
+        state = make_initial_state(RngStream(3, 2).standard_normal((1, N)),
+                                   self.meas)
+        evaluate = MeasurementModel.evaluate
+        with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
+                               side_effect=evaluate) as counted:
+            iterative_enks_step(state, self.proc, self.meas, np.array([0.7]),
+                                cfg, particle_streams(3, N), make_schedule(kappa))
+        assert counted.call_count == kappa
+
     def test_exact_measurement_leaves_ensemble_fixed(self):
         # every particle already produces the observation: all passes no-op
         N = 8
         ens = np.tile(np.array([[1.5]]), (1, N))
         state = make_state([0.0], [0.0], 0.01, 0.0)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
-        out, trace = iterate_update(ens, state, np.array([1.5]),
+        h = self.meas.evaluate(ens, state.t_curr)
+        out, trace = iterate_update(ens, h, state, np.array([1.5]),
                                     make_schedule(5), self.meas, cfg)
         assert np.array_equal(out, ens)
         assert np.allclose(trace.residuals, 0.0)
@@ -139,7 +155,8 @@ class TestIterateUpdate:
         state = make_state([0.0], [0.0], 0.01, 0.0)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
         for kappa in (1, 3, 10):
-            out, trace = iterate_update(ens, state, np.array([0.2]),
+            h = self.meas.evaluate(ens, state.t_curr)
+            out, trace = iterate_update(ens, h, state, np.array([0.2]),
                                         make_schedule(kappa), self.meas, cfg)
             assert trace.residuals.shape == (kappa,)
             assert trace.innovation_norms.shape == (kappa,)
@@ -152,7 +169,8 @@ class TestIterateUpdate:
         state = make_state([2.1], [2.1], 0.1, 0.0)
         cfg = FilterConfig(N=N, dt=0.1, alpha=0.8)
         meas = identity_meas(1, dt=0.1)
-        out, trace = iterate_update(ens, state, np.array([2.3]),
+        out, trace = iterate_update(ens, meas.evaluate(ens, state.t_curr),
+                                    state, np.array([2.3]),
                                     make_schedule(50), meas, cfg)
         assert np.isfinite(out).all()
         assert np.isfinite(trace.residuals).all()
@@ -212,9 +230,10 @@ class TestIterateUpdate:
         state_a = make_state([0.3], [0.3], 0.01, 0.0)
         state_b = make_state([0.3], [0.3], 0.01, 0.0)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
-        out_a, _ = iterate_update(ens, state_a, np.array([0.9]),
+        h = self.meas.evaluate(ens, state_a.t_curr)
+        out_a, _ = iterate_update(ens, h, state_a, np.array([0.9]),
                                   make_schedule(4), self.meas, cfg)
-        out_b, _ = iterate_update(ens, state_b, np.array([0.9]),
+        out_b, _ = iterate_update(ens, h, state_b, np.array([0.9]),
                                   make_schedule(4), self.meas, cfg)
         assert np.array_equal(out_a, out_b)
         assert state_a.prev_state_mean[0] == 0.3

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enks import rng
-from enks.rng import (ParticleNoise, RngStream, brownian_increments,
+from enks.rng import (STEP_BASE, ParticleNoise, RngStream, brownian_increments,
                       particle_streams)
 
-from oracles import PerParticleNoise
+from oracles import StepKeyedNoise
 
 
 def test_increment_law():
@@ -48,13 +48,17 @@ def test_counter_advances_within_stream():
 
 
 def test_particle_streams_keying():
-    streams = particle_streams(seed=3, n_particles=4).streams
-    assert len(streams) == 4
-    assert len({s.stream_id for s in streams}) == 4
-    # replaying the same particle id reproduces its draws
-    again = particle_streams(seed=3, n_particles=4).streams
-    for a, b in zip(streams, again):
-        assert np.array_equal(a.standard_normal(2), b.standard_normal(2))
+    # fine step k is one (N, m) draw from the stream keyed STEP_BASE + k,
+    # row j for particle j; a second noise of the same seed replays it
+    noise, again = particle_streams(seed=3, n_particles=4), particle_streams(3, 4)
+    for k, dt in enumerate([0.5, 0.25, 2.0]):
+        panel = RngStream(3, STEP_BASE + k).standard_normal((4, 2))
+        dB = noise.increments(2, dt)
+        assert np.array_equal(dB, np.sqrt(dt) * panel.T)
+        assert dB.flags.c_contiguous
+        assert np.array_equal(again.increments(2, dt), dB)
+    assert not np.array_equal(particle_streams(4, 4).increments(2, 0.5),
+                              particle_streams(3, 4).increments(2, 0.5))
 
 
 def test_negative_key_rejected():
@@ -66,47 +70,103 @@ def test_negative_key_rejected():
 @given(N=st.integers(1, 5), m=st.integers(1, 4),
        stride=st.sampled_from([1, 2, 3, 7, 8, 9, 10, 20, 40, 80]),
        dts=st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=140),
-       budget=st.sampled_from([8, 200, 4096, rng.BLOCK_BYTES]),
        seed=st.integers(0, 2**32))
-def test_particle_noise_matches_per_particle_draws(N, m, stride, dts, budget,
-                                                   seed):
-    # read-ahead blocks of any size, crossed at any step, give the draws
-    # of the per-particle loop bit for bit, the nested sum included
-    with mock.patch.object(rng, "BLOCK_BYTES", budget):
-        noise = particle_streams(seed, N, stride)
-        oracle = PerParticleNoise(seed, N, stride)
-        for dt in dts:
-            assert np.array_equal(noise.increments(m, dt),
-                                  oracle.increments(m, dt))
+def test_particle_noise_matches_per_particle_draws(N, m, stride, dts, seed):
+    # one panel call per fine step gives the draws of the loop over
+    # particles and fine steps bit for bit, the stride sum included
+    noise = particle_streams(seed, N, stride)
+    oracle = StepKeyedNoise(seed, N, stride)
+    for dt in dts:
+        assert np.array_equal(noise.increments(m, dt), oracle.increments(m, dt))
 
 
-def test_particle_noise_reads_each_stream_once_per_block():
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 40), extra=st.integers(1, 40), m=st.integers(1, 4),
+       steps=st.integers(1, 8), stride=st.integers(1, 5),
+       seed=st.integers(0, 2**32))
+def test_particle_draws_do_not_depend_on_ensemble_size(N, extra, m, steps,
+                                                       stride, seed):
+    # particle j's increments are the same in every ensemble of more
+    # than j particles
+    small = particle_streams(seed, N, stride)
+    large = particle_streams(seed, N + extra, stride)
+    for _ in range(steps):
+        assert np.array_equal(small.increments(m, 0.1),
+                              large.increments(m, 0.1)[:, :N])
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 6), m=st.integers(1, 3), stride=st.integers(2, 12),
+       steps=st.integers(1, 6), dt=st.floats(1e-4, 2.0),
+       seed=st.integers(0, 2**32))
+def test_stride_increment_sums_the_fine_panels(N, m, stride, steps, dt, seed):
+    # coarse step i integrates fine steps i*stride .. (i+1)*stride - 1, the
+    # same fine Brownian path a stride-1 run draws
+    noise = particle_streams(seed, N, stride)
+    fine = StepKeyedNoise(seed, N)
+    for i in range(steps):
+        panels = [np.column_stack(fine.fine_draws(k, m))
+                  for k in range(i * stride, (i + 1) * stride)]
+        total = panels[0]
+        for p in panels[1:]:
+            total = total + p
+        assert np.array_equal(noise.increments(m, dt),
+                              np.sqrt(dt) * (total / np.sqrt(stride)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stride=st.integers(1, 5), steps=st.integers(1, 30),
+       seed=st.integers(0, 2**32))
+def test_step_keys_are_disjoint_from_purpose_streams(stride, steps, seed):
+    keys = []
+    init = RngStream.__init__
+
+    def record(self, seed, stream_id=0):
+        keys.append(stream_id)
+        init(self, seed, stream_id)
+
+    with mock.patch.object(RngStream, "__init__", record):
+        noise = particle_streams(seed, 3, stride)
+        for _ in range(steps):
+            noise.increments(2, 0.1)
+    assert np.array_equal(keys, STEP_BASE + np.arange(steps * stride))
+    assert not set(keys) & set(range(rng.TRUTH_STREAM,
+                                     rng.PERTURBATION_STREAM + 1))
+
+
+def test_particle_noise_reads_one_panel_per_fine_step():
     calls = []
     draw = RngStream.standard_normal
 
     def counted(self, size=None):
-        calls.append(size)
+        calls.append((self.stream_id - STEP_BASE, size))
         return draw(self, size)
 
     with mock.patch.object(RngStream, "standard_normal", counted):
-        noise = particle_streams(0, 2000)  # 1 MiB / (8 * 2000) -> K = 64
+        noise = particle_streams(0, 2000)
         for _ in range(65):
             assert noise.increments(1, 0.01).shape == (1, 2000)
-        assert calls == [(64, 1)] * 4000
+        assert calls == [(k, (2000, 1)) for k in range(65)]
         calls.clear()
-        wide = particle_streams(0, 800)  # 1 MiB / (8 * 800 * 150) -> K = 1
+        wide = particle_streams(0, 800)
         wide.increments(150, 0.01)
-        assert calls == [(1, 150)] * 800
+        assert calls == [(0, (800, 150))]
+        calls.clear()
+        nested = particle_streams(0, 5, stride=3)
+        nested.increments(2, 0.01)
+        nested.increments(2, 0.01)
+        assert calls == [(k, (5, 2)) for k in range(6)]
 
 
 def test_particle_noise_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        ParticleNoise([])
+        ParticleNoise(0, 0)
+    with pytest.raises(ValueError):
+        ParticleNoise(-1, 2)
     with pytest.raises(ValueError):
         particle_streams(0, 2, stride=0)
     noise = particle_streams(0, 2)
     with pytest.raises(ValueError):
         noise.increments(1, 0.0)
-    noise.increments(2, 0.1)
     with pytest.raises(ValueError):
-        noise.increments(3, 0.1)  # the buffered block holds m = 2
+        noise.increments(0, 0.1)

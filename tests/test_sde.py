@@ -3,7 +3,7 @@ import pytest
 
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, ProcessModel
-from enks.rng import ParticleNoise, RngStream, particle_streams
+from enks.rng import RngStream, particle_streams
 from enks.sde import em_step, predict_ensemble, simulate_truth, synth_measurements
 
 
@@ -84,15 +84,26 @@ class TestPredictEnsemble:
         assert np.array_equal(a, b)
 
     def test_column_order_matches_streams(self):
-        # each column must consume its own stream: permuting columns and
-        # streams together permutes the output
-        model = scalar_model(lambda x: 0.0, lambda x: 1.0)
-        ens = np.array([[1.0, 2.0, 3.0]])
-        out = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(9, 3))
-        perm = [2, 0, 1]
-        streams = particle_streams(9, 3).streams
+        # permutation equivariance: permuting the particles and their
+        # increments together permutes the output
+        class PermutedNoise:
+            def __init__(self, noise, perm):
+                self.noise, self.perm, self.N = noise, perm, noise.N
+
+            def increments(self, m, dt):
+                return self.noise.increments(m, dt)[:, self.perm]
+
+        # dyadic diffusion entries make every product exact, so no BLAS
+        # summation order can tell the columns apart
+        model = ProcessModel(n=2, m=2, drift=None, diffusion=None,
+                             drift_ensemble=lambda x, t: -x * x[::-1],
+                             constant_diffusion=np.array([[1.0, 0.5],
+                                                          [0.0, 2.0]]))
+        ens = RngStream(4, 2).standard_normal((2, 5))
+        perm = [2, 0, 4, 1, 3]
+        out = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(9, 5))
         out_p = predict_ensemble(model, ens[:, perm], 0.0, 0.1,
-                                 ParticleNoise([streams[j] for j in perm]))
+                                 PermutedNoise(particle_streams(9, 5), perm))
         assert np.array_equal(out[:, perm], out_p)
 
     def test_stream_count_must_match_particles(self):
