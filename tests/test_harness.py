@@ -73,15 +73,21 @@ class TestRunExperiment:
 
     def test_frame20_damage_separation_majority_of_seeds(self):
         # stiffness estimate at the damaged storey ends below both
-        # neighbors in the majority of seeds
-        wins = 0
-        for seed in range(3):
+        # neighbors in the majority of seeds. Per seed that happens about
+        # three times in four, so a majority of 30 seeds fails with
+        # probability 0.003 (binomial, p = 0.75), while a filter that does
+        # not see the damage (p = 1/3) passes with probability 0.02; the
+        # loop stops once the majority is reached.
+        n_seeds, need, wins = 30, 16, 0
+        for seed in range(n_seeds):
             cfg = ExperimentConfig(problem="frame20-damaged", filters=("enks",),
                                    seed=seed, emit_outputs=False)
             rec = run_experiment(cfg)
             k = rec.filter_means["enks"][40:60, -1]
             wins += (k[9] < k[8]) and (k[9] < k[10])
-        assert wins >= 2, f"separation in only {wins}/3 seeds"
+            if wins == need:
+                break
+        assert wins >= need, f"separation in only {wins}/{n_seeds} seeds"
 
     def test_linear_gaussian_truth_from_prior(self):
         cfg = ExperimentConfig(problem="linear-gaussian", N=50, horizon=0.5,
