@@ -38,12 +38,21 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative")
         self.seed = int(seed)
+        self._gen = np.random.Generator(np.random.Philox())
+        self.restart(stream_id)
+
+    def restart(self, stream_id: int) -> None:
+        """Rewind to substream ``stream_id``: draw what ``RngStream(seed,
+        stream_id)`` draws, without the cost of building a generator."""
+        if self.seed < 0 or stream_id < 0:
+            raise ValueError("seed and stream_id must be nonnegative")
         self.stream_id = int(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([self.seed, self.stream_id], np.uint64)}}
 
     def standard_normal(self, size=None) -> np.ndarray:
         """Draw iid N(0, 1) variates, advancing the stream counter."""
@@ -58,9 +67,9 @@ class ParticleNoise:
 
     Fine step k reads ``RngStream(seed, STEP_BASE + k).standard_normal((N, m))``
     in one call, and row j of that panel is particle j's unit draw.  The
-    panel fills rows in order from a fresh stream, so particle j's draws
-    are the same for every ensemble of more than j particles, and a
-    rerun replays them bit for bit.
+    panel fills rows in order from the step key's first draw, so particle
+    j's draws are the same for every ensemble of more than j particles,
+    and a rerun replays them bit for bit.
 
     With ``stride > 1`` a step's unit draw is the in-order sum of
     ``stride`` consecutive fine panels over ``sqrt(stride)``, so runs at
@@ -73,18 +82,22 @@ class ParticleNoise:
             raise ValueError(f"need seed >= 0, n_particles >= 1 and stride >= 1, "
                              f"got {seed}, {n_particles}, {stride}")
         self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
+        self._stream = RngStream(self.seed, STEP_BASE)  # restarted per fine step
         self._step = 0  # next unread fine step
+
+    def _panel(self, k: int, m: int) -> np.ndarray:
+        self._stream.restart(STEP_BASE + k)
+        return self._stream.standard_normal((self.N, m))
 
     def increments(self, m: int, dt: float) -> np.ndarray:
         """Next step's increments, shape (m, N): column j ~ N(0, dt I_m)."""
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
         k0, self._step = self._step, self._step + self.stride
-        panel = RngStream(self.seed, STEP_BASE + k0).standard_normal((self.N, m))
+        panel = self._panel(k0, m)
         if self.stride > 1:
             for k in range(k0 + 1, self._step):
-                panel += RngStream(self.seed, STEP_BASE + k).standard_normal(
-                    (self.N, m))
+                panel += self._panel(k, m)
             panel /= np.sqrt(self.stride)
         out = np.empty((m, self.N))
         np.multiply(np.sqrt(dt), panel.T, out=out)

@@ -64,6 +64,10 @@ def test_particle_streams_keying():
 def test_negative_key_rejected():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
+    with pytest.raises(ValueError):
+        RngStream(1, -1)
+    with pytest.raises(ValueError):
+        RngStream(1, 0).restart(-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,19 +123,36 @@ def test_stride_increment_sums_the_fine_panels(N, m, stride, steps, dt, seed):
        seed=st.integers(0, 2**32))
 def test_step_keys_are_disjoint_from_purpose_streams(stride, steps, seed):
     keys = []
-    init = RngStream.__init__
+    draw = RngStream.standard_normal
 
-    def record(self, seed, stream_id=0):
-        keys.append(stream_id)
-        init(self, seed, stream_id)
+    def record(self, size=None):
+        keys.append(self.stream_id)
+        return draw(self, size)
 
-    with mock.patch.object(RngStream, "__init__", record):
+    with mock.patch.object(RngStream, "standard_normal", record):
         noise = particle_streams(seed, 3, stride)
         for _ in range(steps):
             noise.increments(2, 0.1)
     assert np.array_equal(keys, STEP_BASE + np.arange(steps * stride))
     assert not set(keys) & set(range(rng.TRUTH_STREAM,
                                      rng.PERTURBATION_STREAM + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**64 - 1),
+       key=st.integers(0, 2**64 - 1), used=st.integers(0, 9),
+       sizes=st.lists(st.integers(0, 9), min_size=1, max_size=4))
+def test_restart_replays_a_new_stream(seed, first, key, used, sizes):
+    # a restarted stream draws what a stream built at that key draws,
+    # whatever the stream had drawn before
+    stream = RngStream(seed, first)
+    stream.standard_normal(used)
+    stream.restart(key)
+    fresh = RngStream(seed, key)
+    assert stream.stream_id == key
+    for size in sizes:
+        assert np.array_equal(stream.standard_normal(size),
+                              fresh.standard_normal(size))
 
 
 def test_particle_noise_reads_one_panel_per_fine_step():
