@@ -6,27 +6,29 @@ by a shared gain matrix applied to its own innovation,
 
     x_j  <-  x_j + G (y - h(x_j)).
 
-The gain couples the predicted state/measurement cross terms with the
-previous step's ensemble means through time-weighted products, and its
-denominator blends the ensemble innovation covariance with the scaled
-measurement-noise intensity through a parameter ``alpha``:
+With ``Xd = X - xbar`` and ``Hd = H - hbar`` the predicted ensemble and
+its measurement image centred on their means, the gain is
 
-    G = (1/N) [ (X - Xbar) (Hd^T tc + hbar_prev^T (tc - tp))
-              + (xbar tc - xbar_prev tp) 1^T Hd^T ]
-        [ alpha S + (1 - alpha) sigma^T sigma ]^{-1}
+    G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + (1 - alpha) sigma^T sigma ]^{-1},
 
-with ``Hd = H - hbar`` the centered predicted measurements, ``S`` their
-sample covariance, and ``(tc, tp)`` the time pair discussed below.
+whose denominator blends the innovation sample covariance with the scaled
+measurement-noise intensity through ``alpha``.  The gain as the paper
+writes it adds two terms built from the previous step's means and time
+``tp``: ``hbar_prev^T (tc - tp)`` inside the cross product and
+``(xbar tc - xbar_prev tp) 1^T Hd^T``.  Both vanish exactly, because each
+multiplies a zero-sum quantity: ``Xd 1 = 0`` and ``Hd 1 = 0``.  What is
+left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
+dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
+this filter, its iterative form and the perturbed-observation EnKF.
 
 Time origin
 -----------
-With ``time_origin="absolute"`` the products use the running times
-``(t_i, t_{i-1})``, making the gain norm grow linearly with elapsed time;
-empirically the update then over-amplifies ensemble spread once
-``t > 2 * alpha`` and every long benchmark diverges.  The default
-``time_origin="step"`` restarts the clock at each assimilation interval,
-``(tc, tp) = (dt, 0)``, which preserves the update structure while
-keeping the gain bounded; all shipped experiments use it.
+With ``time_origin="absolute"`` the gain uses the running time ``tc =
+t_i``, making its norm grow linearly with elapsed time; empirically the
+update then over-amplifies ensemble spread once ``t > 2 * alpha`` and
+every long benchmark diverges.  The default ``time_origin="step"``
+restarts the clock at each assimilation interval, ``tc = dt``, which
+keeps the gain bounded; all shipped experiments use it.
 
 Dense solves go through numpy's own LAPACK (``spd_solve``): a step then
 runs all its BLAS work in one library and one thread pool.
@@ -43,6 +45,12 @@ from .models import MeasurementModel, ProcessModel, validate_ensemble
 from .rng import ParticleNoise
 from .sde import predict_ensemble
 
+# NumericFailure messages of the EnKS gain: non-finite denominator,
+# denominator not positive definite, non-finite gain
+GAIN_FAILURES = ("non-finite blended denominator",
+                 "gain denominator is not positive definite",
+                 "non-finite gain")
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -58,9 +66,6 @@ class FilterConfig:
         Denominator blend weight in (0, 1); 0.8 is the customary value.
     seed : int
         Base seed for all streams of the run.
-    param_diffusion : float
-        Diffusion intensity applied to augmented parameter channels by the
-        benchmark builders (kept here so a config fully describes a run).
     time_origin : str
         "step" (default) or "absolute"; see module docstring.
     """
@@ -69,7 +74,6 @@ class FilterConfig:
     dt: float
     alpha: float = 0.8
     seed: int = 0
-    param_diffusion: float = 0.01
     time_origin: str = "step"
 
     def __post_init__(self):
@@ -79,26 +83,26 @@ class FilterConfig:
             raise ValueError("dt must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
-        if self.param_diffusion < 0:
-            raise ValueError("param_diffusion must be >= 0")
         if self.time_origin not in ("step", "absolute"):
             raise ValueError("time_origin must be 'step' or 'absolute'")
+
+    def gain_time(self, t_new: float) -> float:
+        """The gain's ``tc`` for a step ending at ``t_new``: ``dt`` or ``t_new``."""
+        return self.dt if self.time_origin == "step" else t_new
 
 
 @dataclass
 class FilterState:
-    """Ensemble plus the lagged means the gain formula consumes.
+    """Ensemble at time ``t_curr`` plus the gain's constant noise term.
 
-    ``prev_state_mean`` / ``prev_meas_mean`` hold the predicted (pre-update)
-    ensemble means of the previous step; at initialization they are the
-    means over the initial ensemble.
+    ``noise_term`` is ``(1 - alpha) sigma^T sigma``, the part of the gain
+    denominator that does not depend on the ensemble; it is formed once
+    per run by :func:`make_initial_state` and carried from step to step.
     """
 
     t_curr: float
-    t_prev: float
     ensemble: np.ndarray
-    prev_state_mean: np.ndarray
-    prev_meas_mean: np.ndarray
+    noise_term: np.ndarray
 
     @property
     def n(self) -> int:
@@ -109,128 +113,80 @@ class FilterState:
         return self.ensemble.shape[1]
 
 
-@dataclass
-class InnovationRecord:
-    """Per-particle innovations y - h(x_j) and their ensemble mean."""
-
-    innovations: np.ndarray
-    mean: np.ndarray
-
-
 def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
-                       t0: float = 0.0) -> FilterState:
-    """Initial FilterState with lagged means taken over the initial ensemble."""
-    ensemble = validate_ensemble(ensemble)
-    h0 = meas.evaluate(ensemble, t0)
-    return FilterState(
-        t_curr=t0,
-        t_prev=t0,
-        ensemble=ensemble,
-        prev_state_mean=ensemble.mean(axis=1),
-        prev_meas_mean=h0.mean(axis=1),
-    )
-
-
-def ensemble_mean(ens: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over particle columns."""
-    ens = np.asarray(ens, dtype=float)
-    if ens.ndim != 2 or ens.shape[1] < 1:
-        raise ValueError("need a 2-d ensemble with at least one column")
-    return ens.mean(axis=1)
-
-
-def innovation_record(y: np.ndarray, h_pred: np.ndarray) -> InnovationRecord:
-    """Innovations of a measurement against predicted measurement columns."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    innov = y[:, None] - np.asarray(h_pred, dtype=float)
-    return InnovationRecord(innovations=innov, mean=innov.mean(axis=1))
-
-
-def innovation_covariance(h_pred: np.ndarray, h_mean: np.ndarray) -> np.ndarray:
-    """Sample covariance of predicted measurements about their mean.
-
-    Returns (1/(N-1)) sum_j (h_j - hbar)(h_j - hbar)^T, symmetric PSD.
-    """
-    h_pred = np.asarray(h_pred, dtype=float)
-    if h_pred.ndim != 2 or h_pred.shape[1] < 2:
-        raise ValueError("innovation covariance needs at least 2 columns")
-    d = h_pred - np.asarray(h_mean, dtype=float).reshape(-1, 1)
-    # a diverging ensemble overflows here; blended_denominator reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = d @ d.T / (h_pred.shape[1] - 1)
-        return 0.5 * (S + S.T)
-
-
-def blended_denominator(S: np.ndarray, sigma_gram: np.ndarray,
-                        alpha: float) -> np.ndarray:
-    """alpha * S + (1 - alpha) * sigma^T sigma, symmetric positive definite."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    S = np.asarray(S, dtype=float)
-    sigma_gram = np.asarray(sigma_gram, dtype=float)
-    out = alpha * S + (1.0 - alpha) * sigma_gram
-    if not np.isfinite(out).all():
-        raise NumericFailure("non-finite blended denominator")
-    return 0.5 * (out + out.T)
+                       cfg: FilterConfig, t0: float = 0.0) -> FilterState:
+    """Initial FilterState, with the noise term of ``meas`` and ``cfg.alpha``."""
+    return FilterState(t_curr=t0, ensemble=validate_ensemble(ensemble),
+                       noise_term=(1.0 - cfg.alpha) * meas.sigma_gram)
 
 
 def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
               t: float | None = None) -> np.ndarray:
     """Solve ``A X = B`` for symmetric positive definite ``A``.
 
-    ``A`` is factored as ``L L^T`` and the two triangular systems are
-    solved in turn.  An ``A`` that is not positive definite raises
-    ``NumericFailure(message, t=t)``.  A non-finite ``B`` yields a
+    The Cholesky factorization checks that ``A`` is positive definite; an
+    ``A`` that is not raises ``NumericFailure(message, t=t)``.  The system
+    is then solved in one LU solve: numpy has no triangular solver, so
+    solving on the factor would take two.  A non-finite ``B`` yields a
     non-finite ``X`` without a warning; callers check the result.
     """
     try:
-        L = np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:
         raise NumericFailure(message, t=t) from err
-    return np.linalg.solve(L.T, np.linalg.solve(L, B))
+    return np.linalg.solve(A, B)
 
 
-def compute_gain(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
-                 cfg: FilterConfig, sigma_gram: np.ndarray) -> np.ndarray:
-    """Gain matrix of the additive update, shape (n, q).
+def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
+                  weight: float, noise_term: np.ndarray, failures: tuple,
+                  t: float | None = None) -> np.ndarray:
+    """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
-    ``pred`` is the predicted ensemble, ``h_pred`` its measurement image,
-    and ``state`` supplies the previous step's means and the time pair
-    ``(state.t_curr, state.t_prev)`` entering the time-weighted products.
-    The first factor is evaluated in the expanded, cancellation-free form
-
-        (H - hbar)^T tc + hbar_prev^T (tc - tp),
-
-    algebraically identical to the raw time-difference products.
+    ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
+    ensemble means.  Every filter's analysis runs through this kernel: the
+    EnKS with ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` and the
+    perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
+    ``failures`` holds the ``NumericFailure`` messages for a non-finite
+    denominator, a denominator that is not positive definite and a
+    non-finite gain; the last two carry ``t``.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
-    n, N = pred.shape
-    q = h_pred.shape[0]
-    if h_pred.shape[1] != N:
+    if h_pred.shape[1] != pred.shape[1]:
         raise ValueError("pred and h_pred disagree on ensemble size")
-    if state.prev_state_mean.shape != (n,) or state.prev_meas_mean.shape != (q,):
-        raise ValueError("lagged means have wrong dimensions")
-    tc, tp = state.t_curr, state.t_prev
-
+    non_finite_denom, not_definite, non_finite_gain = failures
     # a diverging ensemble overflows here; the finite checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        x_mean = pred.mean(axis=1)
-        h_mean = h_pred.mean(axis=1)
-        Xd = pred - x_mean[:, None]
-        Hd = h_pred - h_mean[:, None]
-
-        first = Hd.T * tc + state.prev_meas_mean[None, :] * (tc - tp)
-        lag_shift = x_mean * tc - state.prev_state_mean * tp
-        numerator = (Xd @ first + np.outer(lag_shift, Hd.sum(axis=1))) / N
-
-    S = innovation_covariance(h_pred, h_mean)
-    denom = blended_denominator(S, sigma_gram, cfg.alpha)
-    gain = spd_solve(denom, numerator.T,
-                     "gain denominator is not positive definite", t=tc).T
+        Xd = pred - pred.mean(axis=1, keepdims=True)
+        Hd = h_pred - h_pred.mean(axis=1, keepdims=True)
+        cross = Xd @ Hd.T
+        denom = weight * (Hd @ Hd.T) + noise_term
+    if not np.isfinite(denom).all():
+        raise NumericFailure(non_finite_denom)
+    gain = scale * spd_solve(denom, cross.T, not_definite, t=t).T
     if not np.isfinite(gain).all():
-        raise NumericFailure("non-finite gain", t=tc)
+        raise NumericFailure(non_finite_gain, t=t)
     return gain
+
+
+def compute_gain(pred: np.ndarray, h_pred: np.ndarray, tc: float,
+                 cfg: FilterConfig, noise_term: np.ndarray) -> np.ndarray:
+    """EnKS gain of the additive update, shape (n, q).
+
+    ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
+    its measurement image, ``tc`` the gain's time (``cfg.gain_time``) and
+    ``noise_term`` the run's ``(1 - alpha) sigma^T sigma``:
+
+        G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
+
+    This is the paper's gain exactly: its lagged-mean terms multiply
+    ``Xd 1`` and ``Hd 1``, which are zero (module docstring).
+    """
+    N = np.shape(pred)[1]
+    if N < 2:
+        raise ValueError("the gain needs at least 2 particles")
+    return analysis_gain(pred, h_pred, tc / N, cfg.alpha / (N - 1),
+                         noise_term, GAIN_FAILURES, t=tc)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
@@ -257,8 +213,7 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
     """Advance the filter one assimilation step.
 
     Predict the ensemble over ``cfg.dt``, evaluate the measurement map,
-    assemble the gain, apply the additive update, and roll the lagged
-    means forward from the *predicted* (pre-update) ensemble.
+    assemble the gain and apply the additive update.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
@@ -271,18 +226,9 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
         raise NumericFailure("prediction failed", t=t_new,
                              particle=err.particle) from err
 
-    if cfg.time_origin == "step":
-        gain_state = replace(state, t_curr=cfg.dt, t_prev=0.0)
-    else:
-        gain_state = replace(state, t_curr=t_new, t_prev=state.t_curr)
-    gain = compute_gain(pred, h_pred, gain_state, cfg, meas.sigma_gram)
+    gain = compute_gain(pred, h_pred, cfg.gain_time(t_new), cfg,
+                        state.noise_term)
     updated = additive_update(pred, gain, y, h_pred)
     if not np.isfinite(updated).all():
         raise NumericFailure("non-finite ensemble after update", t=t_new)
-    return FilterState(
-        t_curr=t_new,
-        t_prev=state.t_curr,
-        ensemble=updated,
-        prev_state_mean=pred.mean(axis=1),
-        prev_meas_mean=h_pred.mean(axis=1),
-    )
+    return replace(state, t_curr=t_new, ensemble=updated)

@@ -7,8 +7,8 @@ independently perturbed copy of the observation,
     x_j  <-  x_j + C_xh (C_hh + R)^{-1} (y + eps_j - h(x_j)),
     eps_j ~ N(0, R).
 
-The innovation covariance is solved with ``enks.core.spd_solve``, so the
-analysis stays in numpy's LAPACK like the EnKS gain.
+The gain comes from ``enks.core.analysis_gain``, the kernel of the EnKS
+gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``.
 """
 
 from __future__ import annotations
@@ -17,23 +17,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import spd_solve
+from .core import analysis_gain
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise, RngStream
 from .sde import predict_ensemble
 
+# NumericFailure messages of the analysis gain: non-finite denominator,
+# denominator not positive definite, non-finite gain
+GAIN_FAILURES = ("non-finite ensemble covariance in analysis",
+                 "singular innovation covariance in analysis",
+                 "non-finite ensemble covariance in analysis")
+
 
 @dataclass(frozen=True)
 class EnkfConfig:
-    """Ensemble size, observation-error covariance, and seed.
+    """Ensemble size and observation-error covariance.
 
-    ``chol_R`` is the lower Cholesky factor of ``R``, set on construction.
+    ``R`` is stored symmetrized and ``chol_R`` is its lower Cholesky
+    factor, both set on construction.
     """
 
     N: int
     R: np.ndarray
-    seed: int = 0
     chol_R: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,6 +50,7 @@ class EnkfConfig:
             raise ValueError("R must be square")
         if not np.allclose(R, R.T):
             raise ValueError("R must be symmetric")
+        R = 0.5 * (R + R.T)
         try:
             chol_R = np.linalg.cholesky(R)
         except np.linalg.LinAlgError as err:
@@ -81,22 +88,15 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float).reshape(-1)
     n, N = pred.shape
     q = y.size
+    if N < 2:
+        raise ValueError("the analysis needs at least 2 particles")
     if h_pred.shape != (q, N):
         raise ValueError(f"h_pred shape {h_pred.shape} != ({q}, {N})")
     if cfg.R.shape != (q, q):
         raise ValueError("R dimension does not match the observation")
 
-    Xd = pred - pred.mean(axis=1, keepdims=True)
-    Hd = h_pred - h_pred.mean(axis=1, keepdims=True)
-    # a diverging ensemble overflows here; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        C_xh = Xd @ Hd.T / (N - 1)
-        C_hh = Hd @ Hd.T / (N - 1)
-        denom = 0.5 * (C_hh + C_hh.T) + cfg.R
-    if not (np.isfinite(denom).all() and np.isfinite(C_xh).all()):
-        raise NumericFailure("non-finite ensemble covariance in analysis")
-    gain = spd_solve(denom, C_xh.T,
-                     "singular innovation covariance in analysis").T
+    weight = 1.0 / (N - 1)
+    gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES)
 
     eps = cfg.chol_R @ stream.standard_normal((q, N))
     analysis = pred + gain @ (y[:, None] + eps - h_pred)

@@ -195,7 +195,7 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
 
     if kind == "enkf":
         R = np.diag(np.asarray(problem.noise_std, dtype=float) ** 2)
-        enkf_cfg = EnkfConfig(N=N, R=R, seed=cfg.seed)
+        enkf_cfg = EnkfConfig(N=N, R=R)
         perturb = RngStream(cfg.seed, PERTURBATION_STREAM)
         state = EnkfState(t_curr=0.0, ensemble=ens0.copy())
 
@@ -203,14 +203,14 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
             return enkf_step(state, proc, meas, y, enkf_cfg, streams, perturb,
                              cfg.dt)
     elif kind == "enks":
-        state = make_initial_state(ens0.copy(), meas, t0=0.0)
+        state = make_initial_state(ens0.copy(), meas, cfg)
 
         def step(state, y):
             return enks_step(state, proc, meas, y, cfg, streams)
     elif kind == "enks-iter":
         if schedule is None:
             raise ValueError("enks-iter needs an annealing schedule")
-        state = make_initial_state(ens0.copy(), meas, t0=0.0)
+        state = make_initial_state(ens0.copy(), meas, cfg)
 
         def step(state, y):
             state, trace = iterative_enks_step(state, proc, meas, y, cfg,
@@ -264,7 +264,6 @@ def run_experiment(cfg: ExperimentConfig,
                           f"0..{truth.shape[0] - 1}")
 
     fcfg = FilterConfig(N=N, dt=dt, alpha=cfg.alpha, seed=cfg.seed,
-                        param_diffusion=cfg.param_diffusion,
                         time_origin=cfg.time_origin)
     schedule = make_schedule(cfg.kappa)
     ens0 = initial_ensemble(problem, N, cfg.seed)
@@ -382,7 +381,6 @@ def _large_n_limit(spec: LinearGaussianSpec, series: MeasurementSeries,
 def _run_one(problem: Problem, series: MeasurementSeries, N: int, dt: float,
              cfg: ExperimentConfig, kind: str) -> np.ndarray:
     fcfg = FilterConfig(N=N, dt=dt, alpha=cfg.alpha, seed=cfg.seed,
-                        param_diffusion=cfg.param_diffusion,
                         time_origin=cfg.time_origin)
     ens0 = initial_ensemble(problem, N, cfg.seed)
     means, _, _ = run_filter_series(kind, problem, series, ens0, fcfg,
@@ -432,7 +430,6 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
                                  initial_ensemble(prob_dt, N, cfg.seed),
                                  FilterConfig(N=N, dt=dt_v, alpha=cfg.alpha,
                                               seed=cfg.seed,
-                                              param_diffusion=cfg.param_diffusion,
                                               time_origin=cfg.time_origin),
                                  schedule=make_schedule(cfg.kappa),
                                  streams=particle_streams(cfg.seed, N,

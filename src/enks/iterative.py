@@ -2,9 +2,10 @@
 
 At a fixed measurement time the update is applied repeatedly, each pass
 damped by an annealing multiplier beta_k and using a gain re-assembled
-from the current iterate.  The lagged means are frozen across inner
-iterations; only the outer time step advances them.  One undamped pass
-(kappa = 1) reproduces the non-iterative update exactly.
+from the current iterate.  The gain's time ``tc`` and noise term are
+those of the outer step for every pass; only the iterate and its
+measurement image change.  One undamped pass (kappa = 1) reproduces the
+non-iterative update exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FilterConfig, FilterState, additive_update, compute_gain,
-                   innovation_record)
+from .core import FilterConfig, FilterState, compute_gain
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise
@@ -63,17 +63,6 @@ def make_schedule(kappa: int) -> AnnealingSchedule:
     return AnnealingSchedule(betas=tuple(np.exp(k + 1 - kappa) for k in range(kappa)))
 
 
-def iterative_gain(ens_k: np.ndarray, h_k: np.ndarray, state: FilterState,
-                   cfg: FilterConfig, sigma_gram: np.ndarray) -> np.ndarray:
-    """Gain of inner iteration k: the standard gain on the current iterate.
-
-    Identical formula to :func:`enks.core.compute_gain` with the iterate
-    ensemble and its measurement image in place of the predicted ones;
-    the lagged means inside ``state`` stay fixed across iterations.
-    """
-    return compute_gain(ens_k, h_k, state, cfg, sigma_gram)
-
-
 def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    y: np.ndarray, schedule: AnnealingSchedule,
                    meas: MeasurementModel, cfg: FilterConfig,
@@ -83,12 +72,13 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
 
     ``h_pred`` is the measurement image of ``pred`` at ``t_eval``, which
     the first pass uses; each later pass re-evaluates the measurement map
-    on the current iterate.  Every pass re-assembles the gain and applies
-    ``beta_k G (y - h_j)`` per particle.  All kappa passes always run; the
-    returned trace records the Frobenius residual between consecutive
-    iterates and the mean innovation norm per pass.  ``t_eval`` is the
-    physical time the measurement map is evaluated at; it defaults to
-    ``state.t_curr``.
+    on the current iterate.  ``state`` supplies the gain's time
+    (``state.t_curr``) and noise term.  Every pass re-assembles the gain
+    and applies ``beta_k G (y - h_j)`` per particle.  All kappa passes
+    always run; the returned trace records, per pass, the Frobenius norm
+    of that increment (the residual between consecutive iterates) and the
+    norm of the mean innovation.  ``t_eval`` is the physical time the
+    measurement map is evaluated at; it defaults to ``state.t_curr``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     ens = np.asarray(pred, dtype=float)
@@ -100,12 +90,14 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     for k, beta in enumerate(schedule.betas):
         if k:
             h_k = meas.evaluate(ens, t_eval)
-        gain = iterative_gain(ens, h_k, state, cfg, meas.sigma_gram)
-        new = additive_update(ens, beta * gain, y, h_k)
+        gain = compute_gain(ens, h_k, state.t_curr, cfg, state.noise_term)
+        innov = y[:, None] - h_k
+        incr = (beta * gain) @ innov
+        new = ens + incr
         if not np.isfinite(new).all():
             raise NumericFailure("non-finite iterate", t=t_eval, step=k)
-        residuals[k] = np.linalg.norm(new - ens)
-        innov_norms[k] = np.linalg.norm(innovation_record(y, h_k).mean)
+        residuals[k] = np.linalg.norm(incr)
+        innov_norms[k] = np.linalg.norm(innov.mean(axis=1))
         ens = new
     return ens, IterationTrace(residuals=residuals, innovation_norms=innov_norms)
 
@@ -122,17 +114,7 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
     pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise)
     h_pred = meas.evaluate(pred, t_new)
 
-    if cfg.time_origin == "step":
-        gain_state = replace(state, t_curr=cfg.dt, t_prev=0.0)
-    else:
-        gain_state = replace(state, t_curr=t_new, t_prev=state.t_curr)
+    gain_state = replace(state, t_curr=cfg.gain_time(t_new))
     updated, trace = iterate_update(pred, h_pred, gain_state, y, schedule,
                                     meas, cfg, t_eval=t_new)
-    new_state = FilterState(
-        t_curr=t_new,
-        t_prev=state.t_curr,
-        ensemble=updated,
-        prev_state_mean=pred.mean(axis=1),
-        prev_meas_mean=h_pred.mean(axis=1),
-    )
-    return new_state, trace
+    return replace(state, t_curr=t_new, ensemble=updated), trace

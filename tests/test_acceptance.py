@@ -32,7 +32,7 @@ from enks.enkf import EnkfConfig, enkf_update
 from enks.errors import NumericFailure
 from enks.harness import (ExperimentConfig, convergence_sweep, initial_ensemble,
                           make_twin_data, run_filter_series)
-from enks.iterative import iterative_gain, make_schedule
+from enks.iterative import make_schedule
 from enks.record import RunRecord, emit_csv, load_csv
 from enks.rng import RngStream
 
@@ -174,8 +174,7 @@ def test_criterion_5_scaled_damage_detection():
                                N=300, dt=0.01, horizon=20.0, seed=seed,
                                emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=300, dt=0.01, alpha=cfg.alpha, seed=seed,
-                            param_diffusion=cfg.param_diffusion)
+        fcfg = FilterConfig(N=300, dt=0.01, alpha=cfg.alpha, seed=seed)
         ens0 = initial_ensemble(problem, 300, seed)
         means, _, _ = run_filter_series("enks", problem, series, ens0, fcfg)
         k_final = means[8:12, -1]  # stiffness channels of the 4-DOF frame
@@ -243,7 +242,7 @@ def test_criterion_7_no_particle_collapse():
     ens0 = initial_ensemble(problem, 100, BOUNDED_POPULATION_SEED)
     from enks.rng import particle_streams
     streams = particle_streams(BOUNDED_POPULATION_SEED, 100)
-    state = make_initial_state(ens0, problem.meas)
+    state = make_initial_state(ens0, problem.meas, fcfg)
     for i in range(1000):
         state = enks_step(state, problem.proc_filter, problem.meas,
                           series.values[:, i], fcfg, streams)
@@ -262,19 +261,14 @@ def test_criterion_8_exact_invariants():
     details = []
 
     # zero-spread ensembles give exactly zero gain in all three filters
+    # (enks and enks-iter share compute_gain)
     pred = np.tile(np.array([[1.0], [2.0]]), (1, 8))
     h = np.tile(np.array([[0.5]]), (1, 8))
     cfg = FilterConfig(N=8, dt=0.1, alpha=0.8)
-    from enks.core import FilterState
-    state = FilterState(t_curr=0.1, t_prev=0.0, ensemble=pred,
-                        prev_state_mean=np.array([1.0, 2.0]),
-                        prev_meas_mean=np.array([0.5]))
-    g_core = compute_gain(pred, h, state, cfg, np.eye(1))
-    g_iter = iterative_gain(pred, h, state, cfg, np.eye(1))
+    g_core = compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(1))
     enkf_out = enkf_update(pred, h, np.array([3.0]), EnkfConfig(N=8, R=np.eye(1)),
                            RngStream(0, 4))
     zero_ok = (np.array_equal(g_core, 0 * g_core)
-               and np.array_equal(g_iter, 0 * g_iter)
                and np.array_equal(enkf_out, pred))
     details.append(f"zero-spread gains exactly zero: {zero_ok}")
 

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enks.core import (FilterConfig, FilterState, additive_update,
-                       blended_denominator, compute_gain, enks_step,
-                       ensemble_mean, innovation_covariance, innovation_record,
+from enks.core import (GAIN_FAILURES, FilterConfig, additive_update,
+                       analysis_gain, compute_gain, enks_step,
                        make_initial_state)
 from enks.benchmarks import enks_limit_oracle, scalar_linear_gaussian
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
 from enks.rng import RngStream, particle_streams
 
-from oracles import brute_covariance, gain_oracle, scalar_kalman_series
+from oracles import (brute_covariance, exact_moment_ensemble, gain_oracle,
+                     scalar_kalman_series)
 
 
 def identity_meas(n, nu=1.0, dt=0.1):
@@ -22,80 +22,87 @@ def identity_meas(n, nu=1.0, dt=0.1):
                             dt_scale=dt, h_ensemble=lambda x, t: x)
 
 
-class TestEnsembleMean:
-    def test_two_columns(self):
-        assert np.array_equal(ensemble_mean(np.array([[1.0, 3.0], [0.0, 0.0]])),
-                              [2.0, 0.0])
-
-    def test_single_column(self):
-        v = np.array([[1.5], [-2.0], [3.0]])
-        assert np.array_equal(ensemble_mean(v), v[:, 0])
-
-    def test_law_of_large_numbers(self):
-        draws = RngStream(21, 0).standard_normal((1, 100))
-        assert abs(ensemble_mean(draws)[0]) < 4 / np.sqrt(100)
-
-
 class TestInnovationCovariance:
+    """The kernel's ``Hd Hd^T``, read through gains with a known answer."""
+
     def test_identical_columns(self):
+        # identical measurement columns have zero covariance: zero gain
+        # however the state spreads
+        pred = RngStream(21, 0).standard_normal((2, 5))
         h = np.tile(np.array([[2.0], [1.0]]), (1, 5))
-        S = innovation_covariance(h, h.mean(axis=1))
-        assert np.array_equal(S, np.zeros((2, 2)))
+        G = analysis_gain(pred, h, 1.0, 1.0, np.eye(2), GAIN_FAILURES)
+        assert np.array_equal(G, np.zeros((2, 2)))
 
     def test_scalar_two_particles(self):
+        # h = (1, 3): Hd Hd^T = 2, so with pred = h the gain is 2 / (2 + 1)
         h = np.array([[1.0, 3.0]])
-        S = innovation_covariance(h, np.array([2.0]))
-        assert S[0, 0] == pytest.approx(2.0)
+        G = analysis_gain(h, h, 1.0, 1.0, np.eye(1), GAIN_FAILURES)
+        assert G[0, 0] == pytest.approx(2.0 / 3.0)
 
     def test_hand_case_against_brute_force(self):
-        cols = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([2.0, 2.0])]
-        h = np.column_stack(cols)
-        S = innovation_covariance(h, h.mean(axis=1))
-        assert np.allclose(S, brute_covariance(cols))
-        eig = np.linalg.eigvalsh(S)
-        assert np.all(eig >= -1e-12)
+        # the EnKF weights give C_xh (C_hh + R)^{-1} with both sample
+        # covariances taken by the brute-force loop
+        xs = [np.array([1.0, -1.0]), np.array([0.5, 2.0]), np.array([3.0, 0.0])]
+        hs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([2.0, 2.0])]
+        C = brute_covariance([np.concatenate([x, h]) for x, h in zip(xs, hs)])
+        R = np.array([[0.5, 0.1], [0.1, 0.3]])
+        oracle = C[:2, 2:] @ np.linalg.inv(C[2:, 2:] + R)
+        G = analysis_gain(np.column_stack(xs), np.column_stack(hs), 0.5, 0.5,
+                          R, GAIN_FAILURES)
+        assert np.allclose(G, oracle, rtol=1e-12, atol=1e-14)
 
     def test_single_column_rejected(self):
+        cfg = FilterConfig(N=2, dt=0.1)
         with pytest.raises(ValueError):
-            innovation_covariance(np.ones((2, 1)), np.ones(2))
+            compute_gain(np.ones((2, 1)), np.ones((1, 1)), 0.1, cfg, np.eye(1))
 
 
 class TestBlendedDenominator:
+    """``alpha/(N-1) Hd Hd^T + (1 - alpha) sigma^T sigma`` inside the gain."""
+
     def test_zero_covariance(self):
-        out = blended_denominator(np.zeros((2, 2)), np.eye(2), 0.8)
-        assert np.allclose(out, 0.2 * np.eye(2))
+        # zero spread leaves the noise term alone, which must be positive
+        # definite: an indefinite one is a numeric failure, not a zero gain
+        pred = np.tile(np.array([[1.0], [2.0]]), (1, 4))
+        h = np.tile(np.array([[0.5], [0.5]]), (1, 4))
+        cfg = FilterConfig(N=4, dt=0.1, alpha=0.8)
+        assert np.array_equal(compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(2)),
+                              np.zeros((2, 2)))
+        with pytest.raises(NumericFailure,
+                           match="gain denominator is not positive definite"):
+            compute_gain(pred, h, 0.1, cfg, np.zeros((2, 2)))
 
     def test_convex_combination_of_equal_terms(self):
+        # an ensemble whose sample covariance is sigma^T sigma gives the
+        # same gain for every alpha: alpha S + (1 - alpha) S = S
+        sig = np.array([[0.5, 0.1], [0.1, 0.3]])
+        ens = exact_moment_ensemble([1.0, -2.0], sig)
+        N = ens.shape[1]
+        expected = 0.1 * (N - 1) / N * np.eye(2)
         for alpha in (0.1, 0.5, 0.8, 0.99):
-            assert np.allclose(blended_denominator(np.eye(3), np.eye(3), alpha),
-                               np.eye(3))
+            cfg = FilterConfig(N=N, dt=0.1, alpha=alpha)
+            G = compute_gain(ens, ens, 0.1, cfg, (1 - alpha) * sig)
+            assert np.allclose(G, expected, rtol=1e-12, atol=1e-14)
 
     def test_eigenvalue_floor(self):
+        # the blend is at least (1 - alpha) sigma^T sigma, so any ensemble
+        # with a positive definite sigma gives a finite gain and no failure
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.integers(1, 5)
-            A = rng.standard_normal((q, 2 * q))
-            S = A @ A.T
+            N = 2 * q + 2
+            pred = 1e3 * rng.standard_normal((3, N))
+            h = 1e3 * rng.standard_normal((q, N))
             sig = np.diag(rng.uniform(0.1, 2.0, q))
             alpha = rng.uniform(0.05, 0.95)
-            out = blended_denominator(S, sig, alpha)
-            lam_min = np.linalg.eigvalsh(out).min()
-            floor = (1 - alpha) * np.linalg.eigvalsh(sig).min()
-            assert lam_min >= floor - 1e-12
+            cfg = FilterConfig(N=N, dt=0.1, alpha=alpha)
+            G = compute_gain(pred, h, 0.1, cfg, (1 - alpha) * sig)
+            assert np.isfinite(G).all()
 
     def test_alpha_out_of_range(self):
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                blended_denominator(np.eye(2), np.eye(2), alpha)
-
-
-def make_state(prev_x_mean, prev_h_mean, t_curr, t_prev, ensemble=None):
-    prev_x_mean = np.atleast_1d(np.asarray(prev_x_mean, dtype=float))
-    prev_h_mean = np.atleast_1d(np.asarray(prev_h_mean, dtype=float))
-    if ensemble is None:
-        ensemble = np.zeros((prev_x_mean.size, 2))
-    return FilterState(t_curr=t_curr, t_prev=t_prev, ensemble=ensemble,
-                       prev_state_mean=prev_x_mean, prev_meas_mean=prev_h_mean)
+                FilterConfig(N=4, dt=0.1, alpha=alpha)
 
 
 class TestComputeGain:
@@ -103,8 +110,7 @@ class TestComputeGain:
         pred = np.tile(np.array([[1.0], [2.0]]), (1, 6))
         h = np.tile(np.array([[0.3]]), (1, 6))
         cfg = FilterConfig(N=6, dt=0.1, alpha=0.8)
-        state = make_state([0.5, 0.5], [0.1], t_curr=1.0, t_prev=0.9)
-        G = compute_gain(pred, h, state, cfg, np.eye(1))
+        G = compute_gain(pred, h, 1.0, cfg, 0.2 * np.eye(1))
         assert np.array_equal(G, np.zeros((2, 1)))
 
     def test_scalar_two_particle_case(self):
@@ -113,8 +119,7 @@ class TestComputeGain:
         pred = np.array([[1.0, 3.0]])
         h = np.array([[0.5, 1.5]])
         cfg = FilterConfig(N=2, dt=1.0, alpha=0.5)
-        state = make_state([0.0], [0.0], t_curr=1.0, t_prev=0.0)
-        G = compute_gain(pred, h, state, cfg, np.array([[1.0]]))
+        G = compute_gain(pred, h, 1.0, cfg, 0.5 * np.array([[1.0]]))
         oracle = gain_oracle(pred, h, [0.0], [0.0], 1.0, 0.0, 0.5, [[1.0]])
         assert G[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert np.allclose(G, oracle, atol=1e-14)
@@ -124,8 +129,7 @@ class TestComputeGain:
         pred = np.array([[1.0, 3.0]])
         h = np.array([[0.5, 1.5]])
         cfg = FilterConfig(N=2, dt=1.0, alpha=1e-12)
-        state = make_state([0.0], [0.0], t_curr=1.0, t_prev=0.0)
-        G = compute_gain(pred, h, state, cfg, np.array([[1.0]]))
+        G = compute_gain(pred, h, 1.0, cfg, (1 - 1e-12) * np.array([[1.0]]))
         oracle = gain_oracle(pred, h, [0.0], [0.0], 1.0, 0.0, 1e-12, [[1.0]])
         assert G[0, 0] == pytest.approx(0.5, rel=1e-9)
         assert np.allclose(G, oracle, atol=1e-13)
@@ -133,6 +137,9 @@ class TestComputeGain:
     @pytest.mark.parametrize("n,q,N,seed", [(1, 1, 4, 0), (3, 2, 8, 1),
                                             (4, 4, 5, 2), (2, 1, 50, 3)])
     def test_matches_oracle_on_random_inputs(self, n, q, N, seed):
+        # the oracle evaluates the displayed gain, lag terms included, with
+        # random nonzero lagged means; the collapsed gain must agree for
+        # both time origins: (tc, tp) = (dt, 0) and the running times
         rng = np.random.default_rng(seed)
         pred = rng.standard_normal((n, N))
         h = rng.standard_normal((q, N))
@@ -143,17 +150,19 @@ class TestComputeGain:
         alpha = rng.uniform(0.1, 0.9)
         A = rng.standard_normal((q, q))
         sig = A @ A.T + 0.5 * np.eye(q)
-        cfg = FilterConfig(N=N, dt=t_curr - t_prev, alpha=alpha)
-        state = make_state(prev_x, prev_h, t_curr, t_prev)
-        G = compute_gain(pred, h, state, cfg, sig)
-        oracle = gain_oracle(pred, h, prev_x, prev_h, t_curr, t_prev, alpha, sig)
-        assert np.allclose(G, oracle, rtol=1e-10, atol=1e-12)
+        for origin, (tc, tp) in (("step", (t_curr - t_prev, 0.0)),
+                                 ("absolute", (t_curr, t_prev))):
+            cfg = FilterConfig(N=N, dt=t_curr - t_prev, alpha=alpha,
+                               time_origin=origin)
+            assert cfg.gain_time(t_curr) == tc
+            G = compute_gain(pred, h, tc, cfg, (1 - alpha) * sig)
+            oracle = gain_oracle(pred, h, prev_x, prev_h, tc, tp, alpha, sig)
+            assert np.allclose(G, oracle, rtol=1e-10, atol=1e-12), origin
 
     def test_dimension_mismatch(self):
         cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
-        state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
         with pytest.raises(ValueError):
-            compute_gain(np.ones((2, 3)), np.ones((1, 4)), state, cfg, np.eye(1))
+            compute_gain(np.ones((2, 3)), np.ones((1, 4)), 0.1, cfg, np.eye(1))
 
     def test_indefinite_denominator_is_a_numeric_failure(self):
         # a negative noise Gram makes alpha S + (1 - alpha) sigma^T sigma
@@ -161,10 +170,9 @@ class TestComputeGain:
         pred = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
         h = np.array([[0.1, 0.2, 0.4]])
         cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
-        state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
         with pytest.raises(NumericFailure,
                            match="gain denominator is not positive definite"):
-            compute_gain(pred, h, state, cfg, -np.eye(1))
+            compute_gain(pred, h, 0.1, cfg, -0.5 * np.eye(1))
 
     def test_non_finite_numerator_is_a_numeric_failure(self):
         # state means overflow to inf, so the numerator is NaN while the
@@ -172,11 +180,34 @@ class TestComputeGain:
         pred = np.array([[1e308, 1e308, -1e308], [0.0, 1.0, -1.0]])
         h = np.array([[0.1, 0.2, 0.4]])
         cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
-        state = make_state([0.0, 0.0], [0.0], t_curr=0.1, t_prev=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericFailure, match="non-finite gain"):
-                compute_gain(pred, h, state, cfg, np.eye(1))
+                compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
+
+    def test_non_finite_denominator_is_a_numeric_failure(self):
+        # measurements whose spread overflows make the blend non-finite
+        pred = np.array([[1.0, 2.0, 3.0]])
+        h = np.array([[1e200, -1e200, 0.0]])
+        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure,
+                               match="non-finite blended denominator"):
+                compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
+
+    def test_shift_invariance(self):
+        # the kernel centres both ensembles on their means: shifting every
+        # particle by a constant leaves the gain unchanged
+        rng = np.random.default_rng(4)
+        pred = rng.standard_normal((3, 9))
+        h = rng.standard_normal((2, 9))
+        cfg = FilterConfig(N=9, dt=0.1, alpha=0.8)
+        G = compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(2))
+        G_shift = compute_gain(pred + np.array([[4.0], [-2.0], [0.5]]),
+                               h + np.array([[3.0], [1.0]]), 0.1, cfg,
+                               0.2 * np.eye(2))
+        assert np.allclose(G_shift, G, rtol=1e-12, atol=1e-14)
 
 
 class TestAdditiveUpdate:
@@ -224,26 +255,12 @@ class TestEnksStep:
                             diffusion=lambda x, t: np.zeros((2, 0)))
         meas = identity_meas(2, nu=1.0, dt=0.1)
         ens = np.tile(np.array([[1.0], [2.0]]), (1, 4))
-        state = make_initial_state(ens, meas)
         cfg = FilterConfig(N=4, dt=0.1, alpha=0.8)
+        state = make_initial_state(ens, meas, cfg)
         new = enks_step(state, proc, meas, np.array([5.0, 5.0]), cfg,
                         particle_streams(0, 4))
         assert np.array_equal(new.ensemble, ens)
         assert new.t_curr == pytest.approx(0.1)
-        assert new.t_prev == 0.0
-
-    def test_lagged_means_roll_from_predicted(self):
-        proc = ProcessModel(n=1, m=0, drift=lambda x, t: np.ones(1),
-                            diffusion=lambda x, t: np.zeros((1, 0)))
-        meas = identity_meas(1, nu=1.0, dt=0.5)
-        ens = np.array([[0.0, 2.0]])
-        state = make_initial_state(ens, meas)
-        cfg = FilterConfig(N=2, dt=0.5, alpha=0.8)
-        new = enks_step(state, proc, meas, np.array([1.0]), cfg,
-                        particle_streams(0, 2))
-        # predicted ensemble is (0.5, 2.5): its mean must become the lag
-        assert new.prev_state_mean[0] == pytest.approx(1.5)
-        assert new.prev_meas_mean[0] == pytest.approx(1.5)
 
     def test_population_single_step_finite(self):
         from enks.benchmarks import PopulationSpec, build_population
@@ -251,8 +268,8 @@ class TestEnksStep:
         proc, meas = build_population(spec)
         N = 1000
         ens = 2.1 + 0.1 * RngStream(5, 2).standard_normal((1, N))
-        state = make_initial_state(ens, meas)
         cfg = FilterConfig(N=N, dt=0.1, alpha=0.8, seed=5)
+        state = make_initial_state(ens, meas, cfg)
         new = enks_step(state, proc, meas, np.array([2.15]), cfg,
                         particle_streams(5, N))
         assert np.isfinite(new.ensemble).all()
@@ -262,8 +279,8 @@ class TestEnksStep:
         proc, meas = ou_problem()
         N = 64
         ens = RngStream(9, 2).standard_normal((1, N))
-        state = make_initial_state(ens, meas)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=9)
+        state = make_initial_state(ens, meas, cfg)
         streams = particle_streams(9, N)
         for i in range(50):
             state = enks_step(state, proc, meas, np.array([0.1]), cfg, streams)
@@ -275,8 +292,8 @@ class TestEnksStep:
 
         def run():
             ens = RngStream(4, 2).standard_normal((1, N))
-            state = make_initial_state(ens, meas)
             cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=4)
+            state = make_initial_state(ens, meas, cfg)
             streams = particle_streams(4, N)
             for i in range(20):
                 state = enks_step(state, proc, meas, np.array([0.5]), cfg, streams)
@@ -293,8 +310,8 @@ class TestEnksStep:
                                 nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt,
                                 h_ensemble=lambda x, t: x)
         ens = RngStream(17, 2).standard_normal((1, N))  # prior N(0, 1)
-        state = make_initial_state(ens, meas)
         cfg = FilterConfig(N=N, dt=dt, alpha=0.8, seed=17)
+        state = make_initial_state(ens, meas, cfg)
         y = 0.4
         new = enks_step(state, proc, meas, np.array([y]), cfg,
                         particle_streams(17, N))
@@ -340,12 +357,3 @@ def test_oracle_consistency_monotone_up_to_noise():
         noise = 2 * max(err_se[k], err_se[k + 1])
         assert err_mean[k + 1] <= err_mean[k] + 2 * noise, (
             f"error grew from N={250 * 4 ** k}: {err_mean}")
-
-
-class TestInnovationRecord:
-    def test_mean_is_row_average(self):
-        y = np.array([1.0, 2.0])
-        h = np.array([[0.0, 2.0], [1.0, 3.0]])
-        rec = innovation_record(y, h)
-        assert np.allclose(rec.innovations, [[1.0, -1.0], [1.0, -1.0]])
-        assert np.allclose(rec.mean, rec.innovations.mean(axis=1))

@@ -31,9 +31,9 @@ ens = (problem.init_mean[:, None]
            (problem.init_mean.size, N)))
 y = meas.h(problem.init_mean, dt)
 cfg = FilterConfig(N=N, dt=dt)
-enks_step(make_initial_state(ens, meas), proc, meas, y, cfg,
+enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
           particle_streams(0, N))
-iterative_enks_step(make_initial_state(ens, meas), proc, meas, y, cfg,
+iterative_enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
                     particle_streams(0, N), make_schedule(3))
 enkf_step(EnkfState(t_curr=0.0, ensemble=ens), proc, meas, y,
           EnkfConfig(N=N, R=0.01 * np.eye(q)), particle_streams(0, N),

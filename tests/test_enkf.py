@@ -94,6 +94,9 @@ class TestEnkfUpdate:
         with pytest.raises(ValueError):
             enkf_update(np.ones((2, 3)), np.ones((1, 3)), np.ones(2), cfg,
                         ZeroStream())
+        with pytest.raises(ValueError):  # one particle has no covariance
+            enkf_update(np.ones((2, 1)), np.ones((2, 1)), np.ones(2), cfg,
+                        ZeroStream())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -169,7 +172,7 @@ class TestEnkfStep:
         def run():
             ens = RngStream(5, 2).standard_normal((1, 32))
             state = EnkfState(t_curr=0.0, ensemble=ens)
-            cfg = EnkfConfig(N=32, R=0.01 * np.eye(1), seed=5)
+            cfg = EnkfConfig(N=32, R=0.01 * np.eye(1))
             streams = particle_streams(5, 32)
             perturb = RngStream(5, 4)
             for i in range(10):
@@ -206,7 +209,7 @@ class TestEnkfStep:
                 seed = 100 + rep
                 ens = RngStream(seed, 2).standard_normal((1, N))
                 state = EnkfState(t_curr=0.0, ensemble=ens)
-                cfg = EnkfConfig(N=N, R=np.array([[R]]), seed=seed)
+                cfg = EnkfConfig(N=N, R=np.array([[R]]))
                 streams = particle_streams(seed, N)
                 perturb = RngStream(seed, 4)
                 means = []

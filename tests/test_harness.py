@@ -257,6 +257,23 @@ class TestRunFilterSeries:
                 range(len(series) * stride))
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_one_cholesky_and_one_solve_per_analysis(self, kind):
+        # cost guard: each analysis (an enks or enkf step, an enks-iter
+        # pass) checks its denominator with one Cholesky factorization and
+        # solves with one LU solve; the EnKF factors R once per run besides
+        problem, series, ens0, fcfg = self.setup_data("frame4-damaged", 12, 0.05)
+        kappa = 3
+        analyses = len(series) * (kappa if kind == "enks-iter" else 1)
+        with mock.patch.object(np.linalg, "cholesky",
+                               wraps=np.linalg.cholesky) as cholesky, \
+                mock.patch.object(np.linalg, "solve",
+                                  wraps=np.linalg.solve) as solve:
+            run_filter_series(kind, problem, series, ens0, fcfg,
+                              schedule=make_schedule(kappa))
+        assert cholesky.call_count == analyses + (kind == "enkf")
+        assert solve.call_count == analyses
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_failure_carries_filter_step_and_particle(self, kind):
         problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
         proc = problem.proc_filter

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from enks.core import (FilterConfig, FilterState, additive_update,
                        compute_gain, enks_step, make_initial_state)
 from enks.iterative import (AnnealingSchedule, iterate_update,
-                            iterative_enks_step, iterative_gain, make_schedule)
+                            iterative_enks_step, make_schedule)
 from enks.models import MeasurementModel, ProcessModel
 from enks.rng import RngStream, particle_streams
 
@@ -48,12 +48,10 @@ class TestMakeSchedule:
             AnnealingSchedule(betas=(-0.1, 1.0))  # nonpositive
 
 
-def make_state(prev_x_mean, prev_h_mean, t_curr, t_prev):
-    prev_x_mean = np.atleast_1d(np.asarray(prev_x_mean, dtype=float))
-    prev_h_mean = np.atleast_1d(np.asarray(prev_h_mean, dtype=float))
-    return FilterState(t_curr=t_curr, t_prev=t_prev,
-                       ensemble=np.zeros((prev_x_mean.size, 2)),
-                       prev_state_mean=prev_x_mean, prev_meas_mean=prev_h_mean)
+def make_state(t_curr, noise_term, n=1):
+    """Gain state of ``iterate_update``: tc = ``t_curr`` and the noise term."""
+    return FilterState(t_curr=t_curr, ensemble=np.zeros((n, 2)),
+                       noise_term=np.atleast_2d(noise_term))
 
 
 def identity_meas(n, dt=0.1):
@@ -63,22 +61,23 @@ def identity_meas(n, dt=0.1):
 
 class TestIterativeGain:
     def test_first_iterate_equals_noniterative_gain(self):
+        # one undamped pass applies the plain gain to the predicted image
         rng = np.random.default_rng(2)
         pred = rng.standard_normal((3, 10))
         h = rng.standard_normal((2, 10))
-        state = make_state(rng.standard_normal(3), rng.standard_normal(2),
-                           1.0, 0.9)
+        y = rng.standard_normal(2)
         cfg = FilterConfig(N=10, dt=0.1, alpha=0.7)
-        sig = np.eye(2)
-        assert np.array_equal(iterative_gain(pred, h, state, cfg, sig),
-                              compute_gain(pred, h, state, cfg, sig))
+        state = make_state(0.1, 0.3 * np.eye(2), n=3)
+        meas = identity_meas(2)
+        out, _ = iterate_update(pred, h, state, y, make_schedule(1), meas, cfg)
+        G = compute_gain(pred, h, 0.1, cfg, 0.3 * np.eye(2))
+        assert np.array_equal(out, additive_update(pred, G, y, h))
 
     def test_zero_spread_iterate(self):
         pred = np.tile(np.array([[2.0]]), (1, 5))
         h = np.tile(np.array([[1.0]]), (1, 5))
-        state = make_state([0.0], [0.0], 0.1, 0.0)
         cfg = FilterConfig(N=5, dt=0.1, alpha=0.5)
-        G = iterative_gain(pred, h, state, cfg, np.eye(1))
+        G = compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
         assert np.array_equal(G, np.zeros((1, 1)))
 
     def test_second_iterate_matches_oracle(self):
@@ -86,14 +85,13 @@ class TestIterativeGain:
         # match the straight-line oracle evaluated on that iterate
         pred = np.array([[1.0, 3.0]])
         h0 = pred.copy()  # identity measurement
-        state = make_state([0.0], [0.0], 1.0, 0.0)
         cfg = FilterConfig(N=2, dt=1.0, alpha=0.5)
         sig = np.array([[1.0]])
         y = np.array([2.0])
         beta0 = np.exp(-1)
-        G0 = iterative_gain(pred, h0, state, cfg, sig)
+        G0 = compute_gain(pred, h0, 1.0, cfg, 0.5 * sig)
         ens1 = additive_update(pred, beta0 * G0, y, h0)
-        G1 = iterative_gain(ens1, ens1, state, cfg, sig)
+        G1 = compute_gain(ens1, ens1, 1.0, cfg, 0.5 * sig)
         oracle = gain_oracle(ens1, ens1, [0.0], [0.0], 1.0, 0.0, 0.5, sig)
         assert np.allclose(G1, oracle, atol=1e-13)
 
@@ -112,15 +110,15 @@ class TestIterateUpdate:
         y = np.array([0.7])
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=3)
 
-        s_plain = make_initial_state(ens0.copy(), self.meas)
+        s_plain = make_initial_state(ens0.copy(), self.meas, cfg)
         out_plain = enks_step(s_plain, self.proc, self.meas, y, cfg,
                               particle_streams(3, N))
-        s_iter = make_initial_state(ens0.copy(), self.meas)
+        s_iter = make_initial_state(ens0.copy(), self.meas, cfg)
         out_iter, trace = iterative_enks_step(s_iter, self.proc, self.meas, y,
                                               cfg, particle_streams(3, N),
                                               make_schedule(1))
         assert np.array_equal(out_plain.ensemble, out_iter.ensemble)
-        assert np.array_equal(out_plain.prev_state_mean, out_iter.prev_state_mean)
+        assert out_plain.t_curr == out_iter.t_curr
         assert trace.residuals.shape == (1,)
 
     def test_step_evaluates_measurement_map_once_per_pass(self):
@@ -128,7 +126,7 @@ class TestIterateUpdate:
         N, kappa = 8, 4
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=3)
         state = make_initial_state(RngStream(3, 2).standard_normal((1, N)),
-                                   self.meas)
+                                   self.meas, cfg)
         evaluate = MeasurementModel.evaluate
         with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
                                side_effect=evaluate) as counted:
@@ -136,11 +134,54 @@ class TestIterateUpdate:
                                 cfg, particle_streams(3, N), make_schedule(kappa))
         assert counted.call_count == kappa
 
+    def test_trace_records_increment_and_mean_innovation(self):
+        # on a frame4-damaged step, residuals[k] is the distance between
+        # consecutive iterates and innovation_norms[k] the norm of
+        # y - mean h(iterate_k); the measurement map sees every iterate
+        from enks.harness import (ExperimentConfig, initial_ensemble,
+                                  make_twin_data)
+        N, seed, kappa = 50, 1, 10
+        cfg = ExperimentConfig(problem="frame4-damaged", filters=("enks-iter",),
+                               N=N, seed=seed, emit_outputs=False)
+        problem, truth, series, grid = make_twin_data(cfg)
+        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        state = make_initial_state(initial_ensemble(problem, N, seed),
+                                   problem.meas, fcfg)
+        seen = []
+        evaluate = MeasurementModel.evaluate
+
+        def record(meas, ens, t):
+            h = evaluate(meas, ens, t)
+            seen.append((ens.copy(), h))
+            return h
+
+        y = series.values[:, 0]
+        with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
+                               side_effect=record):
+            new, trace = iterative_enks_step(state, problem.proc_filter,
+                                             problem.meas, y, fcfg,
+                                             particle_streams(seed, N),
+                                             make_schedule(kappa))
+        iterates = [ens for ens, _ in seen] + [new.ensemble]
+        assert len(iterates) == kappa + 1
+        residuals = np.array([np.linalg.norm(b - a)
+                              for a, b in zip(iterates, iterates[1:])])
+        innovations = [np.linalg.norm(y - h.mean(axis=1)) for _, h in seen]
+        # iterate_{k+1} is ens + incr rounded, off by at most half an ulp
+        # per entry; the early increments are 1e-8 of the ensemble's norm,
+        # so that rounding, not rtol, bounds their difference
+        rounding = np.finfo(float).eps * np.array(
+            [np.linalg.norm(b) for b in iterates[1:]])
+        assert np.all(np.abs(trace.residuals - residuals)
+                      <= 1e-12 * residuals + rounding)
+        assert np.allclose(trace.innovation_norms, innovations, rtol=1e-12,
+                           atol=0)
+
     def test_exact_measurement_leaves_ensemble_fixed(self):
         # every particle already produces the observation: all passes no-op
         N = 8
         ens = np.tile(np.array([[1.5]]), (1, N))
-        state = make_state([0.0], [0.0], 0.01, 0.0)
+        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         out, trace = iterate_update(ens, h, state, np.array([1.5]),
@@ -152,7 +193,7 @@ class TestIterateUpdate:
     def test_trace_lengths_match_kappa(self):
         N = 16
         ens = RngStream(8, 2).standard_normal((1, N))
-        state = make_state([0.0], [0.0], 0.01, 0.0)
+        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
         for kappa in (1, 3, 10):
             h = self.meas.evaluate(ens, state.t_curr)
@@ -166,9 +207,9 @@ class TestIterateUpdate:
         # iterates stay finite through kappa = 50 on an assimilation step
         N = 24
         ens = 2.1 + 0.05 * RngStream(12, 2).standard_normal((1, N))
-        state = make_state([2.1], [2.1], 0.1, 0.0)
         cfg = FilterConfig(N=N, dt=0.1, alpha=0.8)
         meas = identity_meas(1, dt=0.1)
+        state = make_state(0.1, 0.2 * meas.sigma_gram)
         out, trace = iterate_update(ens, meas.evaluate(ens, state.t_curr),
                                     state, np.array([2.3]),
                                     make_schedule(50), meas, cfg)
@@ -213,27 +254,10 @@ class TestIterateUpdate:
             dt = grid[1] - grid[0]
             fcfg = FilterConfig(N=N, dt=dt, alpha=0.8, seed=seed)
             state = make_initial_state(initial_ensemble(problem, N, seed),
-                                       problem.meas)
+                                       problem.meas, fcfg)
             new, trace = iterative_enks_step(state, problem.proc_filter,
                                              problem.meas, series.values[:, 0],
                                              fcfg, particle_streams(seed, N),
                                              make_schedule(50))
             assert np.isfinite(new.ensemble).all(), problem_id
             assert np.isfinite(trace.residuals).all(), problem_id
-
-    def test_lagged_means_frozen_across_iterations(self):
-        # the gain's lag inputs are identical for every pass: only the
-        # iterate changes, so a run with mutated state must equal a run
-        # with a fresh copy of it
-        N = 12
-        ens = RngStream(6, 2).standard_normal((1, N))
-        state_a = make_state([0.3], [0.3], 0.01, 0.0)
-        state_b = make_state([0.3], [0.3], 0.01, 0.0)
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
-        h = self.meas.evaluate(ens, state_a.t_curr)
-        out_a, _ = iterate_update(ens, h, state_a, np.array([0.9]),
-                                  make_schedule(4), self.meas, cfg)
-        out_b, _ = iterate_update(ens, h, state_b, np.array([0.9]),
-                                  make_schedule(4), self.meas, cfg)
-        assert np.array_equal(out_a, out_b)
-        assert state_a.prev_state_mean[0] == 0.3
