@@ -22,6 +22,20 @@ def identity_meas(n, nu=1.0, dt=0.1):
                             dt_scale=dt, h_ensemble=lambda x, t: x)
 
 
+class TestEnsembleMean:
+    """The ensemble mean the kernel centres on, read through its gain."""
+
+    def test_single_column(self):
+        # copies of one column average to that column exactly, so the
+        # centred state is exactly zero and so is the gain, however the
+        # measurements spread
+        v = np.array([[1.5], [-2.0], [3.0]])
+        pred = np.tile(v, (1, 4))
+        h = RngStream(21, 0).standard_normal((2, 4))
+        G = analysis_gain(pred, h, 1.0, 1.0, np.eye(2), GAIN_FAILURES)
+        assert np.array_equal(G, np.zeros((3, 2)))
+
+
 class TestInnovationCovariance:
     """The kernel's ``Hd Hd^T``, read through gains with a known answer."""
 
