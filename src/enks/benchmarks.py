@@ -103,13 +103,16 @@ def _storey_chain_apply(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column-wise tridiagonal product for per-particle parameters.
 
     Equals ``tridiagonal_stiffness(p[:, j], dof) @ u[:, j]`` per column j,
-    written with shifted arrays so no matrices are assembled.
+    written with shifted slices so no matrices are assembled: row i is
+    ``p[i] (u[i] - u[i-1]) + p[i+1] (u[i] - u[i+1])``, with ``u[-1]`` read
+    as zero and the second term absent on the last row.
     """
-    zero = np.zeros((1, u.shape[1]))
-    u_lo = np.vstack([zero, u[:-1]])
-    u_hi = np.vstack([u[1:], zero])
-    p_hi = np.vstack([p[1:], zero])
-    return p * (u - u_lo) + p_hi * (u - u_hi)
+    out = np.empty_like(u)
+    out[0] = u[0]
+    np.subtract(u[1:], u[:-1], out=out[1:])
+    out *= p
+    out[:-1] += p[1:] * (u[:-1] - u[1:])
+    return out
 
 
 def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
@@ -138,9 +141,11 @@ def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
         u, v = x[:dof], x[dof:2 * dof]
         kp, cp = x[2 * dof:3 * dof], x[3 * dof:]
         r = amp * np.exp(-t) * xi_mag * np.cos(5.0 * t)
-        out = np.zeros_like(x)
+        out = np.empty_like(x)
         out[:dof] = v
-        out[dof:2 * dof] = r - _storey_chain_apply(cp, v) - _storey_chain_apply(kp, u)
+        np.subtract(r, _storey_chain_apply(cp, v), out=out[dof:2 * dof])
+        out[dof:2 * dof] -= _storey_chain_apply(kp, u)
+        out[2 * dof:] = 0.0
         return out
 
     def drift(x, t):

@@ -36,7 +36,7 @@ runs all its BLAS work in one library and one thread pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,11 +98,18 @@ class FilterState:
     ``noise_term`` is ``(1 - alpha) sigma^T sigma``, the part of the gain
     denominator that does not depend on the ensemble; it is formed once
     per run by :func:`make_initial_state` and carried from step to step.
+    ``work`` is the run's :func:`step_work`, carried the same way; a
+    state whose ensemble changes shape gets a new one.
     """
 
     t_curr: float
     ensemble: np.ndarray
     noise_term: np.ndarray
+    work: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.work is None or self.work[0].shape != np.shape(self.ensemble):
+            self.work = step_work(self.ensemble)
 
     @property
     def n(self) -> int:
@@ -111,6 +118,17 @@ class FilterState:
     @property
     def N(self) -> int:
         return self.ensemble.shape[1]
+
+
+def step_work(ensemble: np.ndarray) -> np.ndarray:
+    """Scratch of a run's steps, shape (2, n, N) for an (n, N) ensemble.
+
+    Each step predicts into ``work[0]``; its analysis centres into
+    ``work[1]`` and forms its update there, so the analysis result is the
+    step's one new ensemble-sized array.  The scratch is never a state's
+    ensemble, so a state may be stepped more than once.
+    """
+    return np.empty((2,) + np.shape(ensemble))
 
 
 def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
@@ -139,13 +157,16 @@ def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
 
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
                   weight: float, noise_term: np.ndarray, failures: tuple,
-                  t: float | None = None) -> np.ndarray:
+                  t: float | None = None, work: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
     ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
-    ensemble means.  Every filter's analysis runs through this kernel: the
-    EnKS with ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` and the
-    perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
+    ensemble means; ``Xd`` is written into ``work``, an array of the shape
+    of ``pred`` that does not alias it, when one is given.  Every filter's
+    analysis runs through this kernel: the EnKS with ``(tc/N,
+    alpha/(N-1), (1-alpha) sigma^T sigma)`` and the perturbed-observation
+    EnKF with ``(1/(N-1), 1/(N-1), R)``.
     ``failures`` holds the ``NumericFailure`` messages for a non-finite
     denominator, a denominator that is not positive definite and a
     non-finite gain; the last two carry ``t``.
@@ -157,7 +178,7 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
     non_finite_denom, not_definite, non_finite_gain = failures
     # a diverging ensemble overflows here; the finite checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        Xd = pred - pred.mean(axis=1, keepdims=True)
+        Xd = np.subtract(pred, pred.mean(axis=1, keepdims=True), out=work)
         Hd = h_pred - h_pred.mean(axis=1, keepdims=True)
         cross = Xd @ Hd.T
         denom = weight * (Hd @ Hd.T) + noise_term
@@ -170,12 +191,14 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
 
 
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, tc: float,
-                 cfg: FilterConfig, noise_term: np.ndarray) -> np.ndarray:
+                 cfg: FilterConfig, noise_term: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
     """EnKS gain of the additive update, shape (n, q).
 
     ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
-    its measurement image, ``tc`` the gain's time (``cfg.gain_time``) and
-    ``noise_term`` the run's ``(1 - alpha) sigma^T sigma``:
+    its measurement image, ``tc`` the gain's time (``cfg.gain_time``),
+    ``noise_term`` the run's ``(1 - alpha) sigma^T sigma`` and ``work``
+    the scratch :func:`analysis_gain` centres ``pred`` into:
 
         G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
 
@@ -186,7 +209,7 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, tc: float,
     if N < 2:
         raise ValueError("the gain needs at least 2 particles")
     return analysis_gain(pred, h_pred, tc / N, cfg.alpha / (N - 1),
-                         noise_term, GAIN_FAILURES, t=tc)
+                         noise_term, GAIN_FAILURES, t=tc, work=work)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
@@ -204,7 +227,9 @@ def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
         raise ValueError(f"gain shape {gain.shape} inconsistent with ensembles")
     if h_pred.shape != (y.size, pred.shape[1]):
         raise ValueError("h_pred shape inconsistent with y and pred")
-    return pred + gain @ (y[:, None] - h_pred)
+    out = gain @ (y[:, None] - h_pred)
+    out += pred  # pred + G (y - h), with the same bits, in one new array
+    return out
 
 
 def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
@@ -212,22 +237,24 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               noise: ParticleNoise) -> FilterState:
     """Advance the filter one assimilation step.
 
-    Predict the ensemble over ``cfg.dt``, evaluate the measurement map,
-    assemble the gain and apply the additive update.
+    Predict the ensemble over ``cfg.dt`` into ``state.work[0]``, evaluate
+    the measurement map, assemble the gain (centring into
+    ``state.work[1]``) and apply the additive update.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + cfg.dt
     try:
-        pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise)
+        pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt,
+                                noise, out=state.work[0])
         h_pred = meas.evaluate(pred, t_new)
     except NumericFailure as err:
         raise NumericFailure("prediction failed", t=t_new,
                              particle=err.particle) from err
 
     gain = compute_gain(pred, h_pred, cfg.gain_time(t_new), cfg,
-                        state.noise_term)
+                        state.noise_term, state.work[1])
     updated = additive_update(pred, gain, y, h_pred)
     if not np.isfinite(updated).all():
         raise NumericFailure("non-finite ensemble after update", t=t_new)

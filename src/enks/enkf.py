@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import analysis_gain
+from .core import analysis_gain, step_work
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise, RngStream
@@ -61,15 +61,24 @@ class EnkfConfig:
 
 @dataclass
 class EnkfState:
-    """Current time and analysis ensemble."""
+    """Current time, analysis ensemble and the run's
+    :func:`enks.core.step_work`."""
 
     t_curr: float
     ensemble: np.ndarray
+    work: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.work is None or self.work[0].shape != np.shape(self.ensemble):
+            self.work = step_work(self.ensemble)
 
 
 def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
-                cfg: EnkfConfig, stream: RngStream) -> np.ndarray:
+                cfg: EnkfConfig, stream: RngStream,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Perturbed-observation analysis of a forecast ensemble.
+
+    The analysis is one new array; the inputs are left as they are.
 
     Parameters
     ----------
@@ -82,6 +91,8 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     cfg : EnkfConfig
     stream : RngStream
         Source of the observation perturbations (q draws per member).
+    work : ndarray, shape (n, N), optional
+        Scratch for the centred forecast, then the update; not ``pred``.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
@@ -96,10 +107,11 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
         raise ValueError("R dimension does not match the observation")
 
     weight = 1.0 / (N - 1)
-    gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES)
+    gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES,
+                         work=work)
 
     eps = cfg.chol_R @ stream.standard_normal((q, N))
-    analysis = pred + gain @ (y[:, None] + eps - h_pred)
+    analysis = pred + np.matmul(gain, y[:, None] + eps - h_pred, out=work)
     if not np.isfinite(analysis).all():
         raise NumericFailure("non-finite analysis ensemble")
     return analysis
@@ -108,12 +120,15 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 def enkf_step(state: EnkfState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
               perturbation_stream: RngStream, dt: float) -> EnkfState:
-    """Forecast with the shared EM predictor, then analyze."""
+    """Forecast into ``state.work[0]`` with the shared EM predictor, then
+    analyze in ``state.work[1]``."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise)
+    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise,
+                            out=state.work[0])
     h_pred = meas.evaluate(pred, t_new)
-    analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream)
-    return EnkfState(t_curr=t_new, ensemble=analysis)
+    analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream,
+                           state.work[1])
+    return EnkfState(t_curr=t_new, ensemble=analysis, work=state.work)

@@ -136,14 +136,7 @@ def make_twin_data(cfg: ExperimentConfig
         raise ConfigError("horizon shorter than one step")
     grid = dt * np.arange(1, M + 1)
 
-    truth_stream = RngStream(cfg.seed, TRUTH_STREAM)
-    if problem.x0_truth is None:  # linear-Gaussian: draw truth from the prior
-        spec = problem.kalman_spec
-        chol = np.linalg.cholesky(spec.x0_cov)
-        x0 = spec.x0_mean + chol @ truth_stream.standard_normal(spec.n)
-    else:
-        x0 = problem.x0_truth
-    truth = simulate_truth(problem.proc_truth, x0, grid, truth_stream)
+    truth = _truth_path(problem, cfg.seed, grid)
 
     if problem.noise_std is None:
         clean = np.column_stack([problem.meas.h(truth[:, i], t)
@@ -160,6 +153,21 @@ def make_twin_data(cfg: ExperimentConfig
                                 RngStream(cfg.seed, MEASUREMENT_STREAM),
                                 problem.noise_std)
     return problem, truth, series, grid
+
+
+def _truth_path(problem: Problem, seed: int, grid: np.ndarray) -> np.ndarray:
+    """Truth trajectory on ``grid``, all drawn from the truth stream.
+
+    The linear-Gaussian truth starts from a draw of its prior, the
+    stream's first draws; the other problems start at ``x0_truth``.
+    """
+    stream = RngStream(seed, TRUTH_STREAM)
+    x0 = problem.x0_truth
+    if x0 is None:
+        spec = problem.kalman_spec
+        x0 = (spec.x0_mean
+              + np.linalg.cholesky(spec.x0_cov) @ stream.standard_normal(spec.n))
+    return simulate_truth(problem.proc_truth, x0, grid, stream)
 
 
 def initial_ensemble(problem: Problem, N: int, seed: int) -> np.ndarray:
@@ -402,14 +410,7 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
     problem, N, _, horizon = _resolve(cfg)
     M_ref = int(round(horizon / dt_ref))
     fine_grid = dt_ref * np.arange(1, M_ref + 1)
-    truth_stream = RngStream(cfg.seed, TRUTH_STREAM)
-    if problem.x0_truth is None:
-        spec = problem.kalman_spec
-        chol = np.linalg.cholesky(spec.x0_cov)
-        x0 = spec.x0_mean + chol @ truth_stream.standard_normal(spec.n)
-    else:
-        x0 = problem.x0_truth
-    truth_fine = simulate_truth(problem.proc_truth, x0, fine_grid, truth_stream)
+    truth_fine = _truth_path(problem, cfg.seed, fine_grid)
 
     if problem.noise_std is None:
         raise ConfigError("dt sweeps need a problem with explicit noise_std")

@@ -79,26 +79,34 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     of that increment (the residual between consecutive iterates) and the
     norm of the mean innovation.  ``t_eval`` is the physical time the
     measurement map is evaluated at; it defaults to ``state.t_curr``.
+
+    The iterate is one copy of ``pred``, updated in place by every pass.
+    Each pass centres it into ``state.work[1]`` (a new array when that
+    does not have the shape of ``pred``) and then forms its increment
+    there, so neither ``pred`` nor ``h_pred`` changes.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    ens = np.asarray(pred, dtype=float)
+    ens = np.array(pred, dtype=float)
+    h_k = np.asarray(h_pred, dtype=float)
     if t_eval is None:
         t_eval = state.t_curr
     residuals = np.empty(schedule.kappa)
     innov_norms = np.empty(schedule.kappa)
-    h_k = h_pred
+    innov = np.empty_like(h_k)
+    work = (state.work[1] if state.work.shape[1:] == ens.shape
+            else np.empty_like(ens))
     for k, beta in enumerate(schedule.betas):
         if k:
             h_k = meas.evaluate(ens, t_eval)
-        gain = compute_gain(ens, h_k, state.t_curr, cfg, state.noise_term)
-        innov = y[:, None] - h_k
-        incr = (beta * gain) @ innov
-        new = ens + incr
-        if not np.isfinite(new).all():
+        gain = compute_gain(ens, h_k, state.t_curr, cfg, state.noise_term,
+                            work)
+        np.subtract(y[:, None], h_k, out=innov)
+        incr = np.matmul(beta * gain, innov, out=work)
+        ens += incr
+        if not np.isfinite(ens).all():
             raise NumericFailure("non-finite iterate", t=t_eval, step=k)
         residuals[k] = np.linalg.norm(incr)
         innov_norms[k] = np.linalg.norm(innov.mean(axis=1))
-        ens = new
     return ens, IterationTrace(residuals=residuals, innovation_norms=innov_norms)
 
 
@@ -106,12 +114,14 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
                         meas: MeasurementModel, y: np.ndarray,
                         cfg: FilterConfig, noise: ParticleNoise,
                         schedule: AnnealingSchedule) -> tuple[FilterState, IterationTrace]:
-    """One assimilation step with the annealed inner-iteration update."""
+    """One assimilation step with the annealed inner-iteration update;
+    the prediction goes into ``state.work[0]``."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + cfg.dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise)
+    pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise,
+                            out=state.work[0])
     h_pred = meas.evaluate(pred, t_new)
 
     gain_state = replace(state, t_curr=cfg.gain_time(t_new))

@@ -9,7 +9,7 @@ once; when absent the column-wise fallbacks are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +48,11 @@ class ProcessModel:
     constant_diffusion : ndarray, optional
         ``(n, m)`` matrix when f does not depend on state or time; enables
         the vectorized prediction path.
+
+    ``selection`` is set from the structure of ``constant_diffusion``:
+    ``(rows, cols, scale)`` when its nonzeros are ``scale[i]`` at
+    ``(rows.start + i, cols.start + i)``, so ``F @ dB`` is ``scale *
+    dB[cols]`` in ``rows`` and zero elsewhere; None otherwise.
     """
 
     n: int
@@ -56,6 +61,8 @@ class ProcessModel:
     diffusion: Callable[[np.ndarray, float], np.ndarray]
     drift_ensemble: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     constant_diffusion: Optional[np.ndarray] = None
+    selection: Optional[tuple] = field(init=False, default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0:
@@ -66,6 +73,22 @@ class ProcessModel:
                 raise ValueError(
                     f"constant_diffusion shape {F.shape} != ({self.n}, {self.m})")
             self.constant_diffusion = F
+            self.selection = _selection(F)
+
+
+def _selection(F: np.ndarray) -> Optional[tuple]:
+    """``(rows, cols, scale)`` of a scaled selection ``F``, else None.
+
+    Nonzeros in consecutive rows and consecutive columns give at most one
+    per row and per column, so each entry of ``F @ dB`` is one product
+    plus exact zeros: the sliced product has the same bits.
+    """
+    rows, cols = np.nonzero(F)
+    if np.any(np.diff(rows) != 1) or np.any(np.diff(cols) != 1):
+        return None
+    r0, c0 = (int(rows[0]), int(cols[0])) if rows.size else (0, 0)
+    return (slice(r0, r0 + rows.size), slice(c0, c0 + cols.size),
+            F[rows, cols][:, None])
 
 
 @dataclass

@@ -54,9 +54,10 @@ class RngStream:
             "state": {"counter": np.zeros(4, np.uint64),
                       "key": np.array([self.seed, self.stream_id], np.uint64)}}
 
-    def standard_normal(self, size=None) -> np.ndarray:
-        """Draw iid N(0, 1) variates, advancing the stream counter."""
-        return self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None) -> np.ndarray:
+        """Draw iid N(0, 1) variates, advancing the stream counter; with
+        ``out``, into that float64 array, the values ``size`` would give."""
+        return self._gen.standard_normal(size, out=out)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -75,6 +76,9 @@ class ParticleNoise:
     ``stride`` consecutive fine panels over ``sqrt(stride)``, so runs at
     step ``stride * dt_ref`` integrate the same fine Brownian path as a
     run at ``dt_ref``.
+
+    The object owns its panel and increment buffers, sized at the first
+    call, so a steady-state step allocates nothing here.
     """
 
     def __init__(self, seed: int, n_particles: int, stride: int = 1):
@@ -84,24 +88,30 @@ class ParticleNoise:
         self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
         self._stream = RngStream(self.seed, STEP_BASE)  # restarted per fine step
         self._step = 0  # next unread fine step
+        # (N, m) panel, (N, m) fine panel of a stride sum, (m, N) increments
+        self._panel = self._fine = self._out = None
 
-    def _panel(self, k: int, m: int) -> np.ndarray:
+    def _draw(self, k: int, out: np.ndarray) -> np.ndarray:
         self._stream.restart(STEP_BASE + k)
-        return self._stream.standard_normal((self.N, m))
+        return self._stream.standard_normal(out.shape, out=out)
 
     def increments(self, m: int, dt: float) -> np.ndarray:
-        """Next step's increments, shape (m, N): column j ~ N(0, dt I_m)."""
+        """Next step's increments, shape (m, N): column j ~ N(0, dt I_m).
+
+        The result is a buffer of this object, valid until the next call.
+        """
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
+        if self._out is None or self._out.shape[0] != m:
+            self._panel, self._out = np.empty((self.N, m)), np.empty((m, self.N))
+            self._fine = np.empty((self.N, m)) if self.stride > 1 else None
         k0, self._step = self._step, self._step + self.stride
-        panel = self._panel(k0, m)
+        panel = self._draw(k0, self._panel)
         if self.stride > 1:
             for k in range(k0 + 1, self._step):
-                panel += self._panel(k, m)
+                panel += self._draw(k, self._fine)
             panel /= np.sqrt(self.stride)
-        out = np.empty((m, self.N))
-        np.multiply(np.sqrt(dt), panel.T, out=out)
-        return out
+        return np.multiply(np.sqrt(dt), panel.T, out=self._out)
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:

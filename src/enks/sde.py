@@ -65,13 +65,18 @@ def _ensemble_drift(model: ProcessModel, ens: np.ndarray, t: float) -> np.ndarra
 
 
 def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
-                     dt: float, noise: ParticleNoise) -> np.ndarray:
+                     dt: float, noise: ParticleNoise,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Propagate every particle one EM step.
 
     Column j of the result is ``em_step`` applied to column j of ``ens``
     with column j of the step's increments from ``noise``; column order is
     preserved, so permuting the particles and their increments together
-    permutes the result.
+    permutes the result.  The result is built in place in ``out``, a
+    float array of the shape of ``ens`` that does not alias it, or in one
+    new array; ``ens`` and the increments are left as they are.  A
+    diffusion that is a scaled selection (``model.selection``) is applied
+    by slices, with the bits of the dense product.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -82,12 +87,15 @@ def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
         raise ValueError(f"{noise.N} particle streams for {N} particles")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = _ensemble_drift(model, ens, t_prev)
-        out = ens + drift * dt
+        out = np.multiply(_ensemble_drift(model, ens, t_prev), dt, out=out)
+        out += ens
         if model.m:
             dB = noise.increments(model.m, dt)
-            if model.constant_diffusion is not None:
-                out = out + model.constant_diffusion @ dB
+            if model.selection is not None:
+                rows, cols, scale = model.selection
+                out[rows] += scale * dB[cols]
+            elif model.constant_diffusion is not None:
+                out += model.constant_diffusion @ dB
             else:
                 for j in range(N):
                     out[:, j] += np.asarray(model.diffusion(ens[:, j], t_prev),

@@ -161,3 +161,16 @@ class StepKeyedNoise:
                 total = total + draws[j]
             dB[:, j] = np.sqrt(dt) * (total / np.sqrt(self.stride))
         return dB
+
+
+class FixedNoise:
+    """Serves the same increments ``dB`` at every step; stands in for
+    ``enks.rng.ParticleNoise`` where a test must see the array a step read."""
+
+    def __init__(self, dB):
+        self.dB = dB
+        self.N = dB.shape[1]
+
+    def increments(self, m, dt):
+        assert self.dB.shape[0] == m
+        return self.dB

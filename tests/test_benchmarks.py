@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enks.benchmarks import (LinearGaussianSpec, PendulumSpec, PopulationSpec,
                              ShearFrameSpec, build_damaged_frame,
@@ -8,7 +10,7 @@ from enks.benchmarks import (LinearGaussianSpec, PendulumSpec, PopulationSpec,
                              default_frame_spec, enks_limit_oracle,
                              frame_truth_x0, kalman_oracle,
                              nu_from_noise_std, scalar_linear_gaussian,
-                             tridiagonal_stiffness)
+                             tridiagonal_stiffness, _storey_chain_apply)
 from enks.core import FilterConfig
 from enks.harness import (ExperimentConfig, initial_ensemble, make_twin_data,
                           run_filter_series)
@@ -98,6 +100,22 @@ class TestShearFrame:
         batch = proc.drift_ensemble(ens, 0.2)
         cols = np.column_stack([proc.drift(ens[:, j], 0.2) for j in range(7)])
         assert np.allclose(batch, cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dof=st.integers(1, 12), N=st.integers(1, 9),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32))
+    def test_storey_chain_apply_matches_stacked_shifts(self, dof, N, scale,
+                                                       seed):
+        # the sliced product has the bits of the shifted-stack form it
+        # replaced, which pads u and p with a zero row
+        rng = np.random.default_rng(seed)
+        p = 100.0 + rng.standard_normal((dof, N))
+        u = scale * rng.standard_normal((dof, N))
+        zero = np.zeros((1, N))
+        u_lo, u_hi = np.vstack([zero, u[:-1]]), np.vstack([u[1:], zero])
+        p_hi = np.vstack([p[1:], zero])
+        stacked = p * (u - u_lo) + p_hi * (u - u_hi)
+        assert np.array_equal(_storey_chain_apply(p, u), stacked)
 
     def test_measured_channel_selection(self):
         spec = ShearFrameSpec(dof=3, k_ref=(100.0,) * 3, c_ref=(5.0,) * 3,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -5,16 +6,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from enks.core import FilterConfig
+from enks import harness
+from enks.core import FilterConfig, enks_step, make_initial_state
+from enks.enkf import EnkfConfig, EnkfState, enkf_step, enkf_update
 from enks.errors import NumericFailure
 from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
                           initial_ensemble, make_twin_data, run_experiment,
                           run_filter_series)
-from enks.iterative import make_schedule
+from enks.iterative import iterate_update, iterative_enks_step, make_schedule
 from enks.record import load_csv
 from enks.rng import STEP_BASE, PERTURBATION_STREAM, RngStream, particle_streams
+from enks.sde import predict_ensemble
 
-from oracles import StepKeyedNoise
+from oracles import FixedNoise, StepKeyedNoise
 
 POPULATION_SEED = 2  # truth stays bounded through T = 5 for this seed
 
@@ -238,9 +242,9 @@ class TestRunFilterSeries:
             built.append(stream_id)
             init(self, seed, stream_id)
 
-        def read_key(self, size=None):
+        def read_key(self, size=None, out=None):
             read.append(self.stream_id)
-            return draw(self, size)
+            return draw(self, size, out=out)
 
         for stride in (1, 3):
             built.clear()
@@ -272,6 +276,40 @@ class TestRunFilterSeries:
                               schedule=make_schedule(kappa))
         assert cholesky.call_count == analyses + (kind == "enkf")
         assert solve.call_count == analyses
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_step_peak_memory_stays_under_2_5_ensembles(self, kind):
+        # cost guard: past its first two steps, a frame20-damaged step
+        # (n = 80, N = 300) allocates at its peak less than two and a half
+        # ensembles' bytes: the drift, the new ensemble and arrays of the
+        # measurement and noise sizes.  The prediction, the centred
+        # ensemble and the update live in the run's scratch.  Measured:
+        # 1.74x (enks, enkf) and 2.34x (enks-iter); 2.57x for enks when it
+        # predicts into a new array; 4.8x, 5.3x and 4.8x when a step makes
+        # its own prediction, centred copy and update arrays.
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 300,
+                                                      0.06)
+        name = {"enks": "enks_step", "enks-iter": "iterative_enks_step",
+                "enkf": "enkf_step"}[kind]
+        step, peaks = getattr(harness, name), []
+
+        def measured(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = step(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(harness, name, measured):
+                run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(10))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == len(series) == 6
+        assert max(peaks[2:]) < 2.5 * ens0.nbytes, [p / ens0.nbytes
+                                                     for p in peaks]
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_failure_carries_filter_step_and_particle(self, kind):
@@ -306,3 +344,63 @@ class TestRunFilterSeries:
                 run_filter_series(kind, problem, series, ens0, fcfg,
                                   schedule=make_schedule(3))
         assert info.value.step == 0
+
+
+STEP_CALLS = ("predict_ensemble", "enks_step", "iterate_update",
+              "iterative_enks_step", "enkf_step", "enkf_update")
+
+
+@pytest.mark.parametrize("name", STEP_CALLS)
+@pytest.mark.parametrize("problem_id", ["frame4-damaged", "population"])
+def test_steps_leave_their_inputs_unchanged(problem_id, name):
+    # the in-place work of a step touches only its state's scratch and
+    # arrays it made: the caller's ensemble, prediction, measurement image,
+    # observation and increments read the same after two calls from the
+    # same state, and the second call leaves the first call's result
+    # alone.  Population's h returns its input, so there h_pred is pred.
+    N = 12
+    cfg = ExperimentConfig(problem=problem_id, N=N, horizon=0.1,
+                           seed=POPULATION_SEED, emit_outputs=False)
+    problem, _, series, grid = make_twin_data(cfg)
+    proc, meas, t1 = problem.proc_filter, problem.meas, grid[0]
+    fcfg = FilterConfig(N=N, dt=t1, seed=cfg.seed)
+    ens = initial_ensemble(problem, N, cfg.seed)
+    dB = np.sqrt(t1) * RngStream(7, 2).standard_normal((proc.m, N))
+    pred = predict_ensemble(proc, ens, 0.0, t1, particle_streams(cfg.seed, N))
+    h_pred = meas.evaluate(pred, t1)
+    assert (h_pred is pred) == (problem_id == "population")
+    y = series.values[:, 0]
+    state = make_initial_state(ens, meas, fcfg)
+    enkf_state = EnkfState(0.0, ens)
+    assert state.ensemble is ens and enkf_state.ensemble is ens
+    schedule = make_schedule(3)
+    enkf_cfg = EnkfConfig(N=N, R=np.diag(problem.noise_std ** 2))
+
+    def perturb():
+        return RngStream(cfg.seed, PERTURBATION_STREAM)
+
+    calls = {
+        "predict_ensemble": lambda: predict_ensemble(proc, ens, 0.0, t1,
+                                                     FixedNoise(dB)),
+        "enks_step": lambda: enks_step(state, proc, meas, y, fcfg,
+                                       FixedNoise(dB)).ensemble,
+        "iterate_update": lambda: iterate_update(
+            pred, h_pred, replace(state, t_curr=t1), y, schedule, meas, fcfg,
+            t_eval=t1)[0],
+        "iterative_enks_step": lambda: iterative_enks_step(
+            state, proc, meas, y, fcfg, FixedNoise(dB), schedule)[0].ensemble,
+        "enkf_step": lambda: enkf_step(enkf_state, proc, meas, y, enkf_cfg,
+                                       FixedNoise(dB), perturb(),
+                                       t1).ensemble,
+        "enkf_update": lambda: enkf_update(pred, h_pred, y, enkf_cfg,
+                                           perturb(), state.work[1]),
+    }
+    inputs = (ens, pred, h_pred, y, dB)
+    before = [a.copy() for a in inputs]
+    first = calls[name]()
+    kept = first.copy()
+    second = calls[name]()
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and np.array_equal(second, kept)

@@ -125,9 +125,9 @@ def test_step_keys_are_disjoint_from_purpose_streams(stride, steps, seed):
     keys = []
     draw = RngStream.standard_normal
 
-    def record(self, size=None):
+    def record(self, size=None, out=None):
         keys.append(self.stream_id)
-        return draw(self, size)
+        return draw(self, size, out=out)
 
     with mock.patch.object(RngStream, "standard_normal", record):
         noise = particle_streams(seed, 3, stride)
@@ -159,9 +159,9 @@ def test_particle_noise_reads_one_panel_per_fine_step():
     calls = []
     draw = RngStream.standard_normal
 
-    def counted(self, size=None):
+    def counted(self, size=None, out=None):
         calls.append((self.stream_id - STEP_BASE, size))
-        return draw(self, size)
+        return draw(self, size, out=out)
 
     with mock.patch.object(RngStream, "standard_normal", counted):
         noise = particle_streams(0, 2000)

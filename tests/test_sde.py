@@ -3,8 +3,11 @@ import pytest
 
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, ProcessModel
+from enks.problems import build_problem
 from enks.rng import RngStream, particle_streams
 from enks.sde import em_step, predict_ensemble, simulate_truth, synth_measurements
+
+from oracles import FixedNoise
 
 
 def scalar_model(drift, diffusion):
@@ -105,6 +108,57 @@ class TestPredictEnsemble:
         out_p = predict_ensemble(model, ens[:, perm], 0.0, 0.1,
                                  PermutedNoise(particle_streams(9, 5), perm))
         assert np.array_equal(out[:, perm], out_p)
+
+    @pytest.mark.parametrize("problem_id", ["frame50", "pendulum",
+                                            "linear-gaussian"])
+    def test_selection_diffusion_matches_dense_product(self, problem_id):
+        # the shipped diffusions are scaled selections: applying one by
+        # slices gives the bits of the dense product, alone and inside
+        # the prediction, for the filter and the frozen-parameter truth
+        problem = build_problem(problem_id)
+        for model in (problem.proc_filter, problem.proc_truth):
+            F = model.constant_diffusion
+            assert model.selection is not None
+            rows, cols, scale = model.selection
+            N = 7
+            dB = 0.1 * RngStream(5, 2).standard_normal((model.m, N))
+            sliced = np.zeros((model.n, N))
+            sliced[rows] += scale * dB[cols]
+            assert np.array_equal(sliced, F @ dB)
+            ens = RngStream(6, 2).standard_normal((model.n, N)) + 1.0
+            out = predict_ensemble(model, ens, 0.3, 0.01, FixedNoise(dB))
+            dense = ens + model.drift_ensemble(ens, 0.3) * 0.01 + F @ dB
+            assert np.array_equal(out, dense)
+
+    def test_dense_diffusion_keeps_the_product(self):
+        # two nonzeros in a row is no selection: prediction multiplies
+        F = np.array([[1.0, 0.5], [0.0, 2.0]])
+        model = ProcessModel(n=2, m=2, drift=None, diffusion=None,
+                             drift_ensemble=lambda x, t: -x,
+                             constant_diffusion=F)
+        assert model.selection is None
+        dB = RngStream(3, 2).standard_normal((2, 4))
+        ens = RngStream(4, 2).standard_normal((2, 4))
+        out = predict_ensemble(model, ens, 0.0, 0.1, FixedNoise(dB))
+        assert np.array_equal(out, ens + (-ens) * 0.1 + F @ dB)
+
+    @pytest.mark.parametrize("F, selection", [
+        (np.zeros((3, 2)), (slice(0, 0), slice(0, 0), [])),
+        (np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]]),
+         (slice(1, 3), slice(0, 2), [2.0, 3.0])),
+        (np.array([[0.0, 4.0, 0.0]]), (slice(0, 1), slice(1, 2), [4.0])),
+        (np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), None),  # row gap
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), None),  # columns reversed
+    ])
+    def test_selection_structure(self, F, selection):
+        model = ProcessModel(n=F.shape[0], m=F.shape[1], drift=None,
+                             diffusion=None, constant_diffusion=F)
+        if selection is None:
+            assert model.selection is None
+            return
+        rows, cols, scale = model.selection
+        assert (rows, cols) == selection[:2]
+        assert np.array_equal(scale.ravel(), selection[2])
 
     def test_stream_count_must_match_particles(self):
         model = scalar_model(lambda x: 0.0, lambda x: 1.0)
