@@ -24,9 +24,11 @@ from .iterative import (AnnealingSchedule, IterationTrace, iterate_update,
                         iterative_enks_step, make_schedule)
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
 from .problems import PROBLEM_IDS, Problem, build_problem
-from .record import RunRecord, emit_csv, emit_linechart, emit_summary, load_csv, rmse
-from .rng import ParticleNoise, RngStream, brownian_increments, particle_streams
-from .sde import em_step, predict_ensemble, simulate_truth, synth_measurements
+from .record import (RunRecord, emit_csv, emit_linechart, emit_series_csv,
+                     emit_summary, load_csv, load_series_csv, rmse)
+from .rng import ParticleNoise, RngStream, particle_streams
+from .sde import (clean_signal, predict_ensemble, simulate_truth,
+                  synth_measurements)
 
 __version__ = "0.1.0"
 
@@ -38,13 +40,14 @@ __all__ = [
     "PopulationSpec",
     "PROBLEM_IDS", "Problem", "ProcessModel", "RngStream", "RunRecord",
     "ShearFrameSpec", "additive_update", "analysis_gain",
-    "brownian_increments", "build_damaged_frame", "build_linear_gaussian",
+    "build_damaged_frame", "build_linear_gaussian",
     "build_pendulum", "build_population", "build_problem", "build_shear_frame",
-    "compute_gain", "convergence_sweep", "em_step", "emit_csv",
-    "emit_linechart", "emit_summary", "enkf_step", "enkf_update",
+    "clean_signal", "compute_gain", "convergence_sweep", "emit_csv",
+    "emit_linechart", "emit_series_csv", "emit_summary", "enkf_step",
+    "enkf_update",
     "enks_limit_oracle", "enks_step",
     "initial_ensemble", "iterate_update", "iterative_enks_step",
-    "kalman_oracle", "load_csv", "make_initial_state",
+    "kalman_oracle", "load_csv", "load_series_csv", "make_initial_state",
     "make_schedule", "make_twin_data", "nu_from_noise_std", "particle_streams",
     "predict_ensemble", "rmse", "run_experiment", "run_filter_series",
     "scalar_linear_gaussian", "simulate_truth", "synth_measurements",

@@ -148,17 +148,12 @@ def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
         out[2 * dof:] = 0.0
         return out
 
-    def drift(x, t):
-        return drift_ensemble(x[:, None], t)[:, 0]
-
     m = 3 * dof  # velocity noise + parameter random walk
     F = np.zeros((n, m))
     F[dof:2 * dof, :dof] = spec.proc_noise * np.eye(dof)
     F[2 * dof:, dof:] = param_diffusion * np.eye(2 * dof)
 
-    proc = ProcessModel(n=n, m=m, drift=drift,
-                        diffusion=lambda x, t: F,
-                        drift_ensemble=drift_ensemble,
+    proc = ProcessModel(n=n, m=m, drift_ensemble=drift_ensemble,
                         constant_diffusion=F)
 
     channels = np.asarray(spec.measured_channels, dtype=int)
@@ -245,15 +240,12 @@ def build_pendulum(spec: PendulumSpec, xi: float = 1.0,
         out[1] = r - cp * vel - kp * np.sin(pos)
         return out
 
-    def drift(x, t):
-        return drift_ensemble(x[:, None], t)[:, 0]
-
     F = np.zeros((4, 3))
     F[1, 0] = spec.proc_noise
     F[2, 1] = param_diffusion
     F[3, 2] = param_diffusion
-    proc = ProcessModel(n=4, m=3, drift=drift, diffusion=lambda x, t: F,
-                        drift_ensemble=drift_ensemble, constant_diffusion=F)
+    proc = ProcessModel(n=4, m=3, drift_ensemble=drift_ensemble,
+                        constant_diffusion=F)
 
     def h_ensemble(x, t):
         return (x[3] * x[1] + x[2] * np.sin(x[0]))[None, :]
@@ -302,12 +294,8 @@ def build_population(spec: PopulationSpec
     def drift_ensemble(x, t):
         return -r1 * (1.0 - x / r2) * x
 
-    proc = ProcessModel(
-        n=1, m=1,
-        drift=lambda x, t: -r1 * (1.0 - x / r2) * x,
-        diffusion=lambda x, t: np.array([[spec.proc_noise_std]]),
-        drift_ensemble=drift_ensemble,
-        constant_diffusion=np.array([[spec.proc_noise_std]]))
+    proc = ProcessModel(n=1, m=1, drift_ensemble=drift_ensemble,
+                        constant_diffusion=np.array([[spec.proc_noise_std]]))
     meas = MeasurementModel(
         q=1, h=lambda x, t: np.asarray(x, dtype=float).reshape(1),
         nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt,
@@ -374,12 +362,8 @@ def build_linear_gaussian(spec: LinearGaussianSpec, dt: float
                           ) -> tuple[ProcessModel, MeasurementModel]:
     A, F, H = spec.A, spec.F, spec.H
 
-    proc = ProcessModel(
-        n=spec.n, m=F.shape[1],
-        drift=lambda x, t: A @ x,
-        diffusion=lambda x, t: F,
-        drift_ensemble=lambda x, t: A @ x,
-        constant_diffusion=F)
+    proc = ProcessModel(n=spec.n, m=F.shape[1],
+                        drift_ensemble=lambda x, t: A @ x, constant_diffusion=F)
     noise_std = np.sqrt(np.diag(spec.R))
     meas = MeasurementModel(
         q=spec.q, h=lambda x, t: H @ x,

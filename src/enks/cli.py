@@ -21,7 +21,7 @@ import numpy as np
 from .configfile import experiment_config, parse_config_file
 from .errors import ConfigError, NumericFailure
 from .harness import convergence_sweep, make_twin_data, run_experiment
-from .record import _fmt
+from .record import _fmt, emit_series_csv, load_series_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,38 +60,6 @@ def _build_cfg(args, force_filters=None):
     return experiment_config(settings, overrides)
 
 
-def _write_series_csv(path: Path, times, values):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time,channel,value\n")
-        for i, t in enumerate(times):
-            for c in range(values.shape[0]):
-                fh.write(f"{i + 1},{_fmt(t)},{c},{_fmt(values[c, i])}\n")
-
-
-def _read_series_csv(path: Path):
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["step", "time", "channel", "value"]:
-            raise ConfigError(f"unrecognized dataset header in {path}")
-        rows = list(reader)
-    try:
-        steps = sorted({int(r[0]) for r in rows})
-        channels = sorted({int(r[2]) for r in rows})
-        pos = {s: i for i, s in enumerate(steps)}
-        times = np.zeros(len(steps))
-        values = np.zeros((len(channels), len(steps)))
-        for r in rows:
-            i = pos[int(r[0])]
-            times[i] = float(r[1])
-            values[int(r[2]), i] = float(r[3])
-    except (ValueError, IndexError) as err:
-        raise ConfigError(f"malformed dataset row in {path}: {err}") from err
-    return times, values
-
-
 def load_dataset(data_dir) -> tuple:
     """Load a ``simulate`` output directory: (truth, series, noise_std)."""
     from .models import MeasurementSeries
@@ -100,8 +68,8 @@ def load_dataset(data_dir) -> tuple:
     for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
         if not (data_dir / name).exists():
             raise ConfigError(f"dataset file missing: {data_dir / name}")
-    _, truth = _read_series_csv(data_dir / "truth.csv")
-    times, values = _read_series_csv(data_dir / "measurements.csv")
+    _, truth = load_series_csv(data_dir / "truth.csv")
+    times, values = load_series_csv(data_dir / "measurements.csv")
     noise_path = data_dir / "noise_std.csv"
     try:
         noise_std = np.array([float(l.split(",")[1])
@@ -116,8 +84,8 @@ def cmd_simulate(args) -> int:
     problem, truth, series, grid = make_twin_data(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_series_csv(out / "truth.csv", grid, truth)
-    _write_series_csv(out / "measurements.csv", series.times, series.values)
+    emit_series_csv(out / "truth.csv", grid, truth)
+    emit_series_csv(out / "measurements.csv", series.times, series.values)
     with open(out / "noise_std.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("channel,noise_std\n")
         for c, s in enumerate(np.atleast_1d(problem.noise_std)):

@@ -27,12 +27,13 @@ from .enkf import EnkfConfig, EnkfState, enkf_step
 from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
 from .models import MeasurementSeries
-from .problems import PROBLEM_IDS, Problem, build_problem
+from .problems import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION, Problem,
+                       build_problem)
 from .record import RunRecord, emit_csv, emit_linechart, emit_summary
 from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
                   PERTURBATION_STREAM, TRUTH_STREAM, ParticleNoise, RngStream,
                   particle_streams)
-from .sde import simulate_truth, synth_measurements
+from .sde import clean_signal, simulate_truth, synth_measurements
 
 FILTER_KINDS = ("enks", "enks-iter", "enkf")
 
@@ -110,27 +111,32 @@ class ConvergenceReport:
         return self.errors.std(axis=1, ddof=1)
 
 
-def _resolve(cfg: ExperimentConfig) -> tuple[Problem, int, float, float]:
-    xi = float(RngStream(cfg.seed, FORCING_STREAM).standard_normal())
-    problem = build_problem(cfg.problem, xi=xi, dt=cfg.dt,
-                            param_diffusion=cfg.param_diffusion,
-                            proc_noise=cfg.proc_noise,
-                            meas_noise_std=cfg.meas_noise_std,
-                            init_spread_scale=cfg.init_spread_scale)
+def _resolve(cfg: ExperimentConfig, problem: Optional[Problem] = None
+             ) -> tuple[Problem, int, float, float]:
+    """The configured problem (built unless given), N, dt and horizon."""
+    if problem is None:
+        xi = float(RngStream(cfg.seed, FORCING_STREAM).standard_normal())
+        problem = build_problem(cfg.problem, xi=xi, dt=cfg.dt,
+                                param_diffusion=cfg.param_diffusion,
+                                proc_noise=cfg.proc_noise,
+                                meas_noise_std=cfg.meas_noise_std,
+                                init_spread_scale=cfg.init_spread_scale)
     N = cfg.N if cfg.N is not None else problem.default_N
     dt = cfg.dt if cfg.dt is not None else problem.default_dt
     horizon = cfg.horizon if cfg.horizon is not None else problem.default_horizon
     return problem, N, dt, horizon
 
 
-def make_twin_data(cfg: ExperimentConfig
+def make_twin_data(cfg: ExperimentConfig, problem: Optional[Problem] = None
                    ) -> tuple[Problem, np.ndarray, MeasurementSeries, np.ndarray]:
     """Simulate truth and synthesize measurements for a configuration.
 
-    Returns the finalized problem (measurement noise resolved), the truth
-    trajectory (n, M), the measurement series, and the time grid.
+    ``problem`` is the configuration's problem when the caller has built
+    it already.  Returns the finalized problem (measurement noise
+    resolved), the truth trajectory (n, M), the measurement series, and
+    the time grid.
     """
-    problem, N, dt, horizon = _resolve(cfg)
+    problem, _, dt, horizon = _resolve(cfg, problem)
     M = int(round(horizon / dt))
     if M < 1:
         raise ConfigError("horizon shorter than one step")
@@ -138,20 +144,19 @@ def make_twin_data(cfg: ExperimentConfig
 
     truth = _truth_path(problem, cfg.seed, grid)
 
+    clean = None
     if problem.noise_std is None:
-        clean = np.column_stack([problem.meas.h(truth[:, i], t)
-                                 for i, t in enumerate(grid)])
-        sig = clean.std(axis=1)
-        noise_std = np.maximum(0.01 * sig, 1e-12)
-        problem = problem.with_noise_std(noise_std, dt)
+        clean = clean_signal(problem.meas, truth, grid)
+        noise_std = np.maximum(RELATIVE_NOISE_FRACTION * clean.std(axis=1),
+                               1e-12)
     else:
         noise_std = np.broadcast_to(np.asarray(problem.noise_std, dtype=float),
                                     (problem.meas.q,))
-        problem = problem.with_noise_std(noise_std, dt)
+    problem = problem.with_noise_std(noise_std, dt)
 
     series = synth_measurements(problem.meas, truth, grid,
                                 RngStream(cfg.seed, MEASUREMENT_STREAM),
-                                problem.noise_std)
+                                problem.noise_std, clean)
     return problem, truth, series, grid
 
 
@@ -253,7 +258,7 @@ def run_experiment(cfg: ExperimentConfig,
     t_start = time.perf_counter()
     problem, N, dt, horizon = _resolve(cfg)
     if data is None:
-        problem, truth, series, grid = make_twin_data(cfg)
+        problem, truth, series, grid = make_twin_data(cfg, problem)
     else:
         truth, series, noise_std = data
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
@@ -342,8 +347,8 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
         for r in range(repeats):
             run_cfg = ExperimentConfig(**{**cfg.__dict__, "seed": cfg.seed + r,
                                           "emit_outputs": False})
-            problem, truth, series, grid = make_twin_data(run_cfg)
-            _, N_def, dt, _ = _resolve(run_cfg)
+            problem, _, dt, _ = _resolve(run_cfg)
+            problem, truth, series, grid = make_twin_data(run_cfg, problem)
             if problem.kalman_spec is not None:
                 ref_means = _large_n_limit(problem.kalman_spec, series, dt,
                                            run_cfg, kind)
@@ -424,8 +429,7 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
         idx = np.arange(stride - 1, M_ref, stride)
         grid = fine_grid[idx]
         prob_dt = problem.with_noise_std(noise_std, dt_v)
-        clean = np.column_stack([prob_dt.meas.h(truth_fine[:, k], fine_grid[k])
-                                 for k in idx])
+        clean = clean_signal(prob_dt.meas, truth_fine[:, idx], grid)
         series = MeasurementSeries(times=grid, values=clean + eps_fine[:, idx])
         return run_filter_series(kind, prob_dt, series,
                                  initial_ensemble(prob_dt, N, cfg.seed),

@@ -2,9 +2,10 @@
 
 The state is filtered as an ensemble: an ``(n, N)`` array whose columns
 are particles.  Models carry plain callables plus the dimension metadata
-the integrators and filters need.  Optional vectorized callables
-(``drift_ensemble`` / ``h_ensemble``) take a whole ``(n, N)`` ensemble at
-once; when absent the column-wise fallbacks are used.
+the integrators and filters need.  The process drift takes a whole
+ensemble, and a single path is a one-column ensemble.  The measurement
+map keeps a per-state ``h`` beside its optional vectorized
+``h_ensemble``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def validate_ensemble(ens: np.ndarray, n: Optional[int] = None) -> np.ndarray:
 
 @dataclass
 class ProcessModel:
-    """Ito process dx = b(x, t) dt + f(x, t) dB.
+    """Ito process dx = b(x, t) dt + F dB with a constant diffusion F.
 
     Parameters
     ----------
@@ -39,15 +40,11 @@ class ProcessModel:
         State dimension.
     m : int
         Brownian dimension.
-    drift : callable
-        ``b(x, t) -> (n,)`` for a single state vector.
-    diffusion : callable
-        ``f(x, t) -> (n, m)`` for a single state vector.
-    drift_ensemble : callable, optional
-        Vectorized drift ``B(X, t) -> (n, N)`` over an ensemble.
-    constant_diffusion : ndarray, optional
-        ``(n, m)`` matrix when f does not depend on state or time; enables
-        the vectorized prediction path.
+    drift_ensemble : callable
+        Drift ``B(X, t) -> (n, N)`` of an ensemble; a single path is a
+        one-column ensemble.
+    constant_diffusion : ndarray
+        ``(n, m)`` diffusion matrix F.
 
     ``selection`` is set from the structure of ``constant_diffusion``:
     ``(rows, cols, scale)`` when its nonzeros are ``scale[i]`` at
@@ -57,23 +54,20 @@ class ProcessModel:
 
     n: int
     m: int
-    drift: Callable[[np.ndarray, float], np.ndarray]
-    diffusion: Callable[[np.ndarray, float], np.ndarray]
-    drift_ensemble: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    constant_diffusion: Optional[np.ndarray] = None
+    drift_ensemble: Callable[[np.ndarray, float], np.ndarray]
+    constant_diffusion: np.ndarray
     selection: Optional[tuple] = field(init=False, default=None, repr=False,
                                        compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0:
             raise ValueError("need n >= 1 and m >= 0")
-        if self.constant_diffusion is not None:
-            F = np.asarray(self.constant_diffusion, dtype=float)
-            if F.shape != (self.n, self.m):
-                raise ValueError(
-                    f"constant_diffusion shape {F.shape} != ({self.n}, {self.m})")
-            self.constant_diffusion = F
-            self.selection = _selection(F)
+        F = np.asarray(self.constant_diffusion, dtype=float)
+        if F.shape != (self.n, self.m):
+            raise ValueError(
+                f"constant_diffusion shape {F.shape} != ({self.n}, {self.m})")
+        self.constant_diffusion = F
+        self.selection = _selection(F)
 
 
 def _selection(F: np.ndarray) -> Optional[tuple]:

@@ -1,5 +1,8 @@
 """Run records, error metrics, CSV persistence, and SVG line charts.
 
+Besides the run record's rows CSV, the dataset series that ``enks
+simulate`` writes and ``enks run --data`` reads are persisted here.
+
 The rows CSV is the deterministic artifact of a run: identical configs
 must produce byte-identical files, so floats are written with shortest
 round-trip formatting and nothing time- or host-dependent goes in.  The
@@ -14,6 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 @dataclass
@@ -135,6 +140,45 @@ def load_csv(path) -> RunRecord:
             stds[name][c, i] = float(r[5 + 2 * k])
     return RunRecord(steps=np.asarray(steps), times=times, truth=truth,
                      filter_means=means, filter_stds=stds)
+
+
+def emit_series_csv(path, times, values) -> Path:
+    """Write a dataset series, ``values`` (channels, M) at ``times``, as
+    rows ``step,time,channel,value``."""
+    path = Path(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,time,channel,value\n")
+        for i, t in enumerate(times):
+            for c in range(values.shape[0]):
+                fh.write(f"{i + 1},{_fmt(t)},{c},{_fmt(values[c, i])}\n")
+    return path
+
+
+def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`emit_series_csv`: ``(times, values)``.
+
+    A dataset file is user input, so a bad header or row is a
+    ``ConfigError``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["step", "time", "channel", "value"]:
+            raise ConfigError(f"unrecognized dataset header in {path}")
+        rows = list(reader)
+    try:
+        steps = sorted({int(r[0]) for r in rows})
+        channels = sorted({int(r[2]) for r in rows})
+        pos = {s: i for i, s in enumerate(steps)}
+        times = np.zeros(len(steps))
+        values = np.zeros((len(channels), len(steps)))
+        for r in rows:
+            i = pos[int(r[0])]
+            times[i] = float(r[1])
+            values[int(r[2]), i] = float(r[3])
+    except (ValueError, IndexError) as err:
+        raise ConfigError(f"malformed dataset row in {path}: {err}") from err
+    return times, values
 
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

@@ -38,15 +38,17 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.Philox())
-        self.restart(stream_id)
+        self.seed, self.stream_id = int(seed), int(stream_id)
+        if self.seed < 0 or self.stream_id < 0:
+            raise ValueError("seed and stream_id must be nonnegative")
+        self._gen = np.random.Generator(np.random.Philox(
+            key=np.array([self.seed, self.stream_id], np.uint64)))
 
     def restart(self, stream_id: int) -> None:
         """Rewind to substream ``stream_id``: draw what ``RngStream(seed,
         stream_id)`` draws, without the cost of building a generator."""
-        if self.seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative")
+        if stream_id < 0:
+            raise ValueError("stream_id must be nonnegative")
         self.stream_id = int(stream_id)
         self._gen.bit_generator.state = {
             "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
@@ -117,27 +119,3 @@ class ParticleNoise:
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:
     """The ensemble noise of a run: step panels keyed (seed, STEP_BASE + k)."""
     return ParticleNoise(seed, n_particles, stride)
-
-
-def brownian_increments(stream: RngStream, m: int, dt: float) -> np.ndarray:
-    """Sample one Brownian increment vector over a step of length ``dt``.
-
-    Parameters
-    ----------
-    stream : RngStream
-        Stream to consume; the call advances its counter.
-    m : int
-        Brownian dimension.
-    dt : float
-        Step length, strictly positive.
-
-    Returns
-    -------
-    ndarray, shape (m,)
-        m independent N(0, dt) draws.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    return np.sqrt(dt) * stream.standard_normal(m)

@@ -7,6 +7,7 @@ oracle value exercises two independent code paths.
 
 import numpy as np
 
+from enks.errors import NumericFailure
 from enks.rng import STEP_BASE, RngStream
 
 
@@ -129,6 +130,33 @@ def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
         means.append(m.copy())
         covs.append(P.copy())
     return np.array(means), np.array(covs)
+
+
+def truth_path_oracle(model, x0, grid, stream):
+    """Euler-Maruyama path of one state vector, one step at a time.
+
+    Step i runs from the previous grid time (0 before ``grid[0]``) to
+    ``grid[i]`` as ``x + b dt + F (sqrt(dt) z)``, with ``z`` that step's
+    ``standard_normal(m)`` call on ``stream`` and the dense product with
+    ``F = model.constant_diffusion``.  The first non-finite state raises
+    ``NumericFailure("truth simulation failed", t=grid[i], step=i)``.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    F = model.constant_diffusion
+    traj = np.empty((x.size, len(grid)))
+    t = 0.0
+    for i, t_next in enumerate(grid):
+        dt = t_next - t
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = model.drift_ensemble(x[:, None], t)[:, 0]
+            x = x + b * dt
+            if model.m:
+                x = x + F @ (np.sqrt(dt) * stream.standard_normal(model.m))
+        if not np.isfinite(x).all():
+            raise NumericFailure("truth simulation failed", t=t_next, step=i)
+        traj[:, i] = x
+        t = t_next
+    return traj
 
 
 class StepKeyedNoise:

@@ -15,11 +15,16 @@ from enks.core import FilterConfig
 from enks.harness import (ExperimentConfig, initial_ensemble, make_twin_data,
                           run_filter_series)
 from enks.iterative import make_schedule
-from enks.models import MeasurementSeries
+from enks.models import MeasurementSeries, ProcessModel
 from enks.rng import RngStream
 from enks.sde import simulate_truth
 
 from oracles import enks_limit_series
+
+
+def state_drift(proc, x, t):
+    """Drift of one state vector, stepped as a one-column ensemble."""
+    return proc.drift_ensemble(x[:, None], t)[:, 0]
 
 
 class TestTridiagonalStiffness:
@@ -62,7 +67,7 @@ class TestShearFrame:
         proc, _ = build_shear_frame(spec, xi=0.0)
         x0 = frame_truth_x0(spec)
         x0[:8] = 0.0
-        assert np.array_equal(proc.drift(x0, 0.3), np.zeros(16))
+        assert np.array_equal(state_drift(proc, x0, 0.3), np.zeros(16))
 
     def test_drift_linear_in_state_channels(self):
         # frozen parameters, zero forcing: doubling (u, v) doubles the drift
@@ -73,7 +78,7 @@ class TestShearFrame:
         z[:10] = rng.standard_normal(10)
         z2 = z.copy()
         z2[:10] *= 2.0
-        d1, d2 = proc.drift(z, 0.0), proc.drift(z2, 0.0)
+        d1, d2 = state_drift(proc, z, 0.0), state_drift(proc, z2, 0.0)
         assert np.allclose(d2[:10], 2 * d1[:10])
 
     def test_drift_matches_matrix_assembly(self):
@@ -83,7 +88,7 @@ class TestShearFrame:
         rng = np.random.default_rng(4)
         x = np.abs(rng.standard_normal(24)) + 0.5
         t = 0.7
-        d = proc.drift(x, t)
+        d = state_drift(proc, x, t)
         u, v, kp, cp = x[:6], x[6:12], x[12:18], x[18:]
         K = tridiagonal_stiffness(kp, 6)
         C = tridiagonal_stiffness(cp, 6)
@@ -98,7 +103,8 @@ class TestShearFrame:
         rng = np.random.default_rng(5)
         ens = np.abs(rng.standard_normal((12, 7))) + 0.1
         batch = proc.drift_ensemble(ens, 0.2)
-        cols = np.column_stack([proc.drift(ens[:, j], 0.2) for j in range(7)])
+        cols = np.column_stack([state_drift(proc, ens[:, j], 0.2)
+                                for j in range(7)])
         assert np.allclose(batch, cols)
 
     @settings(max_examples=60, deadline=None)
@@ -147,7 +153,8 @@ class TestDamagedFrame:
         proc_a, _ = build_damaged_frame(spec, damaged_storey=2, damaged_k=100.0)
         proc_b, _ = build_shear_frame(spec)
         x = np.abs(np.random.default_rng(0).standard_normal(16)) + 0.5
-        assert np.allclose(proc_a.drift(x, 0.1), proc_b.drift(x, 0.1))
+        assert np.allclose(state_drift(proc_a, x, 0.1),
+                           state_drift(proc_b, x, 0.1))
 
     def test_out_of_range_storey(self):
         spec = default_frame_spec(4)
@@ -161,7 +168,7 @@ class TestPendulum:
     def test_equilibrium(self):
         proc, _ = build_pendulum(PendulumSpec(), xi=0.0)
         x = np.array([0.0, 0.0, 10.0, 2.0])
-        assert np.array_equal(proc.drift(x, 0.5), np.zeros(4))
+        assert np.array_equal(state_drift(proc, x, 0.5), np.zeros(4))
 
     def test_reaction_measurement_arithmetic(self):
         _, meas = build_pendulum(PendulumSpec())
@@ -174,7 +181,7 @@ class TestPendulum:
         x = np.array([0.4, -0.3, 11.0, 1.5])
         t = 2.0
         r = 5.0 * np.exp(-0.01 * t) * 1.2 * np.cos(5 * t)
-        d = proc.drift(x, t)
+        d = state_drift(proc, x, t)
         assert d[0] == pytest.approx(-0.3)
         assert d[1] == pytest.approx(r - 1.5 * (-0.3) - 11.0 * np.sin(0.4))
         assert d[2] == 0.0 and d[3] == 0.0
@@ -187,7 +194,7 @@ class TestPendulum:
 class TestPopulation:
     def test_drift_fixed_points_and_values(self):
         proc, _ = build_population(PopulationSpec())
-        drift = lambda v: proc.drift(np.array([v]), 0.0)[0]
+        drift = lambda v: state_drift(proc, np.array([v]), 0.0)[0]
         assert drift(0.0) == 0.0
         assert drift(2.0) == 0.0
         assert drift(2.1) == pytest.approx(0.105)
@@ -198,8 +205,8 @@ class TestPopulation:
         # before t = 10), so integrate only to t = 4: 10 is crossed by then
         spec = PopulationSpec(proc_noise_std=0.0)
         proc, _ = build_population(spec)
-        proc_nf = type(proc)(n=1, m=0, drift=proc.drift,
-                             diffusion=lambda x, t: np.zeros((1, 0)))
+        proc_nf = ProcessModel(n=1, m=0, drift_ensemble=proc.drift_ensemble,
+                               constant_diffusion=np.zeros((1, 0)))
         grid = 0.1 * np.arange(1, 41)
         traj = simulate_truth(proc_nf, np.array([2.1]), grid, RngStream(0, 0))
         crossed = np.argmax(traj[0] > 10.0)

@@ -86,6 +86,17 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "does not match the problem" in capsys.readouterr().err
 
+    def test_malformed_dataset_row_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "population", "--horizon", "1.0",
+                     "--out", str(data)]) == EXIT_OK
+        with open(data / "measurements.csv", "a", encoding="utf-8") as fh:
+            fh.write("11,1.1,0,not-a-number\n")
+        code = main(["run", "--problem", "population", "--horizon", "1.0",
+                     "--data", str(data), "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert "malformed dataset row" in capsys.readouterr().err
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),

@@ -255,9 +255,7 @@ class TestAdditiveUpdate:
 
 
 def ou_problem(n=1):
-    proc = ProcessModel(n=1, m=1, drift=lambda x, t: -x,
-                        diffusion=lambda x, t: np.eye(1),
-                        drift_ensemble=lambda x, t: -x,
+    proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                         constant_diffusion=np.eye(1))
     meas = identity_meas(1, nu=1.0, dt=0.01)
     return proc, meas
@@ -265,8 +263,8 @@ def ou_problem(n=1):
 
 class TestEnksStep:
     def test_zero_spread_zero_fields_time_advance_only(self):
-        proc = ProcessModel(n=2, m=0, drift=lambda x, t: np.zeros(2),
-                            diffusion=lambda x, t: np.zeros((2, 0)))
+        proc = ProcessModel(n=2, m=0, drift_ensemble=lambda x, t: 0.0 * x,
+                            constant_diffusion=np.zeros((2, 0)))
         meas = identity_meas(2, nu=1.0, dt=0.1)
         ens = np.tile(np.array([[1.0], [2.0]]), (1, 4))
         cfg = FilterConfig(N=4, dt=0.1, alpha=0.8)

@@ -114,8 +114,8 @@ def identity_meas(n, dt=0.01):
 
 class TestEnkfStep:
     def test_zero_fields_zero_spread_time_advance_only(self):
-        proc = ProcessModel(n=1, m=0, drift=lambda x, t: np.zeros(1),
-                            diffusion=lambda x, t: np.zeros((1, 0)))
+        proc = ProcessModel(n=1, m=0, drift_ensemble=lambda x, t: 0.0 * x,
+                            constant_diffusion=np.zeros((1, 0)))
         meas = identity_meas(1)
         ens = np.full((1, 4), 2.0)
         state = EnkfState(t_curr=0.0, ensemble=ens)
@@ -163,9 +163,7 @@ class TestEnkfStep:
         assert np.isfinite(state.ensemble).all()
 
     def test_determinism(self):
-        proc = ProcessModel(n=1, m=1, drift=lambda x, t: -x,
-                            diffusion=lambda x, t: np.eye(1),
-                            drift_ensemble=lambda x, t: -x,
+        proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                             constant_diffusion=np.eye(1))
         meas = identity_meas(1)
 
@@ -185,9 +183,7 @@ class TestEnkfStep:
     def test_mean_error_shrinks_with_ensemble_size(self):
         # trajectory-level consistency: error against the exact Kalman
         # mean drops at roughly N^(-1/2) on a log-log fit
-        proc = ProcessModel(n=1, m=1, drift=lambda x, t: -x,
-                            diffusion=lambda x, t: np.eye(1),
-                            drift_ensemble=lambda x, t: -x,
+        proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                             constant_diffusion=np.eye(1))
         dt, R, M = 0.01, 0.01, 150
         meas = MeasurementModel(q=1, h=lambda x, t: x,

@@ -111,6 +111,34 @@ class TestRunExperiment:
                           for i, t in enumerate(grid)])
         assert problem.noise_std[0] == pytest.approx(0.01 * clean.std())
 
+    @pytest.mark.parametrize("problem_id", ["pendulum", "population"])
+    def test_builds_the_problem_once_and_measures_the_truth_once(
+            self, problem_id, monkeypatch):
+        # cost guard: one run_experiment builds its problem once, and the
+        # noise-free signal h(truth) is evaluated once per grid time, also
+        # where it first sets the 1%-of-signal noise (pendulum)
+        built, h_calls = [], []
+        build = harness.build_problem
+
+        def counted_build(*args, **kwargs):
+            problem = build(*args, **kwargs)
+            h = problem.meas.h
+
+            def counted_h(x, t):
+                h_calls.append(t)
+                return h(x, t)
+            problem.meas.h = counted_h
+            built.append(problem)
+            return problem
+
+        monkeypatch.setattr(harness, "build_problem", counted_build)
+        cfg = ExperimentConfig(problem=problem_id, filters=("enks",), N=20,
+                               horizon=1.0, seed=POPULATION_SEED,
+                               emit_outputs=False)
+        record = run_experiment(cfg)
+        assert len(built) == 1
+        assert h_calls == list(record.times)
+
     def test_run_from_persisted_dataset(self, tmp_path):
         # simulate -> load -> run must reproduce the direct run exactly
         from enks.cli import load_dataset, main

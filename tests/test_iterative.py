@@ -98,9 +98,7 @@ class TestIterativeGain:
 
 class TestIterateUpdate:
     def setup_method(self):
-        self.proc = ProcessModel(n=1, m=1, drift=lambda x, t: -x,
-                                 diffusion=lambda x, t: np.eye(1),
-                                 drift_ensemble=lambda x, t: -x,
+        self.proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                                  constant_diffusion=np.eye(1))
         self.meas = identity_meas(1, dt=0.01)
 

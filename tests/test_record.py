@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from enks.record import (RunRecord, emit_csv, emit_linechart, emit_summary,
-                         load_csv, rmse)
+from enks.errors import ConfigError
+from enks.record import (RunRecord, emit_csv, emit_linechart, emit_series_csv,
+                         emit_summary, load_csv, load_series_csv, rmse)
 
 
 def small_record(M=3, n=2, filters=("enks", "enkf")):
@@ -82,6 +83,30 @@ class TestCsv:
             assert np.allclose(summary[name], again, rtol=1e-12, atol=0)
         path = emit_summary(rec, tmp_path / "summary.csv")
         assert path.exists()
+
+
+class TestSeriesCsv:
+    def test_round_trip_identity(self, tmp_path):
+        times = np.array([0.1, 0.2, 1 / 3])
+        values = np.array([[1.0, -2.5, 1e-17], [np.pi, 0.0, -1 / 7]])
+        path = emit_series_csv(tmp_path / "s.csv", times, values)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "step,time,channel,value"
+        assert lines[1] == "1,0.1,0,1.0"
+        back_t, back_v = load_series_csv(path)
+        assert np.array_equal(back_t, times)
+        assert np.array_equal(back_v, values)
+
+    @pytest.mark.parametrize("text", [
+        "step,time,value\n1,0.1,2.0\n",
+        "step,time,channel,value\n1,0.1,0,abc\n",
+        "step,time,channel,value\n1,0.1\n",
+    ], ids=["header", "value", "short-row"])
+    def test_malformed_input_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_series_csv(path)
 
 
 class TestLinechart:

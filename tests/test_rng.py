@@ -5,32 +5,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enks import rng
-from enks.rng import (STEP_BASE, ParticleNoise, RngStream, brownian_increments,
-                      particle_streams)
+from enks.models import ProcessModel
+from enks.rng import STEP_BASE, ParticleNoise, RngStream, particle_streams
+from enks.sde import simulate_truth
 
 from oracles import StepKeyedNoise
 
 
+def white_noise(m):
+    """dx = dB in m channels: a truth path whose steps are its increments."""
+    return ProcessModel(n=m, m=m, drift_ensemble=lambda x, t: 0.0 * x,
+                        constant_diffusion=np.eye(m))
+
+
 def test_increment_law():
-    # sample variance over many replicated calls matches N(0, dt)
-    stream = RngStream(seed=11, stream_id=5)
-    draws = np.array([brownian_increments(stream, 3, 0.01) for _ in range(100_000)])
-    var = draws.var(axis=0, ddof=1)
-    assert np.all(np.abs(var - 0.01) < 0.05 * 0.01)
-    assert np.all(np.abs(draws.mean(axis=0)) < 4 * np.sqrt(0.01 / 100_000))
+    # the truth path's increments, drawn from its stream, are N(0, dt)
+    M, dt = 100_000, 0.01
+    traj = simulate_truth(white_noise(3), np.zeros(3), dt * np.arange(1, M + 1),
+                          RngStream(seed=11, stream_id=5))
+    draws = np.diff(traj, axis=1, prepend=0.0)
+    var = draws.var(axis=1, ddof=1)
+    assert np.all(np.abs(var - dt) < 0.05 * dt)
+    assert np.all(np.abs(draws.mean(axis=1)) < 4 * np.sqrt(dt / M))
 
 
 def test_zero_dt_rejected():
-    with pytest.raises(ValueError):
-        brownian_increments(RngStream(1, 0), 3, 0.0)
-    with pytest.raises(ValueError):
-        brownian_increments(RngStream(1, 0), 3, -1e-3)
+    for grid in ([0.1, 0.1], [0.1, 0.2, 0.199]):
+        with pytest.raises(ValueError):
+            simulate_truth(white_noise(3), np.zeros(3), np.array(grid),
+                           RngStream(1, 0))
 
 
 def test_replay_is_identical():
-    a = brownian_increments(RngStream(7, 2), 4, 0.5)
-    b = brownian_increments(RngStream(7, 2), 4, 0.5)
+    grid = 0.5 * np.arange(1, 9)
+    a = simulate_truth(white_noise(4), np.zeros(4), grid, RngStream(7, 2))
+    b = simulate_truth(white_noise(4), np.zeros(4), grid, RngStream(7, 2))
     assert np.array_equal(a, b)
+    assert np.all(np.diff(a, axis=1) != 0)
 
 
 def test_streams_are_distinct():

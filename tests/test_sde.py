@@ -2,49 +2,55 @@ import numpy as np
 import pytest
 
 from enks.errors import NumericFailure
+from enks.harness import ExperimentConfig, make_twin_data
 from enks.models import MeasurementModel, ProcessModel
-from enks.problems import build_problem
-from enks.rng import RngStream, particle_streams
-from enks.sde import em_step, predict_ensemble, simulate_truth, synth_measurements
+from enks.problems import PROBLEM_IDS, build_problem
+from enks.rng import TRUTH_STREAM, RngStream, particle_streams
+from enks.sde import _em, predict_ensemble, simulate_truth, synth_measurements
 
-from oracles import FixedNoise
+from oracles import FixedNoise, truth_path_oracle
 
 
-def scalar_model(drift, diffusion):
-    return ProcessModel(n=1, m=1,
-                        drift=lambda x, t: np.array([drift(x[0])]),
-                        diffusion=lambda x, t: np.array([[diffusion(x[0])]]))
+def scalar_model(drift, f):
+    """dx = drift(x) dt + f dB on one channel; ``drift`` maps arrays."""
+    return ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: drift(x),
+                        constant_diffusion=[[f]])
 
 
 def zero_model(n=2):
-    return ProcessModel(n=n, m=0,
-                        drift=lambda x, t: np.zeros(n),
-                        diffusion=lambda x, t: np.zeros((n, 0)))
+    return ProcessModel(n=n, m=0, drift_ensemble=lambda x, t: np.zeros_like(x),
+                        constant_diffusion=np.zeros((n, 0)))
 
 
 class TestEmStep:
+    # the one Euler-Maruyama kernel that both the ensemble prediction and
+    # the one-column truth step through
     def test_identity_under_zero_fields(self):
-        out = em_step(zero_model(), np.array([1.0, 2.0]), 0.0, 0.01, np.zeros(0))
-        assert np.array_equal(out, [1.0, 2.0])
+        out = _em(zero_model(), np.array([[1.0], [2.0]]), 0.0, 0.01, None)
+        assert np.array_equal(out, [[1.0], [2.0]])
 
     def test_pure_drift(self):
-        model = scalar_model(lambda x: x, lambda x: 0.0)
-        out = em_step(model, np.array([1.0]), 0.0, 0.1, np.zeros(1))
-        assert out[0] == pytest.approx(1.1)
+        model = scalar_model(lambda x: x, 0.0)
+        out = _em(model, np.array([[1.0]]), 0.0, 0.1, np.zeros((1, 1)))
+        assert out[0, 0] == pytest.approx(1.1)
 
     def test_drift_plus_noise(self):
-        model = scalar_model(lambda x: -x, lambda x: 1.0)
-        out = em_step(model, np.array([2.0]), 0.0, 0.01, np.array([0.05]))
-        assert out[0] == pytest.approx(2.03)
+        model = scalar_model(lambda x: -x, 1.0)
+        out = _em(model, np.array([[2.0]]), 0.0, 0.01, np.array([[0.05]]))
+        assert out[0, 0] == pytest.approx(2.03)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            em_step(zero_model(), np.zeros(2), 0.0, 0.0, np.zeros(0))
+            predict_ensemble(zero_model(), np.zeros((2, 1)), 0.0, 0.0,
+                             particle_streams(0, 1))
 
     def test_nonfinite_output_raises(self):
-        model = scalar_model(lambda x: np.inf, lambda x: 0.0)
-        with pytest.raises(NumericFailure):
-            em_step(model, np.array([1.0]), 0.0, 0.1, np.zeros(1))
+        model = scalar_model(lambda x: np.full_like(x, np.inf), 0.0)
+        with pytest.raises(NumericFailure) as info:
+            simulate_truth(model, np.array([1.0]), np.array([0.1]),
+                           RngStream(0, 0))
+        assert "truth simulation failed" in str(info.value)
+        assert info.value.step == 0
 
 
 class TestPredictEnsemble:
@@ -54,8 +60,9 @@ class TestPredictEnsemble:
         assert np.array_equal(out, ens)
 
     def test_deterministic_drift(self):
-        model = ProcessModel(n=1, m=0, drift=lambda x, t: np.ones(1),
-                             diffusion=lambda x, t: np.zeros((1, 0)))
+        model = ProcessModel(n=1, m=0,
+                             drift_ensemble=lambda x, t: np.ones_like(x),
+                             constant_diffusion=np.zeros((1, 0)))
         ens = np.array([[0.0, 10.0]])
         out = predict_ensemble(model, ens, 0.0, 0.5, particle_streams(0, 2))
         assert np.allclose(out, [[0.5, 10.5]])
@@ -63,7 +70,7 @@ class TestPredictEnsemble:
     def test_ito_isometry_variance_growth(self):
         # b = 0, f = 1: one-step covariance increment is dt within MC error
         N, dt = 10_000, 0.01
-        model = scalar_model(lambda x: 0.0, lambda x: 1.0)
+        model = scalar_model(lambda x: 0.0 * x, 1.0)
         ens = np.zeros((1, N))
         out = predict_ensemble(model, ens, 0.0, dt, particle_streams(42, N))
         growth = out.var(ddof=1)
@@ -72,14 +79,14 @@ class TestPredictEnsemble:
     def test_em_weak_consistency(self):
         # b = -x, f = 1: ensemble mean contracts by (1 - dt) up to noise
         N, dt = 4000, 0.05
-        model = scalar_model(lambda x: -x, lambda x: 1.0)
+        model = scalar_model(lambda x: -x, 1.0)
         ens = np.full((1, N), 3.0)
         out = predict_ensemble(model, ens, 0.0, dt, particle_streams(7, N))
         expected = (1 - dt) * 3.0
         assert abs(out.mean() - expected) <= 4 * out.std(ddof=1) / np.sqrt(N)
 
     def test_shape_preserved_and_deterministic(self):
-        model = scalar_model(lambda x: -x, lambda x: 0.5)
+        model = scalar_model(lambda x: -x, 0.5)
         ens = np.linspace(-1, 1, 8)[None, :]
         a = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(5, 8))
         b = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(5, 8))
@@ -98,8 +105,7 @@ class TestPredictEnsemble:
 
         # dyadic diffusion entries make every product exact, so no BLAS
         # summation order can tell the columns apart
-        model = ProcessModel(n=2, m=2, drift=None, diffusion=None,
-                             drift_ensemble=lambda x, t: -x * x[::-1],
+        model = ProcessModel(n=2, m=2, drift_ensemble=lambda x, t: -x * x[::-1],
                              constant_diffusion=np.array([[1.0, 0.5],
                                                           [0.0, 2.0]]))
         ens = RngStream(4, 2).standard_normal((2, 5))
@@ -133,8 +139,7 @@ class TestPredictEnsemble:
     def test_dense_diffusion_keeps_the_product(self):
         # two nonzeros in a row is no selection: prediction multiplies
         F = np.array([[1.0, 0.5], [0.0, 2.0]])
-        model = ProcessModel(n=2, m=2, drift=None, diffusion=None,
-                             drift_ensemble=lambda x, t: -x,
+        model = ProcessModel(n=2, m=2, drift_ensemble=lambda x, t: -x,
                              constant_diffusion=F)
         assert model.selection is None
         dB = RngStream(3, 2).standard_normal((2, 4))
@@ -151,8 +156,9 @@ class TestPredictEnsemble:
         (np.array([[0.0, 1.0], [1.0, 0.0]]), None),  # columns reversed
     ])
     def test_selection_structure(self, F, selection):
-        model = ProcessModel(n=F.shape[0], m=F.shape[1], drift=None,
-                             diffusion=None, constant_diffusion=F)
+        model = ProcessModel(n=F.shape[0], m=F.shape[1],
+                             drift_ensemble=lambda x, t: 0.0 * x,
+                             constant_diffusion=F)
         if selection is None:
             assert model.selection is None
             return
@@ -161,10 +167,17 @@ class TestPredictEnsemble:
         assert np.array_equal(scale.ravel(), selection[2])
 
     def test_stream_count_must_match_particles(self):
-        model = scalar_model(lambda x: 0.0, lambda x: 1.0)
+        model = scalar_model(lambda x: 0.0 * x, 1.0)
         with pytest.raises(ValueError):
             predict_ensemble(model, np.zeros((1, 3)), 0.0, 0.1,
                              particle_streams(0, 4))
+
+
+def population_model():
+    """Noise-free population equation, r1 = 1, r2 = 2."""
+    return ProcessModel(n=1, m=0,
+                        drift_ensemble=lambda x, t: -1.0 * (1 - x / 2.0) * x,
+                        constant_diffusion=np.zeros((1, 0)))
 
 
 class TestSimulateTruth:
@@ -176,18 +189,14 @@ class TestSimulateTruth:
 
     def test_population_rises_from_unstable_start(self):
         # drift at 2.1 is +0.105, so the noise-free path moves up immediately
-        model = ProcessModel(n=1, m=0,
-                             drift=lambda x, t: -1.0 * (1 - x / 2.0) * x,
-                             diffusion=lambda x, t: np.zeros((1, 0)))
+        model = population_model()
         grid = 0.1 * np.arange(1, 11)
         traj = simulate_truth(model, np.array([2.1]), grid, RngStream(0, 0))
         assert traj[0, 0] == pytest.approx(2.1 + 0.1 * 0.105)
         assert np.all(np.diff(traj[0]) > 0)
 
     def test_population_fixed_point(self):
-        model = ProcessModel(n=1, m=0,
-                             drift=lambda x, t: -1.0 * (1 - x / 2.0) * x,
-                             diffusion=lambda x, t: np.zeros((1, 0)))
+        model = population_model()
         grid = 0.1 * np.arange(1, 21)
         traj = simulate_truth(model, np.array([2.0]), grid, RngStream(0, 0))
         assert np.allclose(traj, 2.0)
@@ -196,6 +205,52 @@ class TestSimulateTruth:
         with pytest.raises(ValueError):
             simulate_truth(zero_model(), np.zeros(2), np.array([0.2, 0.1]),
                            RngStream(0, 0))
+
+    def test_grid_from_time_zero_keeps_the_start(self):
+        # a grid that starts at t = 0 records x0 there and steps from it
+        model = scalar_model(lambda x: -x, 0.5)
+        grid = np.array([0.0, 0.1, 0.3])
+        traj = simulate_truth(model, np.array([2.0]), grid, RngStream(4, 0))
+        want = truth_path_oracle(model, np.array([2.0]), grid[1:] - grid[0],
+                                 RngStream(4, 0))
+        assert traj[0, 0] == 2.0
+        assert np.array_equal(traj[:, 1:], want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
+    def test_matches_per_step_oracle(self, problem_id, seed):
+        # the one-column kernel, with the whole Brownian path drawn in one
+        # call, gives the bits of the per-step recursion with per-step
+        # draws; the linear-Gaussian prior draw comes first on the stream
+        cfg = ExperimentConfig(problem=problem_id, horizon=2.0, seed=seed,
+                               emit_outputs=False)
+        problem, truth, _, grid = make_twin_data(cfg)
+        stream = RngStream(seed, TRUTH_STREAM)
+        x0 = problem.x0_truth
+        if x0 is None:
+            spec = problem.kalman_spec
+            x0 = (spec.x0_mean + np.linalg.cholesky(spec.x0_cov)
+                  @ stream.standard_normal(spec.n))
+        assert np.array_equal(
+            truth, truth_path_oracle(problem.proc_truth, x0, grid, stream))
+
+    @pytest.mark.parametrize("seed, step", [(0, 62), (1, 37), (3, 41)])
+    def test_diverging_population_fails_like_the_oracle(self, seed, step):
+        # the finiteness check after the loop names the first non-finite
+        # step, as a check after every step does
+        cfg = ExperimentConfig(problem="population", dt=0.1, horizon=100.0,
+                               seed=seed, emit_outputs=False)
+        problem = build_problem("population", dt=0.1)
+        grid = 0.1 * np.arange(1, 1001)
+        with pytest.raises(NumericFailure) as got:
+            make_twin_data(cfg)
+        with pytest.raises(NumericFailure) as want:
+            truth_path_oracle(problem.proc_truth, problem.x0_truth, grid,
+                              RngStream(seed, TRUTH_STREAM))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("truth simulation failed")
+        assert got.value.step == want.value.step == step
+        assert got.value.t == want.value.t == grid[step]
 
 
 class TestSynthMeasurements:
