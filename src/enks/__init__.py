@@ -6,10 +6,10 @@ Kalman oracle, and a twin-experiment harness with convergence
 diagnostics.
 """
 
-from .benchmarks import (LinearGaussianSpec, PendulumSpec, PopulationSpec,
-                         ShearFrameSpec, build_damaged_frame,
+from .benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
+                         PopulationSpec, Problem, ShearFrameSpec,
                          build_linear_gaussian, build_pendulum,
-                         build_population, build_shear_frame,
+                         build_population, build_problem, build_shear_frame,
                          enks_limit_oracle, kalman_oracle,
                          nu_from_noise_std, scalar_linear_gaussian,
                          tridiagonal_stiffness)
@@ -23,7 +23,6 @@ from .harness import (ConvergenceReport, ExperimentConfig, convergence_sweep,
 from .iterative import (AnnealingSchedule, IterationTrace, iterate_update,
                         iterative_enks_step, make_schedule)
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
-from .problems import PROBLEM_IDS, Problem, build_problem
 from .record import (RunRecord, emit_csv, emit_linechart, emit_series_csv,
                      emit_summary, load_csv, load_series_csv, rmse)
 from .rng import ParticleNoise, RngStream, particle_streams
@@ -40,7 +39,7 @@ __all__ = [
     "PopulationSpec",
     "PROBLEM_IDS", "Problem", "ProcessModel", "RngStream", "RunRecord",
     "ShearFrameSpec", "additive_update", "analysis_gain",
-    "build_damaged_frame", "build_linear_gaussian",
+    "build_linear_gaussian",
     "build_pendulum", "build_population", "build_problem", "build_shear_frame",
     "clean_signal", "compute_gain", "convergence_sweep", "emit_csv",
     "emit_linechart", "emit_series_csv", "emit_summary", "enkf_step",

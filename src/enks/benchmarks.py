@@ -1,21 +1,27 @@
-"""Benchmark problem builders and the exact linear-Gaussian oracle.
+"""Benchmark problems, the problem registry and the exact linear-Gaussian
+oracle.
 
 Four twin-experiment identification problems (two shear frames, a
 nonlinear oscillator with a reaction measurement, and a population
 equation) plus a linear-Gaussian problem whose exact conditional moments
 come from a Kalman recursion on the EM-discretized model, and whose exact
 large-N EnKS moments come from the same recursion with the EnKS gain.
+:func:`build_problem` turns a problem id plus overrides into the
+:class:`Problem` a twin experiment runs: truth and filter models, the
+measurement map, the truth's start state and the initial-ensemble prior.
 
 Joint state-parameter estimation augments the physical state with the
 unknown parameters: parameter channels carry zero drift and, in the
 filter model, a small constant diffusion so the ensemble retains spread
 in those directions.  Truth models freeze the parameters (zero parameter
-diffusion).
+diffusion).  Frame and oscillator measurement noise defaults to 1% of the
+per-channel standard deviation of the noise-free measurement signal,
+which the harness resolves once the truth trajectory exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,11 +77,10 @@ class ShearFrameSpec:
         return tuple(range(self.dof)) if self.measured is None else tuple(self.measured)
 
 
-def default_frame_spec(dof: int, proc_noise: Optional[float] = None) -> ShearFrameSpec:
+def default_frame_spec(dof: int, proc_noise: float = 5.0) -> ShearFrameSpec:
     """Reference frame: stiffness 100 and damping 5 at every storey."""
-    pn = 5.0 if proc_noise is None else proc_noise
     return ShearFrameSpec(dof=dof, k_ref=(100.0,) * dof, c_ref=(5.0,) * dof,
-                          proc_noise=pn)
+                          proc_noise=proc_noise)
 
 
 def tridiagonal_stiffness(params: Sequence[float], dof: int) -> np.ndarray:
@@ -159,34 +164,11 @@ def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
     channels = np.asarray(spec.measured_channels, dtype=int)
     q = channels.size
 
-    def h_ensemble(x, t):
-        return x[dof + channels]
-
     meas = MeasurementModel(q=q, h=lambda x, t: x[dof + channels],
                             nu=nu_from_noise_std(np.broadcast_to(
                                 np.asarray(meas_noise_std, dtype=float), (q,)), dt),
-                            dt_scale=dt, h_ensemble=h_ensemble)
+                            dt_scale=dt)
     return proc, meas
-
-
-def build_damaged_frame(spec: ShearFrameSpec, damaged_storey: int = 10,
-                        damaged_k: float = 98.0, **kwargs
-                        ) -> tuple[ProcessModel, MeasurementModel]:
-    """Shear frame with one storey's reference stiffness lowered.
-
-    ``damaged_storey`` is 1-based.  The returned models embed the damaged
-    reference in the spec used for truth simulation.
-    """
-    if not 1 <= damaged_storey <= spec.dof:
-        raise ValueError(f"damaged storey {damaged_storey} outside 1..{spec.dof}")
-    if damaged_k <= 0:
-        raise ValueError("damaged stiffness must be positive")
-    k_ref = list(spec.k_ref)
-    k_ref[damaged_storey - 1] = damaged_k
-    damaged = ShearFrameSpec(dof=spec.dof, k_ref=tuple(k_ref), c_ref=spec.c_ref,
-                             forcing_amp=spec.forcing_amp,
-                             proc_noise=spec.proc_noise, measured=spec.measured)
-    return build_shear_frame(damaged, **kwargs)
 
 
 def frame_truth_x0(spec: ShearFrameSpec) -> np.ndarray:
@@ -247,18 +229,12 @@ def build_pendulum(spec: PendulumSpec, xi: float = 1.0,
     proc = ProcessModel(n=4, m=3, drift_ensemble=drift_ensemble,
                         constant_diffusion=F)
 
-    def h_ensemble(x, t):
+    def h(x, t):
         return (x[3] * x[1] + x[2] * np.sin(x[0]))[None, :]
 
-    meas = MeasurementModel(
-        q=1, h=lambda x, t: np.array([x[3] * x[1] + x[2] * np.sin(x[0])]),
-        nu=nu_from_noise_std(meas_noise_std, dt), dt_scale=dt,
-        h_ensemble=h_ensemble)
+    meas = MeasurementModel(q=1, h=h, nu=nu_from_noise_std(meas_noise_std, dt),
+                            dt_scale=dt)
     return proc, meas
-
-
-def pendulum_truth_x0(spec: PendulumSpec) -> np.ndarray:
-    return np.array([0.0, 0.0, spec.k, spec.c])
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +273,8 @@ def build_population(spec: PopulationSpec
     proc = ProcessModel(n=1, m=1, drift_ensemble=drift_ensemble,
                         constant_diffusion=np.array([[spec.proc_noise_std]]))
     meas = MeasurementModel(
-        q=1, h=lambda x, t: np.asarray(x, dtype=float).reshape(1),
-        nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt,
-        h_ensemble=lambda x, t: x)
+        q=1, h=lambda x, t: x,
+        nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt)
     return proc, meas
 
 
@@ -365,10 +340,8 @@ def build_linear_gaussian(spec: LinearGaussianSpec, dt: float
     proc = ProcessModel(n=spec.n, m=F.shape[1],
                         drift_ensemble=lambda x, t: A @ x, constant_diffusion=F)
     noise_std = np.sqrt(np.diag(spec.R))
-    meas = MeasurementModel(
-        q=spec.q, h=lambda x, t: H @ x,
-        nu=nu_from_noise_std(noise_std, dt), dt_scale=dt,
-        h_ensemble=lambda x, t: H @ x)
+    meas = MeasurementModel(q=spec.q, h=lambda x, t: H @ x,
+                            nu=nu_from_noise_std(noise_std, dt), dt_scale=dt)
     return proc, meas
 
 
@@ -481,3 +454,160 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
         covs[i] = P
         gains[i] = B
     return means, covs, gains
+
+
+# ---------------------------------------------------------------------------
+# problem registry
+# ---------------------------------------------------------------------------
+
+PROBLEM_IDS = ("frame50", "frame20-damaged", "frame4-damaged", "pendulum",
+               "population", "linear-gaussian")
+
+RELATIVE_NOISE_FRACTION = 0.01  # "low intensity" measurement noise rule
+
+
+@dataclass
+class Problem:
+    """Everything a twin experiment needs besides run-level config."""
+
+    name: str
+    proc_truth: ProcessModel
+    proc_filter: ProcessModel
+    meas: MeasurementModel
+    x0_truth: np.ndarray
+    init_mean: np.ndarray
+    init_spread: np.ndarray
+    channel_names: list
+    # noise_std is per measurement channel; None means "1% of signal std",
+    # resolved by the harness once the truth trajectory exists.
+    noise_std: Optional[np.ndarray]
+    kalman_spec: Optional[LinearGaussianSpec] = None
+    default_N: int = 1000
+    default_dt: float = 0.01
+    default_horizon: float = 5.0
+
+    def with_noise_std(self, noise_std: np.ndarray, dt: float) -> "Problem":
+        """Finalize the measurement model for a resolved noise level."""
+        meas = replace(self.meas, nu=nu_from_noise_std(noise_std, dt),
+                       dt_scale=dt)
+        out = replace(self, meas=meas)
+        out.noise_std = np.asarray(noise_std, dtype=float)
+        return out
+
+
+def _frame_problem(name, dof, *, N, horizon, proc_noise, xi, dt,
+                   param_diffusion, meas_noise_std, damaged_storey=None,
+                   damaged_k=98.0):
+    """Shear-frame twin experiment, optionally with one damaged storey.
+
+    The frame's models do not read the reference parameters, so the
+    damage (storey ``damaged_storey``, 1-based, at stiffness
+    ``damaged_k``) reaches the run only through the truth's start state.
+    """
+    spec = default_frame_spec(dof, proc_noise=proc_noise)
+    build = dict(xi=xi, dt=dt,
+                 meas_noise_std=1.0 if meas_noise_std is None else meas_noise_std)
+    proc_f, meas = build_shear_frame(spec, param_diffusion=param_diffusion,
+                                     **build)
+    # truth: reference parameters, frozen (no parameter diffusion)
+    proc_t, _ = build_shear_frame(spec, param_diffusion=0.0, **build)
+    if damaged_storey is not None:
+        k_ref = list(spec.k_ref)
+        k_ref[damaged_storey - 1] = damaged_k
+        spec = replace(spec, k_ref=tuple(k_ref))
+
+    init_mean = np.concatenate([np.zeros(2 * dof), np.full(dof, 100.0),
+                                np.full(dof, 5.0)])
+    init_spread = np.concatenate([np.full(2 * dof, 0.01), np.full(dof, 5.0),
+                                  np.full(dof, 0.5)])
+    names = ([f"u{i+1}" for i in range(dof)] + [f"v{i+1}" for i in range(dof)]
+             + [f"K{i+1}" for i in range(dof)] + [f"C{i+1}" for i in range(dof)])
+    return Problem(name=name, proc_truth=proc_t, proc_filter=proc_f, meas=meas,
+                   x0_truth=frame_truth_x0(spec),
+                   init_mean=init_mean, init_spread=init_spread,
+                   channel_names=names, noise_std=meas_noise_std,
+                   default_N=N, default_dt=dt, default_horizon=horizon)
+
+
+def build_problem(problem: str, *, xi: float = 1.0, dt: Optional[float] = None,
+                  param_diffusion: float = 0.01,
+                  proc_noise: Optional[float] = None,
+                  meas_noise_std=None, init_spread_scale: float = 1.0) -> Problem:
+    """Assemble the named problem with optional overrides.
+
+    ``xi`` is the forcing randomness drawn once per run (frames and
+    oscillator); ``proc_noise`` overrides the problem's process-noise
+    intensity; ``meas_noise_std`` pins the measurement noise instead of
+    the 1%-of-signal rule.
+    """
+    def pick(override, default):
+        return default if override is None else override
+
+    frame = dict(xi=xi, dt=dt or 0.01, param_diffusion=param_diffusion,
+                 meas_noise_std=meas_noise_std)
+    if problem == "frame50":
+        p = _frame_problem("frame50", 50, N=800, horizon=5.0,
+                           proc_noise=pick(proc_noise, 5.0), **frame)
+    elif problem == "frame20-damaged":
+        # damage detection wants a long window and modest process noise,
+        # otherwise the 2% stiffness deficit stays below the posterior spread
+        p = _frame_problem("frame20-damaged", 20, N=300, horizon=20.0,
+                           proc_noise=pick(proc_noise, 1.0), damaged_storey=10,
+                           **frame)
+    elif problem == "frame4-damaged":
+        # desk-scale damage problem; lower process noise keeps the
+        # parameter channels identifiable at this size
+        p = _frame_problem("frame4-damaged", 4, N=300, horizon=20.0,
+                           proc_noise=pick(proc_noise, 1.0), damaged_storey=3,
+                           **frame)
+    elif problem == "pendulum":
+        spec = PendulumSpec(proc_noise=pick(proc_noise, 0.05))
+        step = dt or 0.01
+        proc_f, meas = build_pendulum(spec, xi=xi,
+                                      param_diffusion=param_diffusion,
+                                      meas_noise_std=pick(meas_noise_std, 1.0),
+                                      dt=step)
+        proc_t, _ = build_pendulum(spec, xi=xi, param_diffusion=0.0,
+                                   meas_noise_std=1.0, dt=step)
+        p = Problem(name="pendulum", proc_truth=proc_t, proc_filter=proc_f,
+                    meas=meas, x0_truth=np.array([0.0, 0.0, spec.k, spec.c]),
+                    init_mean=np.array([0.0, 0.0, spec.k, spec.c]),
+                    init_spread=np.array([0.01, 0.01, 2.0, 0.5]),
+                    channel_names=["x", "v", "k", "c"],
+                    noise_std=meas_noise_std, default_N=600, default_dt=step,
+                    default_horizon=5.0)
+    elif problem == "population":
+        spec = PopulationSpec(proc_noise_std=pick(proc_noise, 0.2),
+                              meas_noise_std=_scalar(pick(meas_noise_std, 0.1)),
+                              dt=dt or 0.1)
+        proc, meas = build_population(spec)
+        p = Problem(name="population", proc_truth=proc, proc_filter=proc,
+                    meas=meas, x0_truth=np.array([spec.x0]),
+                    init_mean=np.array([spec.x0]), init_spread=np.array([0.1]),
+                    channel_names=["x"],
+                    noise_std=np.array([spec.meas_noise_std]),
+                    default_N=1000, default_dt=spec.dt, default_horizon=5.0)
+    elif problem == "linear-gaussian":
+        spec = scalar_linear_gaussian(
+            F=pick(proc_noise, 1.0),
+            R=0.01 if meas_noise_std is None else _scalar(meas_noise_std) ** 2)
+        step = dt or 0.01
+        proc, meas = build_linear_gaussian(spec, step)
+        p = Problem(name="linear-gaussian", proc_truth=proc, proc_filter=proc,
+                    meas=meas, x0_truth=None,  # drawn from the prior by the harness
+                    init_mean=spec.x0_mean,
+                    init_spread=np.sqrt(np.diag(spec.x0_cov)),
+                    channel_names=["x"],
+                    noise_std=np.sqrt(np.diag(spec.R)), kalman_spec=spec,
+                    default_N=2000, default_dt=step, default_horizon=10.0)
+    else:
+        raise ValueError(f"unknown problem id '{problem}' "
+                         f"(expected one of {', '.join(PROBLEM_IDS)})")
+    if init_spread_scale != 1.0:
+        p.init_spread = p.init_spread * init_spread_scale
+    return p
+
+
+def _scalar(value) -> float:
+    """One noise level given as a number or a one-element array."""
+    return float(np.asarray(value).reshape(()))

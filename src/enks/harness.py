@@ -21,14 +21,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .benchmarks import LinearGaussianSpec, enks_limit_oracle, kalman_oracle
+from .benchmarks import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION,
+                         LinearGaussianSpec, Problem, build_problem,
+                         enks_limit_oracle, kalman_oracle)
 from .core import FilterConfig, enks_step, make_initial_state
 from .enkf import EnkfConfig, EnkfState, enkf_step
 from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
 from .models import MeasurementSeries
-from .problems import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION, Problem,
-                       build_problem)
 from .record import RunRecord, emit_csv, emit_linechart, emit_summary
 from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
                   PERTURBATION_STREAM, TRUTH_STREAM, ParticleNoise, RngStream,
@@ -253,7 +253,8 @@ def run_experiment(cfg: ExperimentConfig,
     ``(truth, series, noise_std)`` (for instance loaded from a
     ``simulate`` invocation); the models are still rebuilt from the
     configuration, so the seed must match the one that generated the
-    data for the forcing input to agree.
+    data for the forcing input to agree.  A dataset whose times are not
+    the run's grid ``dt * (1, ..., M)`` is a ``ConfigError``.
     """
     t_start = time.perf_counter()
     problem, N, dt, horizon = _resolve(cfg)
@@ -267,6 +268,10 @@ def run_experiment(cfg: ExperimentConfig,
         if (truth.shape != (problem.proc_truth.n, len(series))
                 or series.values.shape[0] != q or noise_std.size not in (1, q)):
             raise ConfigError("loaded dataset shape does not match the problem")
+        if not np.allclose(series.times, dt * np.arange(1, len(series) + 1),
+                           rtol=1e-9, atol=0.0):
+            raise ConfigError(f"loaded dataset times are not the multiples "
+                              f"of dt={dt}")
         problem = problem.with_noise_std(np.broadcast_to(noise_std, (q,)), dt)
         grid = series.times
     tracked = cfg.tracked_channels

@@ -3,9 +3,8 @@
 The state is filtered as an ensemble: an ``(n, N)`` array whose columns
 are particles.  Models carry plain callables plus the dimension metadata
 the integrators and filters need.  The process drift takes a whole
-ensemble, and a single path is a one-column ensemble.  The measurement
-map keeps a per-state ``h`` beside its optional vectorized
-``h_ensemble``.
+ensemble, and a single path is a one-column ensemble; so does the
+measurement map.
 """
 
 from __future__ import annotations
@@ -98,20 +97,19 @@ class MeasurementModel:
     q : int
         Measurement dimension.
     h : callable
-        ``h(x, t) -> (q,)`` for a single state vector.
+        ``h(X, t) -> (q, N)`` of an ``(n, N)`` array whose columns are
+        states; ``t`` is one time for every column or one time per
+        column.  A single state is a one-column array.
     nu : ndarray
         ``(q, q)`` noise intensity matrix.
     dt_scale : float
         Step length used to scale the intensity, sigma = nu * dt_scale.
-    h_ensemble : callable, optional
-        Vectorized map ``H(X, t) -> (q, N)`` over an ensemble.
     """
 
     q: int
     h: Callable[[np.ndarray, float], np.ndarray]
     nu: np.ndarray
     dt_scale: float
-    h_ensemble: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
 
     def __post_init__(self):
         if self.q < 1:
@@ -135,13 +133,8 @@ class MeasurementModel:
         return s.T @ s
 
     def evaluate(self, ens: np.ndarray, t: float) -> np.ndarray:
-        """h applied column-wise to an ensemble, shape (q, N)."""
-        if self.h_ensemble is not None:
-            out = np.asarray(self.h_ensemble(ens, t), dtype=float)
-        else:
-            out = np.empty((self.q, ens.shape[1]))
-            for j in range(ens.shape[1]):
-                out[:, j] = np.asarray(self.h(ens[:, j], t), dtype=float).reshape(self.q)
+        """h of an ensemble at time ``t``, shape (q, N)."""
+        out = np.asarray(self.h(ens, t), dtype=float)
         if out.shape != (self.q, ens.shape[1]):
             raise ValueError(f"h returned shape {out.shape}, expected {(self.q, ens.shape[1])}")
         return out

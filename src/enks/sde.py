@@ -6,7 +6,8 @@ one ``(N, m)`` panel per step drawn in a single call from that step's
 keyed stream.  The reference truth of a twin experiment is a one-column
 ensemble stepped by the same kernel, its whole Brownian path drawn from
 its stream in one call.  Measurement synthesis corrupts the truth's
-noise-free signal.
+noise-free signal, the measurement map of the whole trajectory in one
+call.
 """
 
 from __future__ import annotations
@@ -118,10 +119,16 @@ def simulate_truth(model: ProcessModel, x0: np.ndarray, grid: np.ndarray,
 
 def clean_signal(meas: MeasurementModel, traj: np.ndarray,
                  grid: np.ndarray) -> np.ndarray:
-    """Noise-free measurements ``h(x(t_i), t_i)`` of a trajectory, (q, M)."""
-    clean = np.empty((meas.q, grid.size))
-    for i, t in enumerate(grid):
-        clean[:, i] = np.asarray(meas.h(traj[:, i], t), dtype=float).reshape(meas.q)
+    """Noise-free measurements ``h(x(t_i), t_i)`` of a trajectory, (q, M).
+
+    One call of the measurement map on the whole ``(n, M)`` trajectory,
+    with column i at ``grid[i]``.  The result may share memory with
+    ``traj`` (an identity map returns it as is).
+    """
+    clean = np.asarray(meas.h(traj, grid), dtype=float)
+    if clean.shape != (meas.q, grid.size):
+        raise ValueError(f"h returned shape {clean.shape}, "
+                         f"expected {(meas.q, grid.size)}")
     return clean
 
 

@@ -159,6 +159,19 @@ def truth_path_oracle(model, x0, grid, stream):
     return traj
 
 
+def clean_signal_oracle(meas, traj, grid):
+    """Noise-free measurements of a trajectory, one grid time at a time.
+
+    Column i is the measurement map of the one-column ensemble
+    ``traj[:, i]`` at the single time ``grid[i]``.
+    """
+    clean = np.empty((meas.q, len(grid)))
+    for i, t in enumerate(grid):
+        clean[:, i] = np.asarray(meas.h(traj[:, i:i + 1], t),
+                                 dtype=float).reshape(meas.q)
+    return clean
+
+
 class StepKeyedNoise:
     """Ensemble noise built one particle and one fine step at a time.
 

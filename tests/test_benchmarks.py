@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enks.benchmarks import (LinearGaussianSpec, PendulumSpec, PopulationSpec,
-                             ShearFrameSpec, build_damaged_frame,
-                             build_linear_gaussian, build_pendulum,
-                             build_population, build_shear_frame,
+                             ShearFrameSpec, build_linear_gaussian,
+                             build_pendulum, build_population, build_problem,
+                             build_shear_frame,
                              default_frame_spec, enks_limit_oracle,
                              frame_truth_x0, kalman_oracle,
                              nu_from_noise_std, scalar_linear_gaussian,
@@ -127,7 +127,7 @@ class TestShearFrame:
         spec = ShearFrameSpec(dof=3, k_ref=(100.0,) * 3, c_ref=(5.0,) * 3,
                               measured=(0, 2))
         _, meas = build_shear_frame(spec)
-        x = np.arange(12.0)
+        x = np.arange(24.0).reshape(12, 2)
         assert np.array_equal(meas.h(x, 0.0), [x[3], x[5]])
 
     def test_spec_validation(self):
@@ -139,29 +139,29 @@ class TestShearFrame:
 
 class TestDamagedFrame:
     def test_default_damage_location(self):
-        spec = default_frame_spec(20)
-        proc, _ = build_damaged_frame(spec)
         # the damaged reference only shows through the truth start state
-        x0 = frame_truth_x0(ShearFrameSpec(
-            dof=20, k_ref=tuple(98.0 if i == 9 else 100.0 for i in range(20)),
-            c_ref=(5.0,) * 20))
-        assert x0[40 + 9] == 98.0
-        assert np.all(np.delete(x0[40:60], 9) == 100.0)
+        for problem_id, dof, storey in (("frame20-damaged", 20, 10),
+                                        ("frame4-damaged", 4, 3)):
+            x0 = build_problem(problem_id).x0_truth
+            i = 2 * dof + storey - 1
+            assert x0[i] == 98.0
+            assert np.array_equal(
+                np.delete(x0, i),
+                np.delete(frame_truth_x0(default_frame_spec(dof)), i))
 
     def test_no_damage_is_identity(self):
-        spec = default_frame_spec(4)
-        proc_a, _ = build_damaged_frame(spec, damaged_storey=2, damaged_k=100.0)
-        proc_b, _ = build_shear_frame(spec)
+        # the damaged problem's truth and filter models are the undamaged
+        # frame's, with the truth's parameters frozen
+        problem = build_problem("frame4-damaged", xi=0.7)
+        spec = default_frame_spec(4, proc_noise=1.0)
         x = np.abs(np.random.default_rng(0).standard_normal(16)) + 0.5
-        assert np.allclose(state_drift(proc_a, x, 0.1),
-                           state_drift(proc_b, x, 0.1))
-
-    def test_out_of_range_storey(self):
-        spec = default_frame_spec(4)
-        with pytest.raises(ValueError):
-            build_damaged_frame(spec, damaged_storey=5)
-        with pytest.raises(ValueError):
-            build_damaged_frame(spec, damaged_storey=0)
+        for proc, diffusion in ((problem.proc_filter, 0.01),
+                                (problem.proc_truth, 0.0)):
+            frame, _ = build_shear_frame(spec, xi=0.7, param_diffusion=diffusion)
+            assert np.array_equal(state_drift(proc, x, 0.1),
+                                  state_drift(frame, x, 0.1))
+            assert np.array_equal(proc.constant_diffusion,
+                                  frame.constant_diffusion)
 
 
 class TestPendulum:
@@ -172,8 +172,8 @@ class TestPendulum:
 
     def test_reaction_measurement_arithmetic(self):
         _, meas = build_pendulum(PendulumSpec())
-        x = np.array([np.pi / 2, 1.0, 2.0, 3.0])  # (x, v, k, c)
-        assert meas.h(x, 0.0)[0] == pytest.approx(3.0 * 1.0 + 2.0 * 1.0)
+        x = np.array([[np.pi / 2], [1.0], [2.0], [3.0]])  # (x, v, k, c)
+        assert meas.h(x, 0.0)[0, 0] == pytest.approx(3.0 * 1.0 + 2.0 * 1.0)
 
     def test_drift_formula(self):
         spec = PendulumSpec()
@@ -240,6 +240,29 @@ class TestLinearGaussian:
         with pytest.raises(ValueError):
             LinearGaussianSpec(A=[[0.0]], F=[[1.0]], H=[[1.0]], R=[[0.0]],
                                x0_mean=[0.0], x0_cov=[[1.0]])
+
+    def test_problem_overrides_set_the_model(self):
+        # proc_noise and meas_noise_std set F and R of the problem's spec,
+        # so the truth, the data and both oracles share one model
+        spec = build_problem("linear-gaussian").kalman_spec
+        assert (spec.F[0, 0], spec.R[0, 0]) == (1.0, 0.01)
+        spec = build_problem("linear-gaussian", proc_noise=5.0,
+                             meas_noise_std=3.0).kalman_spec
+        assert (spec.F[0, 0], spec.R[0, 0]) == (5.0, 9.0)
+
+        def twin(**kw):
+            return make_twin_data(ExperimentConfig(
+                problem="linear-gaussian", horizon=0.5, seed=3,
+                emit_outputs=False, **kw))
+        _, truth, series, _ = twin()
+        problem, truth_o, series_o, _ = twin(proc_noise=5.0,
+                                             meas_noise_std=3.0)
+        assert np.array_equal(problem.noise_std, [3.0])
+        assert np.array_equal(problem.proc_truth.constant_diffusion, [[5.0]])
+        assert truth_o[0, 0] != truth[0, 0]
+        # the same measurement draws at 30 times the noise level
+        assert np.allclose(series_o.values - truth_o,
+                           30.0 * (series.values - truth))
 
 
 class TestKalmanOracle:

@@ -86,6 +86,20 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "does not match the problem" in capsys.readouterr().err
 
+    def test_dataset_on_another_time_grid_exits_2(self, tmp_path, capsys):
+        # measurements 0.1 apart cannot drive steps of 0.2; the matching
+        # dt reads the same dataset
+        assert main(["simulate", "--problem", "population", "--dt", "0.1",
+                     "--horizon", "2.0", "--out", str(tmp_path / "data")]) == EXIT_OK
+        code = main(["run", "--problem", "population", "--dt", "0.2",
+                     "--horizon", "2.0", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert "not the multiples of dt=0.2" in capsys.readouterr().err
+        assert main(["run", "--problem", "population", "--dt", "0.1",
+                     "--horizon", "2.0", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "runs")]) == EXIT_OK
+
     def test_malformed_dataset_row_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["simulate", "--problem", "population", "--horizon", "1.0",

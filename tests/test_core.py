@@ -19,7 +19,7 @@ from oracles import (brute_covariance, exact_moment_ensemble, gain_oracle,
 
 def identity_meas(n, nu=1.0, dt=0.1):
     return MeasurementModel(q=n, h=lambda x, t: x, nu=nu * np.eye(n),
-                            dt_scale=dt, h_ensemble=lambda x, t: x)
+                            dt_scale=dt)
 
 
 class TestEnsembleMean:
@@ -319,8 +319,7 @@ class TestEnksStep:
         proc, meas = ou_problem()
         N, dt, R = 2000, 0.01, 0.01
         meas = MeasurementModel(q=1, h=lambda x, t: x,
-                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt,
-                                h_ensemble=lambda x, t: x)
+                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt)
         ens = RngStream(17, 2).standard_normal((1, N))  # prior N(0, 1)
         cfg = FilterConfig(N=N, dt=dt, alpha=0.8, seed=17)
         state = make_initial_state(ens, meas, cfg)

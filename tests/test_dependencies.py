@@ -29,7 +29,7 @@ proc, meas = problem.proc_filter, problem.meas
 ens = (problem.init_mean[:, None]
        + problem.init_spread[:, None] * RngStream(0, 2).standard_normal(
            (problem.init_mean.size, N)))
-y = meas.h(problem.init_mean, dt)
+y = meas.h(problem.init_mean[:, None], dt)[:, 0]
 cfg = FilterConfig(N=N, dt=dt)
 enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
           particle_streams(0, N))

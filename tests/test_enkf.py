@@ -108,8 +108,7 @@ class TestEnkfUpdate:
 
 
 def identity_meas(n, dt=0.01):
-    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt,
-                            h_ensemble=lambda x, t: x)
+    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt)
 
 
 class TestEnkfStep:
@@ -147,11 +146,10 @@ class TestEnkfStep:
         assert state.ensemble.shape == (200, N)
 
     def test_frame20_config_runs(self):
-        from enks.benchmarks import build_damaged_frame, default_frame_spec, frame_truth_x0
+        from enks.benchmarks import build_shear_frame, default_frame_spec, frame_truth_x0
         spec = default_frame_spec(20)
-        proc, meas = build_damaged_frame(spec, damaged_storey=10, damaged_k=98.0,
-                                         xi=0.7, param_diffusion=0.01,
-                                         meas_noise_std=0.05, dt=0.01)
+        proc, meas = build_shear_frame(spec, xi=0.7, param_diffusion=0.01,
+                                       meas_noise_std=0.05, dt=0.01)
         N = 300
         x0 = frame_truth_x0(spec)
         ens = x0[:, None] + 0.5 * RngStream(2, 2).standard_normal((80, N))
@@ -187,8 +185,7 @@ class TestEnkfStep:
                             constant_diffusion=np.eye(1))
         dt, R, M = 0.01, 0.01, 150
         meas = MeasurementModel(q=1, h=lambda x, t: x,
-                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt,
-                                h_ensemble=lambda x, t: x)
+                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt)
         data_rng = RngStream(77, 0)
         truth = [float(data_rng.standard_normal())]
         for _ in range(M):

@@ -107,16 +107,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig(problem="pendulum", N=50, horizon=1.0, seed=3,
                                emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
-        clean = np.array([problem.meas.h(truth[:, i], t)[0]
-                          for i, t in enumerate(grid)])
+        clean = problem.meas.h(truth, grid)[0]
         assert problem.noise_std[0] == pytest.approx(0.01 * clean.std())
 
     @pytest.mark.parametrize("problem_id", ["pendulum", "population"])
     def test_builds_the_problem_once_and_measures_the_truth_once(
             self, problem_id, monkeypatch):
         # cost guard: one run_experiment builds its problem once, and the
-        # noise-free signal h(truth) is evaluated once per grid time, also
-        # where it first sets the 1%-of-signal noise (pendulum)
+        # noise-free signal h(truth) is one call over the whole truth, also
+        # where it first sets the 1%-of-signal noise (pendulum); every other
+        # call of h maps the N-particle ensemble
         built, h_calls = [], []
         build = harness.build_problem
 
@@ -125,7 +125,7 @@ class TestRunExperiment:
             h = problem.meas.h
 
             def counted_h(x, t):
-                h_calls.append(t)
+                h_calls.append((x, t))
                 return h(x, t)
             problem.meas.h = counted_h
             built.append(problem)
@@ -137,7 +137,11 @@ class TestRunExperiment:
                                emit_outputs=False)
         record = run_experiment(cfg)
         assert len(built) == 1
-        assert h_calls == list(record.times)
+        truth_calls = [(x, t) for x, t in h_calls if x.shape[1] != cfg.N]
+        assert len(truth_calls) == 1
+        x, t = truth_calls[0]
+        assert np.array_equal(x, record.truth)
+        assert np.array_equal(t, record.times)
 
     def test_run_from_persisted_dataset(self, tmp_path):
         # simulate -> load -> run must reproduce the direct run exactly

@@ -55,8 +55,7 @@ def make_state(t_curr, noise_term, n=1):
 
 
 def identity_meas(n, dt=0.1):
-    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt,
-                            h_ensemble=lambda x, t: x)
+    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt)
 
 
 class TestIterativeGain:

@@ -4,11 +4,12 @@ import pytest
 from enks.errors import NumericFailure
 from enks.harness import ExperimentConfig, make_twin_data
 from enks.models import MeasurementModel, ProcessModel
-from enks.problems import PROBLEM_IDS, build_problem
+from enks.benchmarks import PROBLEM_IDS, build_problem
 from enks.rng import TRUTH_STREAM, RngStream, particle_streams
-from enks.sde import _em, predict_ensemble, simulate_truth, synth_measurements
+from enks.sde import (_em, clean_signal, predict_ensemble, simulate_truth,
+                      synth_measurements)
 
-from oracles import FixedNoise, truth_path_oracle
+from oracles import FixedNoise, clean_signal_oracle, truth_path_oracle
 
 
 def scalar_model(drift, f):
@@ -251,6 +252,26 @@ class TestSimulateTruth:
         assert str(got.value).startswith("truth simulation failed")
         assert got.value.step == want.value.step == step
         assert got.value.t == want.value.t == grid[step]
+
+
+class TestCleanSignal:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
+    def test_matches_per_time_oracle(self, problem_id, seed):
+        # one call of h over the whole truth gives the bits of one call
+        # per grid time
+        cfg = ExperimentConfig(problem=problem_id, seed=seed,
+                               horizon=1.0 if problem_id == "population" else 2.0,
+                               emit_outputs=False)
+        problem, truth, _, grid = make_twin_data(cfg)
+        assert np.array_equal(clean_signal(problem.meas, truth, grid),
+                              clean_signal_oracle(problem.meas, truth, grid))
+
+    def test_shape_check(self):
+        meas = MeasurementModel(q=2, h=lambda x, t: x[:1], nu=np.eye(2),
+                                dt_scale=0.1)
+        with pytest.raises(ValueError, match="h returned shape"):
+            clean_signal(meas, np.ones((3, 4)), 0.1 * np.arange(1, 5))
 
 
 class TestSynthMeasurements:
