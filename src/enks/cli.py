@@ -61,7 +61,11 @@ def _build_cfg(args, force_filters=None):
 
 
 def load_dataset(data_dir) -> tuple:
-    """Load a ``simulate`` output directory: (truth, series, noise_std)."""
+    """Load a ``simulate`` output directory: (truth, series, noise_std, seed).
+
+    ``seed`` is the one ``simulate`` wrote to ``seed.txt``, or None for a
+    dataset without that file.
+    """
     from .models import MeasurementSeries
 
     data_dir = Path(data_dir)
@@ -76,7 +80,16 @@ def load_dataset(data_dir) -> tuple:
                               for l in noise_path.read_text().splitlines()[1:]])
     except (ValueError, IndexError) as err:
         raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
-    return truth, MeasurementSeries(times=times, values=values), noise_std
+    seed_path = data_dir / "seed.txt"
+    seed = None
+    if seed_path.exists():
+        try:
+            seed = int(seed_path.read_text())
+        except ValueError as err:
+            raise ConfigError(f"malformed dataset seed in {seed_path}: "
+                              f"{err}") from err
+    return (truth, MeasurementSeries(times=times, values=values), noise_std,
+            seed)
 
 
 def cmd_simulate(args) -> int:
@@ -90,8 +103,9 @@ def cmd_simulate(args) -> int:
         fh.write("channel,noise_std\n")
         for c, s in enumerate(np.atleast_1d(problem.noise_std)):
             fh.write(f"{c},{_fmt(s)}\n")
+    (out / "seed.txt").write_text(f"{cfg.seed}\n", encoding="utf-8")
     print(f"wrote truth ({truth.shape[0]} channels x {truth.shape[1]} steps), "
-          f"measurements, and noise levels to {out}")
+          f"measurements, noise levels and seed to {out}")
     return EXIT_OK
 
 

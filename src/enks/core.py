@@ -138,6 +138,30 @@ def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
                        noise_term=(1.0 - cfg.alpha) * meas.sigma_gram)
 
 
+def row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of each row of a 2-D array, shape (rows, 1).
+
+    The reduction and division ``x.mean(axis=1, keepdims=True)`` runs,
+    with the same bits, without the Python wrapper around them.
+    """
+    return np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
+
+
+def row_moments(x: np.ndarray, work: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Row means and ``ddof=1`` standard deviations of ``x``, each (rows,).
+
+    The bits of ``x.mean(axis=1)`` and ``x.std(axis=1, ddof=1)``, from one
+    mean: the deviations are formed and squared in ``work``, an array of
+    the shape of ``x`` that does not alias it.
+    """
+    mean = row_mean(x)
+    dev = np.subtract(x, mean, out=work)
+    np.multiply(dev, dev, out=dev)
+    var = np.add.reduce(dev, axis=1) / (x.shape[1] - 1)
+    return mean[:, 0], np.sqrt(var, out=var)
+
+
 def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
               t: float | None = None) -> np.ndarray:
     """Solve ``A X = B`` for symmetric positive definite ``A``.
@@ -178,8 +202,8 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
     non_finite_denom, not_definite, non_finite_gain = failures
     # a diverging ensemble overflows here; the finite checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        Xd = np.subtract(pred, pred.mean(axis=1, keepdims=True), out=work)
-        Hd = h_pred - h_pred.mean(axis=1, keepdims=True)
+        Xd = np.subtract(pred, row_mean(pred), out=work)
+        Hd = h_pred - row_mean(h_pred)
         cross = Xd @ Hd.T
         denom = weight * (Hd @ Hd.T) + noise_term
     if not np.isfinite(denom).all():

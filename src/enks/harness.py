@@ -24,7 +24,7 @@ import numpy as np
 from .benchmarks import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION,
                          LinearGaussianSpec, Problem, build_problem,
                          enks_limit_oracle, kalman_oracle)
-from .core import FilterConfig, enks_step, make_initial_state
+from .core import FilterConfig, enks_step, make_initial_state, row_moments
 from .enkf import EnkfConfig, EnkfState, enkf_step
 from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
@@ -192,10 +192,15 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
 
     Returns ``(means, stds, extra)`` where ``means``/``stds`` are (n, M)
     and ``extra`` is a list of per-step IterationTrace objects for
-    "enks-iter" when ``collect_traces`` is set, else None.  ``streams``
-    is the ensemble's noise source and defaults to the step-keyed panels
-    of ``cfg.seed``.  A step's ``NumericFailure`` is re-raised with the
-    filter kind and the step index, its particle and time kept.
+    "enks-iter" when ``collect_traces`` is set, else None.
+    ``collect_traces`` also decides whether the traces are computed at
+    all: without it the iterative steps skip their residual norms.
+    ``streams`` is the ensemble's noise source and defaults to the
+    step-keyed panels of ``cfg.seed``.  A step's ``NumericFailure`` is
+    re-raised with the filter kind and the step index, its particle and
+    time kept.  Each step's mean and ``ddof=1`` std come from one mean,
+    the deviations formed in the state's ``work[0]``, which holds the
+    step's prediction and is free once the step has returned.
     """
     n, N = ens0.shape
     M = len(series)
@@ -227,7 +232,8 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
 
         def step(state, y):
             state, trace = iterative_enks_step(state, proc, meas, y, cfg,
-                                               streams, schedule)
+                                               streams, schedule,
+                                               trace=collect_traces)
             if collect_traces:
                 extra.append(trace)
             return state
@@ -240,8 +246,7 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         except NumericFailure as err:
             raise NumericFailure(f"{kind} filter failed", t=err.t, step=i,
                                  particle=err.particle) from err
-        means[:, i] = state.ensemble.mean(axis=1)
-        stds[:, i] = state.ensemble.std(axis=1, ddof=1)
+        means[:, i], stds[:, i] = row_moments(state.ensemble, state.work[0])
     return means, stds, extra
 
 
@@ -250,18 +255,24 @@ def run_experiment(cfg: ExperimentConfig,
     """Full twin experiment: data, filters, record, and artifacts.
 
     ``data`` optionally supplies a previously persisted dataset as
-    ``(truth, series, noise_std)`` (for instance loaded from a
-    ``simulate`` invocation); the models are still rebuilt from the
-    configuration, so the seed must match the one that generated the
-    data for the forcing input to agree.  A dataset whose times are not
-    the run's grid ``dt * (1, ..., M)`` is a ``ConfigError``.
+    ``(truth, series, noise_std, seed)`` (for instance loaded by
+    :func:`enks.cli.load_dataset`); the models are still rebuilt from the
+    configuration, so the run's seed must be the one that generated the
+    data for the forcing input to agree.  Each of these is a
+    ``ConfigError``: a dataset seed other than ``cfg.seed``, times that
+    are not the run's grid ``dt * (1, ..., M)``, and a set ``horizon``
+    that does not give the dataset's M steps.  A dataset seed of None
+    (a dataset saved without one) is not checked.
     """
     t_start = time.perf_counter()
     problem, N, dt, horizon = _resolve(cfg)
     if data is None:
         problem, truth, series, grid = make_twin_data(cfg, problem)
     else:
-        truth, series, noise_std = data
+        truth, series, noise_std, data_seed = data
+        if data_seed is not None and data_seed != cfg.seed:
+            raise ConfigError(f"loaded dataset was simulated with seed "
+                              f"{data_seed}, not the run's seed {cfg.seed}")
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
         noise_std = np.asarray(noise_std, dtype=float).reshape(-1)
         q = problem.meas.q
@@ -272,6 +283,10 @@ def run_experiment(cfg: ExperimentConfig,
                            rtol=1e-9, atol=0.0):
             raise ConfigError(f"loaded dataset times are not the multiples "
                               f"of dt={dt}")
+        steps = round(horizon / dt)
+        if cfg.horizon is not None and steps != len(series):
+            raise ConfigError(f"horizon={cfg.horizon} gives {steps} steps of "
+                              f"dt={dt}, the loaded dataset has {len(series)}")
         problem = problem.with_noise_std(np.broadcast_to(noise_std, (q,)), dt)
         grid = series.times
     tracked = cfg.tracked_channels

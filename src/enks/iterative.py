@@ -6,6 +6,11 @@ from the current iterate.  The gain's time ``tc`` and noise term are
 those of the outer step for every pass; only the iterate and its
 measurement image change.  One undamped pass (kappa = 1) reproduces the
 non-iterative update exactly.
+
+The per-pass trace (increment and mean-innovation norms) is computed only
+on request: ``trace=True`` here, ``collect_traces`` in
+:func:`enks.harness.run_filter_series`.  Without it a pass does only the
+arithmetic of its update.
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def make_schedule(kappa: int) -> AnnealingSchedule:
 def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    y: np.ndarray, schedule: AnnealingSchedule,
                    meas: MeasurementModel, cfg: FilterConfig,
-                   t_eval: float | None = None
-                   ) -> tuple[np.ndarray, IterationTrace]:
+                   t_eval: float | None = None, trace: bool = False
+                   ) -> tuple[np.ndarray, IterationTrace | None]:
     """Run kappa damped additive passes at the current measurement time.
 
     ``h_pred`` is the measurement image of ``pred`` at ``t_eval``, which
@@ -75,10 +80,12 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     on the current iterate.  ``state`` supplies the gain's time
     (``state.t_curr``) and noise term.  Every pass re-assembles the gain
     and applies ``beta_k G (y - h_j)`` per particle.  All kappa passes
-    always run; the returned trace records, per pass, the Frobenius norm
-    of that increment (the residual between consecutive iterates) and the
-    norm of the mean innovation.  ``t_eval`` is the physical time the
-    measurement map is evaluated at; it defaults to ``state.t_curr``.
+    always run.  With ``trace`` set, the returned trace records, per
+    pass, the Frobenius norm of that increment (the residual between
+    consecutive iterates) and the norm of the mean innovation; without
+    it neither is computed and the trace is None.  ``t_eval`` is the
+    physical time the measurement map is evaluated at; it defaults to
+    ``state.t_curr``.
 
     The iterate is one copy of ``pred``, updated in place by every pass.
     Each pass centres it into ``state.work[1]`` (a new array when that
@@ -90,8 +97,9 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     h_k = np.asarray(h_pred, dtype=float)
     if t_eval is None:
         t_eval = state.t_curr
-    residuals = np.empty(schedule.kappa)
-    innov_norms = np.empty(schedule.kappa)
+    record = (IterationTrace(residuals=np.empty(schedule.kappa),
+                             innovation_norms=np.empty(schedule.kappa))
+              if trace else None)
     innov = np.empty_like(h_k)
     work = (state.work[1] if state.work.shape[1:] == ens.shape
             else np.empty_like(ens))
@@ -105,17 +113,20 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
         ens += incr
         if not np.isfinite(ens).all():
             raise NumericFailure("non-finite iterate", t=t_eval, step=k)
-        residuals[k] = np.linalg.norm(incr)
-        innov_norms[k] = np.linalg.norm(innov.mean(axis=1))
-    return ens, IterationTrace(residuals=residuals, innovation_norms=innov_norms)
+        if record is not None:
+            record.residuals[k] = np.linalg.norm(incr)
+            record.innovation_norms[k] = np.linalg.norm(innov.mean(axis=1))
+    return ens, record
 
 
 def iterative_enks_step(state: FilterState, proc: ProcessModel,
                         meas: MeasurementModel, y: np.ndarray,
                         cfg: FilterConfig, noise: ParticleNoise,
-                        schedule: AnnealingSchedule) -> tuple[FilterState, IterationTrace]:
+                        schedule: AnnealingSchedule, trace: bool = False
+                        ) -> tuple[FilterState, IterationTrace | None]:
     """One assimilation step with the annealed inner-iteration update;
-    the prediction goes into ``state.work[0]``."""
+    the prediction goes into ``state.work[0]``.  The step's trace is
+    computed only when ``trace`` is set, and is None otherwise."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
@@ -125,6 +136,6 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
     h_pred = meas.evaluate(pred, t_new)
 
     gain_state = replace(state, t_curr=cfg.gain_time(t_new))
-    updated, trace = iterate_update(pred, h_pred, gain_state, y, schedule,
-                                    meas, cfg, t_eval=t_new)
-    return replace(state, t_curr=t_new, ensemble=updated), trace
+    updated, record = iterate_update(pred, h_pred, gain_state, y, schedule,
+                                     meas, cfg, t_eval=t_new, trace=trace)
+    return replace(state, t_curr=t_new, ensemble=updated), record

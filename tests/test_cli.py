@@ -100,6 +100,42 @@ class TestCli:
                      "--horizon", "2.0", "--data", str(tmp_path / "data"),
                      "--out", str(tmp_path / "runs")]) == EXIT_OK
 
+    def test_horizon_other_than_the_dataset_exits_2(self, tmp_path, capsys):
+        # 20 steps of data cannot be a 10-step run; without --horizon the
+        # dataset's length decides
+        assert main(["simulate", "--problem", "population", "--horizon", "2.0",
+                     "--seed", str(POPULATION_SEED),
+                     "--out", str(tmp_path / "data")]) == EXIT_OK
+        run = ["run", "--problem", "population", "--seed", str(POPULATION_SEED),
+               "--data", str(tmp_path / "data"), "--out", str(tmp_path / "runs")]
+        assert main(run + ["--horizon", "1.0"]) == EXIT_CONFIG
+        assert ("horizon=1.0 gives 10 steps of dt=0.1, the loaded dataset "
+                "has 20") in capsys.readouterr().err
+        assert main(run + ["--horizon", "2.0"]) == EXIT_OK
+        assert main(run) == EXIT_OK
+        assert "steps=20" in capsys.readouterr().out
+
+    def test_seed_other_than_the_dataset_exits_2(self, tmp_path, capsys):
+        # the filter's forcing draw comes from the seed, so the data must
+        # have been simulated with the run's; a dataset saved without its
+        # seed is not checked
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "frame4-damaged", "--seed", "0",
+                     "--horizon", "0.2", "--out", str(data)]) == EXIT_OK
+        assert (data / "seed.txt").read_text() == "0\n"
+        run = ["run", "--problem", "frame4-damaged", "--ensemble", "20",
+               "--horizon", "0.2", "--data", str(data),
+               "--out", str(tmp_path / "runs")]
+        assert main(run + ["--seed", "1"]) == EXIT_CONFIG
+        assert ("simulated with seed 0, not the run's seed 1"
+                in capsys.readouterr().err)
+        assert main(run + ["--seed", "0"]) == EXIT_OK
+        (data / "seed.txt").write_text("zero\n")
+        assert main(run + ["--seed", "0"]) == EXIT_CONFIG
+        assert "malformed dataset seed" in capsys.readouterr().err
+        (data / "seed.txt").unlink()
+        assert main(run + ["--seed", "1"]) == EXIT_OK
+
     def test_malformed_dataset_row_exits_2(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["simulate", "--problem", "population", "--horizon", "1.0",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enks.core import (GAIN_FAILURES, FilterConfig, additive_update,
                        analysis_gain, compute_gain, enks_step,
-                       make_initial_state)
+                       make_initial_state, row_mean, row_moments)
 from enks.benchmarks import enks_limit_oracle, scalar_linear_gaussian
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
@@ -34,6 +34,29 @@ class TestEnsembleMean:
         h = RngStream(21, 0).standard_normal((2, 4))
         G = analysis_gain(pred, h, 1.0, 1.0, np.eye(2), GAIN_FAILURES)
         assert np.array_equal(G, np.zeros((3, 2)))
+
+    @staticmethod
+    def random_ensembles():
+        # narrow and wide ensembles, N = 2 among them, and rows offset by
+        # 1e8, where a different summation order would show in the bits
+        for k, (n, N) in enumerate([(3, 2), (1, 2000), (5, 7), (20, 301),
+                                    (200, 800)]):
+            x = RngStream(40 + k, 0).standard_normal((n, N))
+            yield x
+            yield x + 1e8 * np.arange(1, n + 1)[:, None]
+
+    def test_row_mean_is_numpy_mean_bitwise(self):
+        for x in self.random_ensembles():
+            assert np.array_equal(row_mean(x), x.mean(axis=1, keepdims=True))
+
+    def test_row_moments_are_numpy_mean_and_std_bitwise(self):
+        for x in self.random_ensembles():
+            kept = x.copy()
+            work = np.full_like(x, np.nan)
+            mean, std = row_moments(x, work)
+            assert np.array_equal(mean, x.mean(axis=1))
+            assert np.array_equal(std, x.std(axis=1, ddof=1))
+            assert np.array_equal(x, kept)
 
 
 class TestInnovationCovariance:

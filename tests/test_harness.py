@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from enks import harness
+from enks import harness, iterative
 from enks.core import FilterConfig, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, EnkfState, enkf_step, enkf_update
 from enks.errors import NumericFailure
@@ -308,6 +308,31 @@ class TestRunFilterSeries:
                               schedule=make_schedule(kappa))
         assert cholesky.call_count == analyses + (kind == "enkf")
         assert solve.call_count == analyses
+
+    def test_iterative_run_computes_traces_only_on_request(self):
+        # cost guard: an enks-iter run reaches harness.iterative_enks_step
+        # and iterative.iterate_update, the names the bench tracer wraps,
+        # once per step; its passes take their two trace norms only when
+        # traces are collected, and the means and stds are the same bits
+        # either way
+        problem, series, ens0, fcfg = self.setup_data("frame4-damaged", 12,
+                                                      0.05)
+        kappa, runs = 3, []
+        for collect in (False, True):
+            with mock.patch.object(harness, "iterative_enks_step",
+                                   wraps=harness.iterative_enks_step) as step, \
+                    mock.patch.object(iterative, "iterate_update",
+                                      wraps=iterative.iterate_update) as update, \
+                    mock.patch.object(np.linalg, "norm",
+                                      wraps=np.linalg.norm) as norm:
+                runs.append(run_filter_series(
+                    "enks-iter", problem, series, ens0, fcfg,
+                    schedule=make_schedule(kappa), collect_traces=collect))
+            assert step.call_count == update.call_count == len(series) == 5
+            assert norm.call_count == 2 * kappa * len(series) * collect
+        (means, stds, none), (means_t, stds_t, traces) = runs
+        assert none is None and len(traces) == len(series)
+        assert np.array_equal(means, means_t) and np.array_equal(stds, stds_t)
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_step_peak_memory_stays_under_2_5_ensembles(self, kind):

@@ -113,7 +113,7 @@ class TestIterateUpdate:
         s_iter = make_initial_state(ens0.copy(), self.meas, cfg)
         out_iter, trace = iterative_enks_step(s_iter, self.proc, self.meas, y,
                                               cfg, particle_streams(3, N),
-                                              make_schedule(1))
+                                              make_schedule(1), trace=True)
         assert np.array_equal(out_plain.ensemble, out_iter.ensemble)
         assert out_plain.t_curr == out_iter.t_curr
         assert trace.residuals.shape == (1,)
@@ -158,7 +158,7 @@ class TestIterateUpdate:
             new, trace = iterative_enks_step(state, problem.proc_filter,
                                              problem.meas, y, fcfg,
                                              particle_streams(seed, N),
-                                             make_schedule(kappa))
+                                             make_schedule(kappa), trace=True)
         iterates = [ens for ens, _ in seen] + [new.ensemble]
         assert len(iterates) == kappa + 1
         residuals = np.array([np.linalg.norm(b - a)
@@ -174,6 +174,53 @@ class TestIterateUpdate:
         assert np.allclose(trace.innovation_norms, innovations, rtol=1e-12,
                            atol=0)
 
+    @pytest.mark.parametrize("problem_id", ["frame4-damaged",
+                                            "linear-gaussian"])
+    def test_trace_leaves_the_iterate_unchanged(self, problem_id):
+        # the same step with and without its trace: equal ensembles, and
+        # no trace object when none is asked for
+        from enks.harness import (ExperimentConfig, initial_ensemble,
+                                  make_twin_data)
+        N, seed = 40, 1
+        cfg = ExperimentConfig(problem=problem_id, N=N, seed=seed,
+                               emit_outputs=False)
+        problem, _, series, grid = make_twin_data(cfg)
+        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        ens0 = initial_ensemble(problem, N, seed)
+        outs = []
+        for trace in (False, True):
+            state = make_initial_state(ens0.copy(), problem.meas, fcfg)
+            new, record = iterative_enks_step(
+                state, problem.proc_filter, problem.meas, series.values[:, 0],
+                fcfg, particle_streams(seed, N), make_schedule(10),
+                trace=trace)
+            assert (record is None) == (not trace)
+            outs.append(new.ensemble)
+        assert np.array_equal(*outs)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_trace_norms_are_computed_only_on_request(self, trace,
+                                                      monkeypatch):
+        # cost guard: with the trace off a pass takes no norm; with it on,
+        # two (the increment and the mean innovation)
+        N, kappa = 16, 4
+        ens = RngStream(8, 2).standard_normal((1, N))
+        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
+        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
+        h = self.meas.evaluate(ens, state.t_curr)
+        calls, norm = [], np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        out, record = iterate_update(ens, h, state, np.array([0.2]),
+                                     make_schedule(kappa), self.meas, cfg,
+                                     trace=trace)
+        assert len(calls) == 2 * kappa * trace
+        assert (record is None) == (not trace)
+
     def test_exact_measurement_leaves_ensemble_fixed(self):
         # every particle already produces the observation: all passes no-op
         N = 8
@@ -182,7 +229,8 @@ class TestIterateUpdate:
         cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         out, trace = iterate_update(ens, h, state, np.array([1.5]),
-                                    make_schedule(5), self.meas, cfg)
+                                    make_schedule(5), self.meas, cfg,
+                                    trace=True)
         assert np.array_equal(out, ens)
         assert np.allclose(trace.residuals, 0.0)
         assert np.allclose(trace.innovation_norms, 0.0)
@@ -195,7 +243,8 @@ class TestIterateUpdate:
         for kappa in (1, 3, 10):
             h = self.meas.evaluate(ens, state.t_curr)
             out, trace = iterate_update(ens, h, state, np.array([0.2]),
-                                        make_schedule(kappa), self.meas, cfg)
+                                        make_schedule(kappa), self.meas, cfg,
+                                        trace=True)
             assert trace.residuals.shape == (kappa,)
             assert trace.innovation_norms.shape == (kappa,)
             assert np.isfinite(out).all()
@@ -209,7 +258,7 @@ class TestIterateUpdate:
         state = make_state(0.1, 0.2 * meas.sigma_gram)
         out, trace = iterate_update(ens, meas.evaluate(ens, state.t_curr),
                                     state, np.array([2.3]),
-                                    make_schedule(50), meas, cfg)
+                                    make_schedule(50), meas, cfg, trace=True)
         assert np.isfinite(out).all()
         assert np.isfinite(trace.residuals).all()
 
@@ -255,6 +304,6 @@ class TestIterateUpdate:
             new, trace = iterative_enks_step(state, problem.proc_filter,
                                              problem.meas, series.values[:, 0],
                                              fcfg, particle_streams(seed, N),
-                                             make_schedule(50))
+                                             make_schedule(50), trace=True)
             assert np.isfinite(new.ensemble).all(), problem_id
             assert np.isfinite(trace.residuals).all(), problem_id
