@@ -14,8 +14,8 @@ from .benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
                          nu_from_noise_std, scalar_linear_gaussian,
                          tridiagonal_stiffness)
 from .core import (FilterConfig, FilterState, additive_update, analysis_gain,
-                   compute_gain, enks_step, make_initial_state)
-from .enkf import EnkfConfig, EnkfState, enkf_step, enkf_update
+                   compute_gain, enks_step, forecast, make_initial_state)
+from .enkf import EnkfConfig, enkf_step, enkf_update
 from .errors import NumericFailure
 from .harness import (ConvergenceReport, ExperimentConfig, convergence_sweep,
                       initial_ensemble, make_twin_data, run_experiment,
@@ -32,7 +32,7 @@ from .sde import (clean_signal, predict_ensemble, simulate_truth,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealingSchedule", "ConvergenceReport", "EnkfConfig", "EnkfState",
+    "AnnealingSchedule", "ConvergenceReport", "EnkfConfig",
     "ExperimentConfig", "FilterConfig", "FilterState",
     "IterationTrace", "LinearGaussianSpec", "MeasurementModel",
     "MeasurementSeries", "NumericFailure", "ParticleNoise", "PendulumSpec",
@@ -44,7 +44,7 @@ __all__ = [
     "clean_signal", "compute_gain", "convergence_sweep", "emit_csv",
     "emit_linechart", "emit_series_csv", "emit_summary", "enkf_step",
     "enkf_update",
-    "enks_limit_oracle", "enks_step",
+    "enks_limit_oracle", "enks_step", "forecast",
     "initial_ensemble", "iterate_update", "iterative_enks_step",
     "kalman_oracle", "load_csv", "load_series_csv", "make_initial_state",
     "make_schedule", "make_twin_data", "nu_from_noise_std", "particle_streams",

@@ -384,8 +384,7 @@ def kalman_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
 
 def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
                       dt: float, alpha: float = 0.8,
-                      betas: Sequence[float] = (1.0,),
-                      time_origin: str = "step"
+                      betas: Sequence[float] = (1.0,)
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact large-N limit of the EnKS on the EM-discretized linear model.
 
@@ -403,8 +402,7 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
                   P <- (I - beta G H) P (I - beta G H)^T
 
     ``betas`` is ``(1.0,)`` for the non-iterative filter and
-    ``make_schedule(kappa).betas`` for the iterative one.  ``tc`` is ``dt``
-    for ``time_origin="step"`` and the running time for "absolute";
+    ``make_schedule(kappa).betas`` for the iterative one.  ``tc`` is ``dt``;
     ``sigma`` is the scaled intensity :func:`build_linear_gaussian` gives
     the filter.
 
@@ -416,8 +414,6 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
         Effective gain ``B`` of each whole step, ``m_post = m_pred +
         B (y - H m_pred)``; the Kalman gain is its counterpart.
     """
-    if time_origin not in ("step", "absolute"):
-        raise ValueError("time_origin must be 'step' or 'absolute'")
     n, q = spec.n, spec.q
     eye = np.eye(n)
     a = eye + spec.A * dt
@@ -431,10 +427,7 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
     means = np.empty((n, M))
     covs = np.empty((M, n, n))
     gains = np.empty((M, n, q))
-    t = 0.0
     for i in range(M):
-        t = t + dt  # the filter's own clock
-        tc = dt if time_origin == "step" else t
         m = a @ m
         P = a @ P @ a.T + Q
         y = series.values[:, i]
@@ -442,7 +435,7 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
         for beta in betas:
             denom = alpha * H @ P @ H.T + noise_term
             try:
-                G = beta * tc * np.linalg.solve(denom.T, (P @ H.T).T).T
+                G = beta * dt * np.linalg.solve(denom.T, (P @ H.T).T).T
             except np.linalg.LinAlgError as err:
                 raise NumericFailure("singular gain denominator", step=i) from err
             L = eye - G @ H

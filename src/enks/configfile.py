@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
-_STR_KEYS = {"problem", "out", "time_origin"}
+_STR_KEYS = {"problem", "out"}
 _INT_KEYS = {"ensemble", "kappa", "seed"}
 _FLOAT_KEYS = {"dt", "alpha", "horizon", "proc_noise", "meas_noise_std",
                "param_diffusion", "init_spread_scale"}
@@ -84,7 +84,6 @@ def experiment_config(settings: dict, overrides: Optional[dict] = None
         meas_noise_std=merged.get("meas_noise_std"),
         param_diffusion=merged.get("param_diffusion", 0.01),
         init_spread_scale=merged.get("init_spread_scale", 1.0),
-        time_origin=merged.get("time_origin", "step"),
         tracked_channels=merged.get("tracked_channels"),
     )
     return ExperimentConfig(**kwargs)

@@ -21,14 +21,7 @@ left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
 dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
 this filter, its iterative form and the perturbed-observation EnKF.
 
-Time origin
------------
-With ``time_origin="absolute"`` the gain uses the running time ``tc =
-t_i``, making its norm grow linearly with elapsed time; empirically the
-update then over-amplifies ensemble spread once ``t > 2 * alpha`` and
-every long benchmark diverges.  The default ``time_origin="step"``
-restarts the clock at each assimilation interval, ``tc = dt``, which
-keeps the gain bounded; all shipped experiments use it.
+The gain's time is the assimilation step, ``tc = dt``, at every step.
 
 Dense solves go through numpy's own LAPACK (``spd_solve``): a step then
 runs all its BLAS work in one library and one thread pool.
@@ -58,46 +51,33 @@ class FilterConfig:
 
     Parameters
     ----------
-    N : int
-        Ensemble size, at least 2.
     dt : float
         Assimilation step, strictly positive.
     alpha : float
         Denominator blend weight in (0, 1); 0.8 is the customary value.
     seed : int
         Base seed for all streams of the run.
-    time_origin : str
-        "step" (default) or "absolute"; see module docstring.
     """
 
-    N: int
     dt: float
     alpha: float = 0.8
     seed: int = 0
-    time_origin: str = "step"
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
-        if self.time_origin not in ("step", "absolute"):
-            raise ValueError("time_origin must be 'step' or 'absolute'")
-
-    def gain_time(self, t_new: float) -> float:
-        """The gain's ``tc`` for a step ending at ``t_new``: ``dt`` or ``t_new``."""
-        return self.dt if self.time_origin == "step" else t_new
 
 
 @dataclass
 class FilterState:
     """Ensemble at time ``t_curr`` plus the gain's constant noise term.
 
-    ``noise_term`` is ``(1 - alpha) sigma^T sigma``, the part of the gain
-    denominator that does not depend on the ensemble; it is formed once
-    per run by :func:`make_initial_state` and carried from step to step.
+    ``noise_term`` is the part of the :func:`analysis_gain` denominator
+    that does not depend on the ensemble: ``(1 - alpha) sigma^T sigma``
+    for the EnKS filters (formed by :func:`make_initial_state`) and ``R``
+    for the EnKF.  It is formed once per run and carried from step to step.
     ``work`` is the run's :func:`step_work`, carried the same way; a
     state whose ensemble changes shape gets a new one.
     """
@@ -110,14 +90,6 @@ class FilterState:
     def __post_init__(self):
         if self.work is None or self.work[0].shape != np.shape(self.ensemble):
             self.work = step_work(self.ensemble)
-
-    @property
-    def n(self) -> int:
-        return self.ensemble.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.ensemble.shape[1]
 
 
 def step_work(ensemble: np.ndarray) -> np.ndarray:
@@ -162,12 +134,11 @@ def row_moments(x: np.ndarray, work: np.ndarray
     return mean[:, 0], np.sqrt(var, out=var)
 
 
-def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
-              t: float | None = None) -> np.ndarray:
+def spd_solve(A: np.ndarray, B: np.ndarray, message: str) -> np.ndarray:
     """Solve ``A X = B`` for symmetric positive definite ``A``.
 
     The Cholesky factorization checks that ``A`` is positive definite; an
-    ``A`` that is not raises ``NumericFailure(message, t=t)``.  The system
+    ``A`` that is not raises ``NumericFailure(message)``.  The system
     is then solved in one LU solve: numpy has no triangular solver, so
     solving on the factor would take two.  A non-finite ``B`` yields a
     non-finite ``X`` without a warning; callers check the result.
@@ -175,14 +146,13 @@ def spd_solve(A: np.ndarray, B: np.ndarray, message: str,
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError as err:
-        raise NumericFailure(message, t=t) from err
+        raise NumericFailure(message) from err
     return np.linalg.solve(A, B)
 
 
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
                   weight: float, noise_term: np.ndarray, failures: tuple,
-                  t: float | None = None, work: np.ndarray | None = None
-                  ) -> np.ndarray:
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
     ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
@@ -193,7 +163,7 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
     EnKF with ``(1/(N-1), 1/(N-1), R)``.
     ``failures`` holds the ``NumericFailure`` messages for a non-finite
     denominator, a denominator that is not positive definite and a
-    non-finite gain; the last two carry ``t``.
+    non-finite gain.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
@@ -208,21 +178,21 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
         denom = weight * (Hd @ Hd.T) + noise_term
     if not np.isfinite(denom).all():
         raise NumericFailure(non_finite_denom)
-    gain = scale * spd_solve(denom, cross.T, not_definite, t=t).T
+    gain = scale * spd_solve(denom, cross.T, not_definite).T
     if not np.isfinite(gain).all():
-        raise NumericFailure(non_finite_gain, t=t)
+        raise NumericFailure(non_finite_gain)
     return gain
 
 
-def compute_gain(pred: np.ndarray, h_pred: np.ndarray, tc: float,
-                 cfg: FilterConfig, noise_term: np.ndarray,
-                 work: np.ndarray | None = None) -> np.ndarray:
+def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
+                 noise_term: np.ndarray, work: np.ndarray | None = None
+                 ) -> np.ndarray:
     """EnKS gain of the additive update, shape (n, q).
 
     ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
-    its measurement image, ``tc`` the gain's time (``cfg.gain_time``),
-    ``noise_term`` the run's ``(1 - alpha) sigma^T sigma`` and ``work``
-    the scratch :func:`analysis_gain` centres ``pred`` into:
+    its measurement image, ``noise_term`` the run's ``(1 - alpha)
+    sigma^T sigma`` and ``work`` the scratch :func:`analysis_gain` centres
+    ``pred`` into; the gain's time is ``tc = cfg.dt``:
 
         G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
 
@@ -232,8 +202,8 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, tc: float,
     N = np.shape(pred)[1]
     if N < 2:
         raise ValueError("the gain needs at least 2 particles")
-    return analysis_gain(pred, h_pred, tc / N, cfg.alpha / (N - 1),
-                         noise_term, GAIN_FAILURES, t=tc, work=work)
+    return analysis_gain(pred, h_pred, cfg.dt / N, cfg.alpha / (N - 1),
+                         noise_term, GAIN_FAILURES, work=work)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
@@ -256,30 +226,36 @@ def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
     return out
 
 
+def forecast(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
+             y: np.ndarray, dt: float, noise: ParticleNoise
+             ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """The forecast every filter's step starts from.
+
+    Checks that ``y`` has the measurement's length, predicts the ensemble
+    over ``dt`` into ``state.work[0]`` and evaluates the measurement map
+    on the prediction at the new time.  Returns ``(y, t_new, pred,
+    h_pred)``, with ``y`` as a flat float array.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != meas.q:
+        raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
+    t_new = state.t_curr + dt
+    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise,
+                            out=state.work[0])
+    return y, t_new, pred, meas.evaluate(pred, t_new)
+
+
 def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: FilterConfig,
               noise: ParticleNoise) -> FilterState:
     """Advance the filter one assimilation step.
 
-    Predict the ensemble over ``cfg.dt`` into ``state.work[0]``, evaluate
-    the measurement map, assemble the gain (centring into
-    ``state.work[1]``) and apply the additive update.
+    :func:`forecast` over ``cfg.dt``, then assemble the gain (centring
+    into ``state.work[1]``) and apply the additive update.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != meas.q:
-        raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
-    t_new = state.t_curr + cfg.dt
-    try:
-        pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt,
-                                noise, out=state.work[0])
-        h_pred = meas.evaluate(pred, t_new)
-    except NumericFailure as err:
-        raise NumericFailure("prediction failed", t=t_new,
-                             particle=err.particle) from err
-
-    gain = compute_gain(pred, h_pred, cfg.gain_time(t_new), cfg,
-                        state.noise_term, state.work[1])
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
+    gain = compute_gain(pred, h_pred, cfg, state.noise_term, state.work[1])
     updated = additive_update(pred, gain, y, h_pred)
     if not np.isfinite(updated).all():
-        raise NumericFailure("non-finite ensemble after update", t=t_new)
+        raise NumericFailure("non-finite ensemble after update")
     return replace(state, t_curr=t_new, ensemble=updated)

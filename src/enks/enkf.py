@@ -13,15 +13,14 @@ gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import analysis_gain, step_work
+from .core import FilterState, analysis_gain, forecast
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise, RngStream
-from .sde import predict_ensemble
 
 # NumericFailure messages of the analysis gain: non-finite denominator,
 # denominator not positive definite, non-finite gain
@@ -32,19 +31,16 @@ GAIN_FAILURES = ("non-finite ensemble covariance in analysis",
 
 @dataclass(frozen=True)
 class EnkfConfig:
-    """Ensemble size and observation-error covariance.
+    """Observation-error covariance.
 
     ``R`` is stored symmetrized and ``chol_R`` is its lower Cholesky
     factor, both set on construction.
     """
 
-    N: int
     R: np.ndarray
     chol_R: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
         if R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
@@ -57,20 +53,6 @@ class EnkfConfig:
             raise ValueError("R must be positive definite") from err
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "chol_R", chol_R)
-
-
-@dataclass
-class EnkfState:
-    """Current time, analysis ensemble and the run's
-    :func:`enks.core.step_work`."""
-
-    t_curr: float
-    ensemble: np.ndarray
-    work: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.work is None or self.work[0].shape != np.shape(self.ensemble):
-            self.work = step_work(self.ensemble)
 
 
 def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
@@ -117,18 +99,12 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     return analysis
 
 
-def enkf_step(state: EnkfState, proc: ProcessModel, meas: MeasurementModel,
+def enkf_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
-              perturbation_stream: RngStream, dt: float) -> EnkfState:
-    """Forecast into ``state.work[0]`` with the shared EM predictor, then
-    analyze in ``state.work[1]``."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != meas.q:
-        raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
-    t_new = state.t_curr + dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise,
-                            out=state.work[0])
-    h_pred = meas.evaluate(pred, t_new)
+              perturbation_stream: RngStream, dt: float) -> FilterState:
+    """:func:`enks.core.forecast` over ``dt``, then analyze in
+    ``state.work[1]``.  ``state.noise_term`` is ``cfg.R``."""
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise)
     analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream,
                            state.work[1])
-    return EnkfState(t_curr=t_new, ensemble=analysis, work=state.work)
+    return replace(state, t_curr=t_new, ensemble=analysis)

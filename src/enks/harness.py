@@ -24,11 +24,11 @@ import numpy as np
 from .benchmarks import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION,
                          LinearGaussianSpec, Problem, build_problem,
                          enks_limit_oracle, kalman_oracle)
-from .core import FilterConfig, enks_step, make_initial_state, row_moments
-from .enkf import EnkfConfig, EnkfState, enkf_step
+from .core import FilterConfig, FilterState, enks_step, row_moments
+from .enkf import EnkfConfig, enkf_step
 from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
-from .models import MeasurementSeries
+from .models import MeasurementSeries, validate_ensemble
 from .record import RunRecord, emit_csv, emit_linechart, emit_summary
 from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
                   PERTURBATION_STREAM, TRUTH_STREAM, ParticleNoise, RngStream,
@@ -55,7 +55,6 @@ class ExperimentConfig:
     meas_noise_std: Optional[float] = None
     param_diffusion: float = 0.01
     init_spread_scale: float = 1.0
-    time_origin: str = "step"
     tracked_channels: Optional[tuple] = None
     emit_outputs: bool = True
 
@@ -88,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError("meas_noise_std must be positive")
         if self.param_diffusion < 0:
             raise ConfigError("param_diffusion must be >= 0")
-        if self.time_origin not in ("step", "absolute"):
-            raise ConfigError("time_origin must be 'step' or 'absolute'")
 
 
 @dataclass
@@ -197,11 +194,13 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     all: without it the iterative steps skip their residual norms.
     ``streams`` is the ensemble's noise source and defaults to the
     step-keyed panels of ``cfg.seed``.  A step's ``NumericFailure`` is
-    re-raised with the filter kind and the step index, its particle and
-    time kept.  Each step's mean and ``ddof=1`` std come from one mean,
-    the deviations formed in the state's ``work[0]``, which holds the
-    step's prediction and is free once the step has returned.
+    re-raised with the filter kind, the step index and the step's
+    measurement time, its particle kept.  Each step's mean and ``ddof=1``
+    std come from one mean, the deviations formed in the state's
+    ``work[0]``, which holds the step's prediction and is free once the
+    step has returned.
     """
+    ens0 = validate_ensemble(ens0)
     n, N = ens0.shape
     M = len(series)
     means = np.empty((n, M))
@@ -210,25 +209,23 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         streams = particle_streams(cfg.seed, N)
     extra = [] if collect_traces else None
     proc, meas = problem.proc_filter, problem.meas
+    noise_term = (1.0 - cfg.alpha) * meas.sigma_gram  # the EnKF's is R
 
     if kind == "enkf":
         R = np.diag(np.asarray(problem.noise_std, dtype=float) ** 2)
-        enkf_cfg = EnkfConfig(N=N, R=R)
+        enkf_cfg = EnkfConfig(R=R)
+        noise_term = enkf_cfg.R
         perturb = RngStream(cfg.seed, PERTURBATION_STREAM)
-        state = EnkfState(t_curr=0.0, ensemble=ens0.copy())
 
         def step(state, y):
             return enkf_step(state, proc, meas, y, enkf_cfg, streams, perturb,
                              cfg.dt)
     elif kind == "enks":
-        state = make_initial_state(ens0.copy(), meas, cfg)
-
         def step(state, y):
             return enks_step(state, proc, meas, y, cfg, streams)
     elif kind == "enks-iter":
         if schedule is None:
             raise ValueError("enks-iter needs an annealing schedule")
-        state = make_initial_state(ens0.copy(), meas, cfg)
 
         def step(state, y):
             state, trace = iterative_enks_step(state, proc, meas, y, cfg,
@@ -240,11 +237,13 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     else:
         raise ValueError(f"unknown filter kind '{kind}'")
 
+    state = FilterState(0.0, ens0, noise_term)
     for i in range(M):
         try:
             state = step(state, series.values[:, i])
         except NumericFailure as err:
-            raise NumericFailure(f"{kind} filter failed", t=err.t, step=i,
+            raise NumericFailure(f"{kind} filter failed",
+                                 t=state.t_curr + cfg.dt, step=i,
                                  particle=err.particle) from err
         means[:, i], stds[:, i] = row_moments(state.ensemble, state.work[0])
     return means, stds, extra
@@ -296,8 +295,7 @@ def run_experiment(cfg: ExperimentConfig,
         raise ConfigError(f"tracked channels {tracked} outside "
                           f"0..{truth.shape[0] - 1}")
 
-    fcfg = FilterConfig(N=N, dt=dt, alpha=cfg.alpha, seed=cfg.seed,
-                        time_origin=cfg.time_origin)
+    fcfg = FilterConfig(dt=dt, alpha=cfg.alpha, seed=cfg.seed)
     schedule = make_schedule(cfg.kappa)
     ens0 = initial_ensemble(problem, N, cfg.seed)
 
@@ -407,14 +405,12 @@ def _large_n_limit(spec: LinearGaussianSpec, series: MeasurementSeries,
     if kind == "enkf":
         return kalman_oracle(spec, series, dt)[0]
     betas = make_schedule(cfg.kappa).betas if kind == "enks-iter" else (1.0,)
-    return enks_limit_oracle(spec, series, dt, alpha=cfg.alpha, betas=betas,
-                             time_origin=cfg.time_origin)[0]
+    return enks_limit_oracle(spec, series, dt, alpha=cfg.alpha, betas=betas)[0]
 
 
 def _run_one(problem: Problem, series: MeasurementSeries, N: int, dt: float,
              cfg: ExperimentConfig, kind: str) -> np.ndarray:
-    fcfg = FilterConfig(N=N, dt=dt, alpha=cfg.alpha, seed=cfg.seed,
-                        time_origin=cfg.time_origin)
+    fcfg = FilterConfig(dt=dt, alpha=cfg.alpha, seed=cfg.seed)
     ens0 = initial_ensemble(problem, N, cfg.seed)
     means, _, _ = run_filter_series(kind, problem, series, ens0, fcfg,
                                     schedule=make_schedule(cfg.kappa))
@@ -453,9 +449,8 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
         series = MeasurementSeries(times=grid, values=clean + eps_fine[:, idx])
         return run_filter_series(kind, prob_dt, series,
                                  initial_ensemble(prob_dt, N, cfg.seed),
-                                 FilterConfig(N=N, dt=dt_v, alpha=cfg.alpha,
-                                              seed=cfg.seed,
-                                              time_origin=cfg.time_origin),
+                                 FilterConfig(dt=dt_v, alpha=cfg.alpha,
+                                              seed=cfg.seed),
                                  schedule=make_schedule(cfg.kappa),
                                  streams=particle_streams(cfg.seed, N,
                                                           stride))[0], idx

@@ -2,7 +2,7 @@
 
 At a fixed measurement time the update is applied repeatedly, each pass
 damped by an annealing multiplier beta_k and using a gain re-assembled
-from the current iterate.  The gain's time ``tc`` and noise term are
+from the current iterate.  The gain's time ``tc = dt`` and noise term are
 those of the outer step for every pass; only the iterate and its
 measurement image change.  One undamped pass (kappa = 1) reproduces the
 non-iterative update exactly.
@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FilterConfig, FilterState, compute_gain
+from .core import FilterConfig, FilterState, compute_gain, forecast
 from .errors import NumericFailure
 from .models import MeasurementModel, ProcessModel
 from .rng import ParticleNoise
-from .sde import predict_ensemble
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,20 @@ def make_schedule(kappa: int) -> AnnealingSchedule:
 
 def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    y: np.ndarray, schedule: AnnealingSchedule,
-                   meas: MeasurementModel, cfg: FilterConfig,
-                   t_eval: float | None = None, trace: bool = False
+                   meas: MeasurementModel, cfg: FilterConfig, t: float,
+                   trace: bool = False
                    ) -> tuple[np.ndarray, IterationTrace | None]:
-    """Run kappa damped additive passes at the current measurement time.
+    """Run kappa damped additive passes at the measurement time ``t``.
 
-    ``h_pred`` is the measurement image of ``pred`` at ``t_eval``, which
-    the first pass uses; each later pass re-evaluates the measurement map
-    on the current iterate.  ``state`` supplies the gain's time
-    (``state.t_curr``) and noise term.  Every pass re-assembles the gain
-    and applies ``beta_k G (y - h_j)`` per particle.  All kappa passes
-    always run.  With ``trace`` set, the returned trace records, per
-    pass, the Frobenius norm of that increment (the residual between
-    consecutive iterates) and the norm of the mean innovation; without
-    it neither is computed and the trace is None.  ``t_eval`` is the
-    physical time the measurement map is evaluated at; it defaults to
-    ``state.t_curr``.
+    ``h_pred`` is the measurement image of ``pred`` at ``t``, which the
+    first pass uses; each later pass re-evaluates the measurement map at
+    ``t`` on the current iterate.  ``state`` supplies the gain's noise
+    term.  Every pass re-assembles the gain and applies ``beta_k G (y -
+    h_j)`` per particle.  All kappa passes always run.  With ``trace``
+    set, the returned trace records, per pass, the Frobenius norm of that
+    increment (the residual between consecutive iterates) and the norm of
+    the mean innovation; without it neither is computed and the trace is
+    None.
 
     The iterate is one copy of ``pred``, updated in place by every pass.
     Each pass centres it into ``state.work[1]`` (a new array when that
@@ -95,8 +92,6 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     y = np.asarray(y, dtype=float).reshape(-1)
     ens = np.array(pred, dtype=float)
     h_k = np.asarray(h_pred, dtype=float)
-    if t_eval is None:
-        t_eval = state.t_curr
     record = (IterationTrace(residuals=np.empty(schedule.kappa),
                              innovation_norms=np.empty(schedule.kappa))
               if trace else None)
@@ -105,14 +100,13 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
             else np.empty_like(ens))
     for k, beta in enumerate(schedule.betas):
         if k:
-            h_k = meas.evaluate(ens, t_eval)
-        gain = compute_gain(ens, h_k, state.t_curr, cfg, state.noise_term,
-                            work)
+            h_k = meas.evaluate(ens, t)
+        gain = compute_gain(ens, h_k, cfg, state.noise_term, work)
         np.subtract(y[:, None], h_k, out=innov)
         incr = np.matmul(beta * gain, innov, out=work)
         ens += incr
         if not np.isfinite(ens).all():
-            raise NumericFailure("non-finite iterate", t=t_eval, step=k)
+            raise NumericFailure("non-finite iterate")
         if record is not None:
             record.residuals[k] = np.linalg.norm(incr)
             record.innovation_norms[k] = np.linalg.norm(innov.mean(axis=1))
@@ -125,17 +119,9 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
                         schedule: AnnealingSchedule, trace: bool = False
                         ) -> tuple[FilterState, IterationTrace | None]:
     """One assimilation step with the annealed inner-iteration update;
-    the prediction goes into ``state.work[0]``.  The step's trace is
+    it starts from :func:`enks.core.forecast`.  The step's trace is
     computed only when ``trace`` is set, and is None otherwise."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != meas.q:
-        raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
-    t_new = state.t_curr + cfg.dt
-    pred = predict_ensemble(proc, state.ensemble, state.t_curr, cfg.dt, noise,
-                            out=state.work[0])
-    h_pred = meas.evaluate(pred, t_new)
-
-    gain_state = replace(state, t_curr=cfg.gain_time(t_new))
-    updated, record = iterate_update(pred, h_pred, gain_state, y, schedule,
-                                     meas, cfg, t_eval=t_new, trace=trace)
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
+    updated, record = iterate_update(pred, h_pred, state, y, schedule, meas,
+                                     cfg, t_new, trace=trace)
     return replace(state, t_curr=t_new, ensemble=updated), record

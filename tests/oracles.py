@@ -98,12 +98,12 @@ def exact_moment_ensemble(m, P):
 
 
 def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
-                      betas=(1.0,), absolute=False):
+                      betas=(1.0,)):
     """Large-N EnKS recursion with every gain taken from gain_oracle.
 
     The moments (m, P) are carried by an exact-moment ensemble.  On it the
     displayed formula, with any lagged means, evaluates to
-    tc (N-1)/N P H^T [alpha H P H^T + (1-alpha) sigma_gram]^{-1}, so
+    dt (N-1)/N P H^T [alpha H P H^T + (1-alpha) sigma_gram]^{-1}, so
     rescaling by N/(N-1) gives the gain's large-N limit.  Each pass then
     moves the mean by beta G (y - H m) and maps the covariance through
     I - beta G H, as it maps every particle.
@@ -113,16 +113,13 @@ def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
     P = np.atleast_2d(np.asarray(P0, dtype=float)).copy()
     n = m.size
     means, covs = [], []
-    t = 0.0
     for y in ys:
-        t = t + dt
-        tc = t if absolute else dt
         m = a @ m
         P = a @ P @ a.T + Q
         for beta in betas:
             X = exact_moment_ensemble(m, P)
             N = X.shape[1]
-            G = gain_oracle(X, H @ X, m + 1.0, H @ m - 2.0, tc, tc - dt,
+            G = gain_oracle(X, H @ X, m + 1.0, H @ m - 2.0, dt, 0.0,
                             alpha, sigma_gram) * N / (N - 1)
             L = np.eye(n) - beta * G @ H
             m = m + beta * G @ (np.atleast_1d(y) - H @ m)

@@ -64,7 +64,7 @@ def test_criterion_1_kalman_oracle_equivalence():
 
     runs = []
     for s in range(10):
-        fcfg = FilterConfig(N=2000, dt=0.01, alpha=cfg.alpha, seed=2000 + s)
+        fcfg = FilterConfig(dt=0.01, alpha=cfg.alpha, seed=2000 + s)
         ens0 = initial_ensemble(problem, 2000, 2000 + s)
         means, _, _ = run_filter_series("enks", problem, series, ens0, fcfg)
         runs.append(means[0])
@@ -139,7 +139,7 @@ def test_criterion_4_population_reproduction():
             skipped += 1  # the truth overflowed; no filter has run
             continue
         used += 1
-        fcfg = FilterConfig(N=1000, dt=0.1, alpha=cfg.alpha, seed=seed)
+        fcfg = FilterConfig(dt=0.1, alpha=cfg.alpha, seed=seed)
         ens0 = initial_ensemble(problem, 1000, seed)
         errors = {}
         for kind in ("enks", "enkf"):
@@ -174,7 +174,7 @@ def test_criterion_5_scaled_damage_detection():
                                N=300, dt=0.01, horizon=20.0, seed=seed,
                                emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=300, dt=0.01, alpha=cfg.alpha, seed=seed)
+        fcfg = FilterConfig(dt=0.01, alpha=cfg.alpha, seed=seed)
         ens0 = initial_ensemble(problem, 300, seed)
         means, _, _ = run_filter_series("enks", problem, series, ens0, fcfg)
         k_final = means[8:12, -1]  # stiffness channels of the 4-DOF frame
@@ -205,7 +205,7 @@ def test_criterion_6_iterative_enks():
                                N=400, dt=0.01, horizon=2.0, seed=5000 + s,
                                emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=400, dt=0.01, alpha=cfg.alpha, seed=5000 + s)
+        fcfg = FilterConfig(dt=0.01, alpha=cfg.alpha, seed=5000 + s)
         ens0 = initial_ensemble(problem, 400, 5000 + s)
         m_it, _, traces = run_filter_series("enks-iter", problem, series, ens0,
                                             fcfg, schedule=schedule,
@@ -237,7 +237,7 @@ def test_criterion_7_no_particle_collapse():
                            seed=BOUNDED_POPULATION_SEED, emit_outputs=False)
     problem, truth, series, grid = make_twin_data(cfg)
     assert len(series) == 1000
-    fcfg = FilterConfig(N=100, dt=0.1, alpha=cfg.alpha,
+    fcfg = FilterConfig(dt=0.1, alpha=cfg.alpha,
                         seed=BOUNDED_POPULATION_SEED)
     ens0 = initial_ensemble(problem, 100, BOUNDED_POPULATION_SEED)
     from enks.rng import particle_streams
@@ -264,9 +264,9 @@ def test_criterion_8_exact_invariants():
     # (enks and enks-iter share compute_gain)
     pred = np.tile(np.array([[1.0], [2.0]]), (1, 8))
     h = np.tile(np.array([[0.5]]), (1, 8))
-    cfg = FilterConfig(N=8, dt=0.1, alpha=0.8)
-    g_core = compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(1))
-    enkf_out = enkf_update(pred, h, np.array([3.0]), EnkfConfig(N=8, R=np.eye(1)),
+    cfg = FilterConfig(dt=0.1, alpha=0.8)
+    g_core = compute_gain(pred, h, cfg, 0.2 * np.eye(1))
+    enkf_out = enkf_update(pred, h, np.array([3.0]), EnkfConfig(R=np.eye(1)),
                            RngStream(0, 4))
     zero_ok = (np.array_equal(g_core, 0 * g_core)
                and np.array_equal(enkf_out, pred))
@@ -276,7 +276,7 @@ def test_criterion_8_exact_invariants():
     cfg_run = ExperimentConfig(problem="linear-gaussian", filters=("enks",),
                                N=64, horizon=0.5, seed=11, emit_outputs=False)
     problem, truth, series, grid = make_twin_data(cfg_run)
-    fcfg = FilterConfig(N=64, dt=0.01, alpha=0.8, seed=11)
+    fcfg = FilterConfig(dt=0.01, alpha=0.8, seed=11)
     ens0 = initial_ensemble(problem, 64, 11)
     m_pl, s_pl, _ = run_filter_series("enks", problem, series, ens0, fcfg)
     m_it, s_it, _ = run_filter_series("enks-iter", problem, series, ens0, fcfg,

@@ -5,20 +5,25 @@ skips a name its owner no longer has, so a rename here would silently
 zero that layer's trace metrics; ``bench/workloads.py`` and
 ``bench/kernels.py`` import or patch names directly, so a rename there
 would crash the benchmark.  The benchmark's own tests sit outside the
-test paths; this module keeps the names it relies on in the suite.
+test paths; this module keeps the names it relies on in the suite, and
+runs the tracer's patch table over a short experiment of every filter.
 """
 
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
 import enks
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 LOOKED_UP = {
     "benchmarks": ("kalman_oracle",),
     "core": ("compute_gain", "additive_update", "predict_ensemble"),
-    "iterative": ("compute_gain", "iterate_update", "predict_ensemble"),
-    "enkf": ("enkf_update", "predict_ensemble"),
+    "iterative": ("compute_gain", "iterate_update"),
+    "enkf": ("enkf_update",),
     "harness": ("build_problem", "make_twin_data", "simulate_truth",
                 "synth_measurements", "initial_ensemble", "particle_streams",
                 "run_filter_series", "enks_step", "iterative_enks_step",
@@ -44,3 +49,37 @@ def test_wrapped_methods_keep_their_calls():
     assert callable(enks.rng.RngStream.standard_normal)
     problem = enks.harness.build_problem("population")
     assert callable(problem.proc_filter.drift_ensemble)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    return tracing
+
+
+def test_patch_table_traces_every_filter_step(tracing):
+    # the names a traced run wraps must be the ones each step calls: a
+    # call that bypasses them leaves its layer's metrics at 0
+    steps = 3
+    cfg = enks.harness.ExperimentConfig(
+        problem="linear-gaussian", filters=enks.harness.FILTER_KINDS, N=8,
+        horizon=0.01 * steps, emit_outputs=False)
+    tracer = tracing.Tracer("names", enks.errors.NumericFailure)
+    with tracing.patched(tracing.patches(tracer, enks)):
+        enks.harness.run_experiment(cfg)
+    spans = tracer.spans
+    step_of = tracing.enclosing(spans, tracing.STEP_SPANS)
+    kind_of = {i: tracing.STEP_SPANS[s[tracing.NAME]]
+               for i, s in enumerate(spans) if s[tracing.NAME] in tracing.STEP_SPANS}
+    assert sorted(kind_of.values()) == sorted(enks.harness.FILTER_KINDS * steps)
+    under = {kind: set() for kind in enks.harness.FILTER_KINDS}
+    for i, s in enumerate(spans):
+        if step_of[i] >= 0 and step_of[i] != i:
+            under[kind_of[step_of[i]]].add(s[tracing.NAME])
+    for kind in enks.harness.FILTER_KINDS:
+        assert "sde.predict_ensemble" in under[kind], kind
+    assert "core.compute_gain" in under["enks"] & under["enks-iter"]
+    assert "core.additive_update" in under["enks"]
+    assert "iterative.iterate_update" in under["enks-iter"]
+    assert "enkf.enkf_update" in under["enkf"]

@@ -303,19 +303,18 @@ def two_channel_spec():
 class TestEnksLimitOracle:
     @pytest.mark.parametrize("spec_fn", [scalar_linear_gaussian, two_channel_spec])
     @pytest.mark.parametrize("kappa", [1, 10])
-    @pytest.mark.parametrize("time_origin", ["step", "absolute"])
-    def test_matches_plain_loop_recursion(self, spec_fn, kappa, time_origin):
+    def test_matches_plain_loop_recursion(self, spec_fn, kappa):
         spec, dt, M = spec_fn(), 0.01, 60
         vals = RngStream(3, 0).standard_normal((spec.q, M))
         series = MeasurementSeries(dt * np.arange(1, M + 1), vals)
         betas = make_schedule(kappa).betas
         means, covs, _ = enks_limit_oracle(spec, series, dt, alpha=0.8,
-                                           betas=betas, time_origin=time_origin)
+                                           betas=betas)
         sigma_gram = np.diag(np.diag(spec.R)) * dt  # sigma = diag(std) sqrt(dt)
         m_ref, P_ref = enks_limit_series(
             spec.x0_mean, spec.x0_cov, np.eye(spec.n) + spec.A * dt,
             spec.F @ spec.F.T * dt, spec.H, sigma_gram, 0.8, dt, vals.T,
-            betas=betas, absolute=time_origin == "absolute")
+            betas=betas)
         assert np.allclose(means, m_ref.T, rtol=1e-9, atol=1e-12)
         assert np.allclose(covs, P_ref, rtol=1e-9, atol=1e-12)
 
@@ -353,7 +352,7 @@ class TestEnksLimitOracle:
         m_kal, _ = kalman_oracle(problem.kalman_spec, series, 0.01)
         runs = []
         for s in range(5):
-            fcfg = FilterConfig(N=1000, dt=0.01, alpha=0.8, seed=700 + s)
+            fcfg = FilterConfig(dt=0.01, alpha=0.8, seed=700 + s)
             ens0 = initial_ensemble(problem, 1000, 700 + s)
             runs.append(run_filter_series("enks", problem, series, ens0,
                                           fcfg)[0][0])

@@ -71,6 +71,14 @@ class TestCli:
             main(["run", "--problem", "population", "--out", "/tmp/enks-x"])
         assert "config error" not in capsys.readouterr().err
 
+    def test_time_origin_key_exits_2(self, tmp_path, capsys):
+        # the gain's time is dt at every step; the key no longer exists
+        p = tmp_path / "run.cfg"
+        p.write_text("problem = population\ntime_origin = step\n")
+        code = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "unknown key 'time_origin'" in capsys.readouterr().err
+
     def test_bad_sweep_values_exit_2(self, capsys):
         code = main(["sweep", "--problem", "linear-gaussian", "--variable", "N",
                      "--values", "20,forty,80", "--out", "/tmp/enks-x"])

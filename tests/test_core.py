@@ -89,9 +89,9 @@ class TestInnovationCovariance:
         assert np.allclose(G, oracle, rtol=1e-12, atol=1e-14)
 
     def test_single_column_rejected(self):
-        cfg = FilterConfig(N=2, dt=0.1)
+        cfg = FilterConfig(dt=0.1)
         with pytest.raises(ValueError):
-            compute_gain(np.ones((2, 1)), np.ones((1, 1)), 0.1, cfg, np.eye(1))
+            compute_gain(np.ones((2, 1)), np.ones((1, 1)), cfg, np.eye(1))
 
 
 class TestBlendedDenominator:
@@ -102,12 +102,12 @@ class TestBlendedDenominator:
         # definite: an indefinite one is a numeric failure, not a zero gain
         pred = np.tile(np.array([[1.0], [2.0]]), (1, 4))
         h = np.tile(np.array([[0.5], [0.5]]), (1, 4))
-        cfg = FilterConfig(N=4, dt=0.1, alpha=0.8)
-        assert np.array_equal(compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(2)),
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        assert np.array_equal(compute_gain(pred, h, cfg, 0.2 * np.eye(2)),
                               np.zeros((2, 2)))
         with pytest.raises(NumericFailure,
                            match="gain denominator is not positive definite"):
-            compute_gain(pred, h, 0.1, cfg, np.zeros((2, 2)))
+            compute_gain(pred, h, cfg, np.zeros((2, 2)))
 
     def test_convex_combination_of_equal_terms(self):
         # an ensemble whose sample covariance is sigma^T sigma gives the
@@ -117,8 +117,8 @@ class TestBlendedDenominator:
         N = ens.shape[1]
         expected = 0.1 * (N - 1) / N * np.eye(2)
         for alpha in (0.1, 0.5, 0.8, 0.99):
-            cfg = FilterConfig(N=N, dt=0.1, alpha=alpha)
-            G = compute_gain(ens, ens, 0.1, cfg, (1 - alpha) * sig)
+            cfg = FilterConfig(dt=0.1, alpha=alpha)
+            G = compute_gain(ens, ens, cfg, (1 - alpha) * sig)
             assert np.allclose(G, expected, rtol=1e-12, atol=1e-14)
 
     def test_eigenvalue_floor(self):
@@ -132,22 +132,22 @@ class TestBlendedDenominator:
             h = 1e3 * rng.standard_normal((q, N))
             sig = np.diag(rng.uniform(0.1, 2.0, q))
             alpha = rng.uniform(0.05, 0.95)
-            cfg = FilterConfig(N=N, dt=0.1, alpha=alpha)
-            G = compute_gain(pred, h, 0.1, cfg, (1 - alpha) * sig)
+            cfg = FilterConfig(dt=0.1, alpha=alpha)
+            G = compute_gain(pred, h, cfg, (1 - alpha) * sig)
             assert np.isfinite(G).all()
 
     def test_alpha_out_of_range(self):
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                FilterConfig(N=4, dt=0.1, alpha=alpha)
+                FilterConfig(dt=0.1, alpha=alpha)
 
 
 class TestComputeGain:
     def test_zero_spread_gives_zero_gain(self):
         pred = np.tile(np.array([[1.0], [2.0]]), (1, 6))
         h = np.tile(np.array([[0.3]]), (1, 6))
-        cfg = FilterConfig(N=6, dt=0.1, alpha=0.8)
-        G = compute_gain(pred, h, 1.0, cfg, 0.2 * np.eye(1))
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        G = compute_gain(pred, h, cfg, 0.2 * np.eye(1))
         assert np.array_equal(G, np.zeros((2, 1)))
 
     def test_scalar_two_particle_case(self):
@@ -155,8 +155,8 @@ class TestComputeGain:
         # denominator 0.5 * 0.5 + 0.5 * 1 = 0.75, gain 2/3
         pred = np.array([[1.0, 3.0]])
         h = np.array([[0.5, 1.5]])
-        cfg = FilterConfig(N=2, dt=1.0, alpha=0.5)
-        G = compute_gain(pred, h, 1.0, cfg, 0.5 * np.array([[1.0]]))
+        cfg = FilterConfig(dt=1.0, alpha=0.5)
+        G = compute_gain(pred, h, cfg, 0.5 * np.array([[1.0]]))
         oracle = gain_oracle(pred, h, [0.0], [0.0], 1.0, 0.0, 0.5, [[1.0]])
         assert G[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert np.allclose(G, oracle, atol=1e-14)
@@ -165,8 +165,8 @@ class TestComputeGain:
         # alpha ~ 0 drops the ensemble covariance: gain ~ numerator / sigma^2
         pred = np.array([[1.0, 3.0]])
         h = np.array([[0.5, 1.5]])
-        cfg = FilterConfig(N=2, dt=1.0, alpha=1e-12)
-        G = compute_gain(pred, h, 1.0, cfg, (1 - 1e-12) * np.array([[1.0]]))
+        cfg = FilterConfig(dt=1.0, alpha=1e-12)
+        G = compute_gain(pred, h, cfg, (1 - 1e-12) * np.array([[1.0]]))
         oracle = gain_oracle(pred, h, [0.0], [0.0], 1.0, 0.0, 1e-12, [[1.0]])
         assert G[0, 0] == pytest.approx(0.5, rel=1e-9)
         assert np.allclose(G, oracle, atol=1e-13)
@@ -176,7 +176,7 @@ class TestComputeGain:
     def test_matches_oracle_on_random_inputs(self, n, q, N, seed):
         # the oracle evaluates the displayed gain, lag terms included, with
         # random nonzero lagged means; the collapsed gain must agree for
-        # both time origins: (tc, tp) = (dt, 0) and the running times
+        # any (tc, tp): the step's (dt, 0) and the running times
         rng = np.random.default_rng(seed)
         pred = rng.standard_normal((n, N))
         h = rng.standard_normal((q, N))
@@ -187,51 +187,48 @@ class TestComputeGain:
         alpha = rng.uniform(0.1, 0.9)
         A = rng.standard_normal((q, q))
         sig = A @ A.T + 0.5 * np.eye(q)
-        for origin, (tc, tp) in (("step", (t_curr - t_prev, 0.0)),
-                                 ("absolute", (t_curr, t_prev))):
-            cfg = FilterConfig(N=N, dt=t_curr - t_prev, alpha=alpha,
-                               time_origin=origin)
-            assert cfg.gain_time(t_curr) == tc
-            G = compute_gain(pred, h, tc, cfg, (1 - alpha) * sig)
+        for tc, tp in ((t_curr - t_prev, 0.0), (t_curr, t_prev)):
+            cfg = FilterConfig(dt=tc, alpha=alpha)
+            G = compute_gain(pred, h, cfg, (1 - alpha) * sig)
             oracle = gain_oracle(pred, h, prev_x, prev_h, tc, tp, alpha, sig)
-            assert np.allclose(G, oracle, rtol=1e-10, atol=1e-12), origin
+            assert np.allclose(G, oracle, rtol=1e-10, atol=1e-12), (tc, tp)
 
     def test_dimension_mismatch(self):
-        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        cfg = FilterConfig(dt=0.1, alpha=0.5)
         with pytest.raises(ValueError):
-            compute_gain(np.ones((2, 3)), np.ones((1, 4)), 0.1, cfg, np.eye(1))
+            compute_gain(np.ones((2, 3)), np.ones((1, 4)), cfg, np.eye(1))
 
     def test_indefinite_denominator_is_a_numeric_failure(self):
         # a negative noise Gram makes alpha S + (1 - alpha) sigma^T sigma
         # indefinite; the Cholesky factorization must report it
         pred = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
         h = np.array([[0.1, 0.2, 0.4]])
-        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        cfg = FilterConfig(dt=0.1, alpha=0.5)
         with pytest.raises(NumericFailure,
                            match="gain denominator is not positive definite"):
-            compute_gain(pred, h, 0.1, cfg, -0.5 * np.eye(1))
+            compute_gain(pred, h, cfg, -0.5 * np.eye(1))
 
     def test_non_finite_numerator_is_a_numeric_failure(self):
         # state means overflow to inf, so the numerator is NaN while the
         # denominator stays finite; the solve must pass it on silently
         pred = np.array([[1e308, 1e308, -1e308], [0.0, 1.0, -1.0]])
         h = np.array([[0.1, 0.2, 0.4]])
-        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        cfg = FilterConfig(dt=0.1, alpha=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericFailure, match="non-finite gain"):
-                compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
+                compute_gain(pred, h, cfg, 0.5 * np.eye(1))
 
     def test_non_finite_denominator_is_a_numeric_failure(self):
         # measurements whose spread overflows make the blend non-finite
         pred = np.array([[1.0, 2.0, 3.0]])
         h = np.array([[1e200, -1e200, 0.0]])
-        cfg = FilterConfig(N=3, dt=0.1, alpha=0.5)
+        cfg = FilterConfig(dt=0.1, alpha=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericFailure,
                                match="non-finite blended denominator"):
-                compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
+                compute_gain(pred, h, cfg, 0.5 * np.eye(1))
 
     def test_shift_invariance(self):
         # the kernel centres both ensembles on their means: shifting every
@@ -239,10 +236,10 @@ class TestComputeGain:
         rng = np.random.default_rng(4)
         pred = rng.standard_normal((3, 9))
         h = rng.standard_normal((2, 9))
-        cfg = FilterConfig(N=9, dt=0.1, alpha=0.8)
-        G = compute_gain(pred, h, 0.1, cfg, 0.2 * np.eye(2))
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        G = compute_gain(pred, h, cfg, 0.2 * np.eye(2))
         G_shift = compute_gain(pred + np.array([[4.0], [-2.0], [0.5]]),
-                               h + np.array([[3.0], [1.0]]), 0.1, cfg,
+                               h + np.array([[3.0], [1.0]]), cfg,
                                0.2 * np.eye(2))
         assert np.allclose(G_shift, G, rtol=1e-12, atol=1e-14)
 
@@ -290,7 +287,7 @@ class TestEnksStep:
                             constant_diffusion=np.zeros((2, 0)))
         meas = identity_meas(2, nu=1.0, dt=0.1)
         ens = np.tile(np.array([[1.0], [2.0]]), (1, 4))
-        cfg = FilterConfig(N=4, dt=0.1, alpha=0.8)
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
         state = make_initial_state(ens, meas, cfg)
         new = enks_step(state, proc, meas, np.array([5.0, 5.0]), cfg,
                         particle_streams(0, 4))
@@ -303,7 +300,7 @@ class TestEnksStep:
         proc, meas = build_population(spec)
         N = 1000
         ens = 2.1 + 0.1 * RngStream(5, 2).standard_normal((1, N))
-        cfg = FilterConfig(N=N, dt=0.1, alpha=0.8, seed=5)
+        cfg = FilterConfig(dt=0.1, alpha=0.8, seed=5)
         state = make_initial_state(ens, meas, cfg)
         new = enks_step(state, proc, meas, np.array([2.15]), cfg,
                         particle_streams(5, N))
@@ -314,7 +311,7 @@ class TestEnksStep:
         proc, meas = ou_problem()
         N = 64
         ens = RngStream(9, 2).standard_normal((1, N))
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=9)
+        cfg = FilterConfig(dt=0.01, alpha=0.8, seed=9)
         state = make_initial_state(ens, meas, cfg)
         streams = particle_streams(9, N)
         for i in range(50):
@@ -327,7 +324,7 @@ class TestEnksStep:
 
         def run():
             ens = RngStream(4, 2).standard_normal((1, N))
-            cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=4)
+            cfg = FilterConfig(dt=0.01, alpha=0.8, seed=4)
             state = make_initial_state(ens, meas, cfg)
             streams = particle_streams(4, N)
             for i in range(20):
@@ -344,7 +341,7 @@ class TestEnksStep:
         meas = MeasurementModel(q=1, h=lambda x, t: x,
                                 nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt)
         ens = RngStream(17, 2).standard_normal((1, N))  # prior N(0, 1)
-        cfg = FilterConfig(N=N, dt=dt, alpha=0.8, seed=17)
+        cfg = FilterConfig(dt=dt, alpha=0.8, seed=17)
         state = make_initial_state(ens, meas, cfg)
         y = 0.4
         new = enks_step(state, proc, meas, np.array([y]), cfg,
@@ -381,7 +378,7 @@ def test_oracle_consistency_monotone_up_to_noise():
     for N in (250, 1000, 4000):
         devs = []
         for rep in range(5):
-            fcfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=600 + rep)
+            fcfg = FilterConfig(dt=0.01, alpha=0.8, seed=600 + rep)
             ens0 = initial_ensemble(problem, N, 600 + rep)
             means, _, _ = run_filter_series("enks", problem, series, ens0, fcfg)
             devs.append(np.mean(np.abs(means - m_kal)))

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 STEP_SCRIPT = """
 import sys
 import numpy as np
-from enks import (EnkfConfig, EnkfState, FilterConfig, build_problem,
+from enks import (EnkfConfig, FilterConfig, FilterState, build_problem,
                   enkf_step, enks_step, iterative_enks_step,
                   make_initial_state, make_schedule, particle_streams,
                   RngStream)
@@ -30,14 +30,14 @@ ens = (problem.init_mean[:, None]
        + problem.init_spread[:, None] * RngStream(0, 2).standard_normal(
            (problem.init_mean.size, N)))
 y = meas.h(problem.init_mean[:, None], dt)[:, 0]
-cfg = FilterConfig(N=N, dt=dt)
+cfg = FilterConfig(dt=dt)
 enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
           particle_streams(0, N))
 iterative_enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
                     particle_streams(0, N), make_schedule(3))
-enkf_step(EnkfState(t_curr=0.0, ensemble=ens), proc, meas, y,
-          EnkfConfig(N=N, R=0.01 * np.eye(q)), particle_streams(0, N),
-          RngStream(0, 3), dt)
+enkf_cfg = EnkfConfig(R=0.01 * np.eye(q))
+enkf_step(FilterState(0.0, ens, enkf_cfg.R), proc, meas, y, enkf_cfg,
+          particle_streams(0, N), RngStream(0, 3), dt)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

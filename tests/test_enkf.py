@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from enks.enkf import EnkfConfig, EnkfState, enkf_step, enkf_update
+from enks.core import FilterState
+from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, ProcessModel
 from enks.rng import RngStream, particle_streams
@@ -20,7 +21,7 @@ class TestEnkfUpdate:
     def test_zero_spread_no_update(self):
         pred = np.tile(np.array([[1.0], [2.0]]), (1, 5))
         h = np.tile(np.array([[3.0]]), (1, 5))
-        cfg = EnkfConfig(N=5, R=np.eye(1))
+        cfg = EnkfConfig(R=np.eye(1))
         out = enkf_update(pred, h, np.array([10.0]), cfg, RngStream(0, 4))
         assert np.array_equal(out, pred)
 
@@ -28,7 +29,7 @@ class TestEnkfUpdate:
         # particles (1, 3), identity h, R = 1, y = 2:
         # C_xh = C_hh = 2, gain = 2/3, analysis (1 + 2/3, 3 - 2/3)
         pred = np.array([[1.0, 3.0]])
-        cfg = EnkfConfig(N=2, R=np.eye(1))
+        cfg = EnkfConfig(R=np.eye(1))
         out = enkf_update(pred, pred.copy(), np.array([2.0]), cfg, ZeroStream())
         assert np.allclose(out, [[1 + 2 / 3, 3 - 2 / 3]])
 
@@ -38,7 +39,7 @@ class TestEnkfUpdate:
         N, R = 4000, 0.01
         prior = RngStream(31, 2).standard_normal((1, N))  # N(0, 1)
         y = 0.4
-        cfg = EnkfConfig(N=N, R=np.array([[R]]))
+        cfg = EnkfConfig(R=np.array([[R]]))
         out = enkf_update(prior, prior.copy(), np.array([y]), cfg,
                           RngStream(31, 4))
         # exact posterior: K = 1/(1+R), m = K y about prior mean 0
@@ -51,7 +52,7 @@ class TestEnkfUpdate:
         # finite members whose covariance overflows: a diverged run, not a
         # contract violation
         pred = np.array([[1e200, -1e200, 0.0]])
-        cfg = EnkfConfig(N=3, R=np.eye(1))
+        cfg = EnkfConfig(R=np.eye(1))
         with np.errstate(over="ignore"), pytest.raises(NumericFailure):
             enkf_update(pred, pred.copy(), np.array([0.0]), cfg, ZeroStream())
 
@@ -62,7 +63,7 @@ class TestEnkfUpdate:
         a = 2.0 ** 40
         h = np.array([[a, -a, 0.0], [a, -a, 0.0]])
         pred = np.array([[1.0, 2.0, 3.0]])
-        cfg = EnkfConfig(N=3, R=1e-12 * np.eye(2))
+        cfg = EnkfConfig(R=1e-12 * np.eye(2))
         with pytest.raises(NumericFailure,
                            match="singular innovation covariance in analysis"):
             enkf_update(pred, h, np.zeros(2), cfg, ZeroStream())
@@ -71,7 +72,7 @@ class TestEnkfUpdate:
         # correlated R: eps_j = chol(R) z_j, with the same z draws as the
         # stream yields; the factor is computed once, on construction
         R = np.array([[0.5, 0.2], [0.2, 0.3]])
-        cfg = EnkfConfig(N=6, R=R)
+        cfg = EnkfConfig(R=R)
         assert np.array_equal(cfg.chol_R, np.linalg.cholesky(R))
         rng = np.random.default_rng(3)
         pred = rng.standard_normal((3, 6))
@@ -86,11 +87,11 @@ class TestEnkfUpdate:
         gain = np.linalg.solve(C_hh + R, C_xh.T).T
         expected = pred + gain @ (y[:, None] + eps - h)
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(out, enkf_update(pred, h, y, EnkfConfig(N=6, R=R),
+        assert np.array_equal(out, enkf_update(pred, h, y, EnkfConfig(R=R),
                                                RngStream(7, 4)))
 
     def test_shape_checks(self):
-        cfg = EnkfConfig(N=3, R=np.eye(2))
+        cfg = EnkfConfig(R=np.eye(2))
         with pytest.raises(ValueError):
             enkf_update(np.ones((2, 3)), np.ones((1, 3)), np.ones(2), cfg,
                         ZeroStream())
@@ -100,11 +101,9 @@ class TestEnkfUpdate:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EnkfConfig(N=1, R=np.eye(1))
+            EnkfConfig(R=np.array([[1.0, 2.0], [0.0, 1.0]]))  # asymmetric
         with pytest.raises(ValueError):
-            EnkfConfig(N=10, R=np.array([[1.0, 2.0], [0.0, 1.0]]))  # asymmetric
-        with pytest.raises(ValueError):
-            EnkfConfig(N=10, R=np.diag([1.0, 0.0]))  # singular
+            EnkfConfig(R=np.diag([1.0, 0.0]))  # singular
 
 
 def identity_meas(n, dt=0.01):
@@ -117,8 +116,8 @@ class TestEnkfStep:
                             constant_diffusion=np.zeros((1, 0)))
         meas = identity_meas(1)
         ens = np.full((1, 4), 2.0)
-        state = EnkfState(t_curr=0.0, ensemble=ens)
-        cfg = EnkfConfig(N=4, R=np.eye(1))
+        cfg = EnkfConfig(R=np.eye(1))
+        state = FilterState(0.0, ens, cfg.R)
         new = enkf_step(state, proc, meas, np.array([7.0]), cfg,
                         particle_streams(0, 4), RngStream(0, 4), dt=0.1)
         assert np.array_equal(new.ensemble, ens)
@@ -134,8 +133,8 @@ class TestEnkfStep:
         rng = RngStream(1, 2)
         x0 = frame_truth_x0(spec)
         ens = x0[:, None] + 0.5 * rng.standard_normal((200, N))
-        state = EnkfState(t_curr=0.0, ensemble=ens)
-        cfg = EnkfConfig(N=N, R=0.05 ** 2 * np.eye(50))
+        cfg = EnkfConfig(R=0.05 ** 2 * np.eye(50))
+        state = FilterState(0.0, ens, cfg.R)
         streams = particle_streams(1, N)
         perturb = RngStream(1, 4)
         y = meas.evaluate(x0[:, None], 0.01)[:, 0]
@@ -153,8 +152,8 @@ class TestEnkfStep:
         N = 300
         x0 = frame_truth_x0(spec)
         ens = x0[:, None] + 0.5 * RngStream(2, 2).standard_normal((80, N))
-        state = EnkfState(t_curr=0.0, ensemble=ens)
-        cfg = EnkfConfig(N=N, R=0.05 ** 2 * np.eye(20))
+        cfg = EnkfConfig(R=0.05 ** 2 * np.eye(20))
+        state = FilterState(0.0, ens, cfg.R)
         y = meas.evaluate(x0[:, None], 0.01)[:, 0]
         state = enkf_step(state, proc, meas, y, cfg, particle_streams(2, N),
                           RngStream(2, 4), dt=0.01)
@@ -167,8 +166,8 @@ class TestEnkfStep:
 
         def run():
             ens = RngStream(5, 2).standard_normal((1, 32))
-            state = EnkfState(t_curr=0.0, ensemble=ens)
-            cfg = EnkfConfig(N=32, R=0.01 * np.eye(1))
+            cfg = EnkfConfig(R=0.01 * np.eye(1))
+            state = FilterState(0.0, ens, cfg.R)
             streams = particle_streams(5, 32)
             perturb = RngStream(5, 4)
             for i in range(10):
@@ -201,8 +200,8 @@ class TestEnkfStep:
             for rep in range(8):
                 seed = 100 + rep
                 ens = RngStream(seed, 2).standard_normal((1, N))
-                state = EnkfState(t_curr=0.0, ensemble=ens)
-                cfg = EnkfConfig(N=N, R=np.array([[R]]))
+                cfg = EnkfConfig(R=np.array([[R]]))
+                state = FilterState(0.0, ens, cfg.R)
                 streams = particle_streams(seed, N)
                 perturb = RngStream(seed, 4)
                 means = []

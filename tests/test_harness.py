@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from enks import harness, iterative
-from enks.core import FilterConfig, enks_step, make_initial_state
-from enks.enkf import EnkfConfig, EnkfState, enkf_step, enkf_update
+from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
+from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
 from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
                           initial_ensemble, make_twin_data, run_experiment,
@@ -244,7 +244,7 @@ class TestRunFilterSeries:
         cfg = ExperimentConfig(problem=problem, N=N, horizon=horizon,
                                seed=seed, emit_outputs=False)
         problem, _, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        fcfg = FilterConfig(dt=grid[0], seed=seed)
         return problem, series, initial_ensemble(problem, N, seed), fcfg
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
@@ -386,6 +386,7 @@ class TestRunFilterSeries:
                               schedule=make_schedule(3))
         err = info.value
         assert (err.step, err.particle) == (3, 5)
+        assert err.t == pytest.approx(series.times[3])
         assert kind in str(err)
         assert isinstance(err.__cause__, NumericFailure)
 
@@ -401,6 +402,7 @@ class TestRunFilterSeries:
                 run_filter_series(kind, problem, series, ens0, fcfg,
                                   schedule=make_schedule(3))
         assert info.value.step == 0
+        assert info.value.t == pytest.approx(series.times[0])
 
 
 STEP_CALLS = ("predict_ensemble", "enks_step", "iterate_update",
@@ -420,7 +422,7 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
                            seed=POPULATION_SEED, emit_outputs=False)
     problem, _, series, grid = make_twin_data(cfg)
     proc, meas, t1 = problem.proc_filter, problem.meas, grid[0]
-    fcfg = FilterConfig(N=N, dt=t1, seed=cfg.seed)
+    fcfg = FilterConfig(dt=t1, seed=cfg.seed)
     ens = initial_ensemble(problem, N, cfg.seed)
     dB = np.sqrt(t1) * RngStream(7, 2).standard_normal((proc.m, N))
     pred = predict_ensemble(proc, ens, 0.0, t1, particle_streams(cfg.seed, N))
@@ -428,10 +430,10 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
     assert (h_pred is pred) == (problem_id == "population")
     y = series.values[:, 0]
     state = make_initial_state(ens, meas, fcfg)
-    enkf_state = EnkfState(0.0, ens)
+    enkf_cfg = EnkfConfig(R=np.diag(problem.noise_std ** 2))
+    enkf_state = FilterState(0.0, ens, enkf_cfg.R)
     assert state.ensemble is ens and enkf_state.ensemble is ens
     schedule = make_schedule(3)
-    enkf_cfg = EnkfConfig(N=N, R=np.diag(problem.noise_std ** 2))
 
     def perturb():
         return RngStream(cfg.seed, PERTURBATION_STREAM)
@@ -442,8 +444,7 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
         "enks_step": lambda: enks_step(state, proc, meas, y, fcfg,
                                        FixedNoise(dB)).ensemble,
         "iterate_update": lambda: iterate_update(
-            pred, h_pred, replace(state, t_curr=t1), y, schedule, meas, fcfg,
-            t_eval=t1)[0],
+            pred, h_pred, state, y, schedule, meas, fcfg, t1)[0],
         "iterative_enks_step": lambda: iterative_enks_step(
             state, proc, meas, y, fcfg, FixedNoise(dB), schedule)[0].ensemble,
         "enkf_step": lambda: enkf_step(enkf_state, proc, meas, y, enkf_cfg,

@@ -49,7 +49,7 @@ class TestMakeSchedule:
 
 
 def make_state(t_curr, noise_term, n=1):
-    """Gain state of ``iterate_update``: tc = ``t_curr`` and the noise term."""
+    """State of ``iterate_update``: its noise term, at time ``t_curr``."""
     return FilterState(t_curr=t_curr, ensemble=np.zeros((n, 2)),
                        noise_term=np.atleast_2d(noise_term))
 
@@ -65,18 +65,19 @@ class TestIterativeGain:
         pred = rng.standard_normal((3, 10))
         h = rng.standard_normal((2, 10))
         y = rng.standard_normal(2)
-        cfg = FilterConfig(N=10, dt=0.1, alpha=0.7)
+        cfg = FilterConfig(dt=0.1, alpha=0.7)
         state = make_state(0.1, 0.3 * np.eye(2), n=3)
         meas = identity_meas(2)
-        out, _ = iterate_update(pred, h, state, y, make_schedule(1), meas, cfg)
-        G = compute_gain(pred, h, 0.1, cfg, 0.3 * np.eye(2))
+        out, _ = iterate_update(pred, h, state, y, make_schedule(1), meas, cfg,
+                                state.t_curr)
+        G = compute_gain(pred, h, cfg, 0.3 * np.eye(2))
         assert np.array_equal(out, additive_update(pred, G, y, h))
 
     def test_zero_spread_iterate(self):
         pred = np.tile(np.array([[2.0]]), (1, 5))
         h = np.tile(np.array([[1.0]]), (1, 5))
-        cfg = FilterConfig(N=5, dt=0.1, alpha=0.5)
-        G = compute_gain(pred, h, 0.1, cfg, 0.5 * np.eye(1))
+        cfg = FilterConfig(dt=0.1, alpha=0.5)
+        G = compute_gain(pred, h, cfg, 0.5 * np.eye(1))
         assert np.array_equal(G, np.zeros((1, 1)))
 
     def test_second_iterate_matches_oracle(self):
@@ -84,13 +85,13 @@ class TestIterativeGain:
         # match the straight-line oracle evaluated on that iterate
         pred = np.array([[1.0, 3.0]])
         h0 = pred.copy()  # identity measurement
-        cfg = FilterConfig(N=2, dt=1.0, alpha=0.5)
+        cfg = FilterConfig(dt=1.0, alpha=0.5)
         sig = np.array([[1.0]])
         y = np.array([2.0])
         beta0 = np.exp(-1)
-        G0 = compute_gain(pred, h0, 1.0, cfg, 0.5 * sig)
+        G0 = compute_gain(pred, h0, cfg, 0.5 * sig)
         ens1 = additive_update(pred, beta0 * G0, y, h0)
-        G1 = compute_gain(ens1, ens1, 1.0, cfg, 0.5 * sig)
+        G1 = compute_gain(ens1, ens1, cfg, 0.5 * sig)
         oracle = gain_oracle(ens1, ens1, [0.0], [0.0], 1.0, 0.0, 0.5, sig)
         assert np.allclose(G1, oracle, atol=1e-13)
 
@@ -105,7 +106,7 @@ class TestIterateUpdate:
         N = 32
         ens0 = RngStream(3, 2).standard_normal((1, N))
         y = np.array([0.7])
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=3)
+        cfg = FilterConfig(dt=0.01, alpha=0.8, seed=3)
 
         s_plain = make_initial_state(ens0.copy(), self.meas, cfg)
         out_plain = enks_step(s_plain, self.proc, self.meas, y, cfg,
@@ -121,7 +122,7 @@ class TestIterateUpdate:
     def test_step_evaluates_measurement_map_once_per_pass(self):
         # the first pass reuses the predicted image the step computed
         N, kappa = 8, 4
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8, seed=3)
+        cfg = FilterConfig(dt=0.01, alpha=0.8, seed=3)
         state = make_initial_state(RngStream(3, 2).standard_normal((1, N)),
                                    self.meas, cfg)
         evaluate = MeasurementModel.evaluate
@@ -141,7 +142,7 @@ class TestIterateUpdate:
         cfg = ExperimentConfig(problem="frame4-damaged", filters=("enks-iter",),
                                N=N, seed=seed, emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        fcfg = FilterConfig(dt=grid[0], seed=seed)
         state = make_initial_state(initial_ensemble(problem, N, seed),
                                    problem.meas, fcfg)
         seen = []
@@ -185,7 +186,7 @@ class TestIterateUpdate:
         cfg = ExperimentConfig(problem=problem_id, N=N, seed=seed,
                                emit_outputs=False)
         problem, _, series, grid = make_twin_data(cfg)
-        fcfg = FilterConfig(N=N, dt=grid[0], seed=seed)
+        fcfg = FilterConfig(dt=grid[0], seed=seed)
         ens0 = initial_ensemble(problem, N, seed)
         outs = []
         for trace in (False, True):
@@ -206,7 +207,7 @@ class TestIterateUpdate:
         N, kappa = 16, 4
         ens = RngStream(8, 2).standard_normal((1, N))
         state = make_state(0.01, 0.2 * self.meas.sigma_gram)
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
+        cfg = FilterConfig(dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         calls, norm = [], np.linalg.norm
 
@@ -217,7 +218,7 @@ class TestIterateUpdate:
         monkeypatch.setattr(np.linalg, "norm", counted)
         out, record = iterate_update(ens, h, state, np.array([0.2]),
                                      make_schedule(kappa), self.meas, cfg,
-                                     trace=trace)
+                                     state.t_curr, trace=trace)
         assert len(calls) == 2 * kappa * trace
         assert (record is None) == (not trace)
 
@@ -226,11 +227,11 @@ class TestIterateUpdate:
         N = 8
         ens = np.tile(np.array([[1.5]]), (1, N))
         state = make_state(0.01, 0.2 * self.meas.sigma_gram)
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
+        cfg = FilterConfig(dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         out, trace = iterate_update(ens, h, state, np.array([1.5]),
                                     make_schedule(5), self.meas, cfg,
-                                    trace=True)
+                                    state.t_curr, trace=True)
         assert np.array_equal(out, ens)
         assert np.allclose(trace.residuals, 0.0)
         assert np.allclose(trace.innovation_norms, 0.0)
@@ -239,12 +240,12 @@ class TestIterateUpdate:
         N = 16
         ens = RngStream(8, 2).standard_normal((1, N))
         state = make_state(0.01, 0.2 * self.meas.sigma_gram)
-        cfg = FilterConfig(N=N, dt=0.01, alpha=0.8)
+        cfg = FilterConfig(dt=0.01, alpha=0.8)
         for kappa in (1, 3, 10):
             h = self.meas.evaluate(ens, state.t_curr)
             out, trace = iterate_update(ens, h, state, np.array([0.2]),
                                         make_schedule(kappa), self.meas, cfg,
-                                        trace=True)
+                                        state.t_curr, trace=True)
             assert trace.residuals.shape == (kappa,)
             assert trace.innovation_norms.shape == (kappa,)
             assert np.isfinite(out).all()
@@ -253,12 +254,13 @@ class TestIterateUpdate:
         # iterates stay finite through kappa = 50 on an assimilation step
         N = 24
         ens = 2.1 + 0.05 * RngStream(12, 2).standard_normal((1, N))
-        cfg = FilterConfig(N=N, dt=0.1, alpha=0.8)
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
         meas = identity_meas(1, dt=0.1)
         state = make_state(0.1, 0.2 * meas.sigma_gram)
         out, trace = iterate_update(ens, meas.evaluate(ens, state.t_curr),
                                     state, np.array([2.3]),
-                                    make_schedule(50), meas, cfg, trace=True)
+                                    make_schedule(50), meas, cfg, state.t_curr,
+                                    trace=True)
         assert np.isfinite(out).all()
         assert np.isfinite(trace.residuals).all()
 
@@ -274,7 +276,7 @@ class TestIterateUpdate:
                                    N=200, dt=0.01, horizon=1.0, seed=7000 + s,
                                    emit_outputs=False)
             problem, truth, series, grid = make_twin_data(cfg)
-            fcfg = FilterConfig(N=200, dt=0.01, alpha=0.8, seed=7000 + s)
+            fcfg = FilterConfig(dt=0.01, alpha=0.8, seed=7000 + s)
             ens0 = initial_ensemble(problem, 200, 7000 + s)
             m_it, _, _ = run_filter_series("enks-iter", problem, series, ens0,
                                            fcfg, schedule=make_schedule(10))
@@ -298,7 +300,7 @@ class TestIterateUpdate:
                                    N=N, seed=seed, emit_outputs=False)
             problem, truth, series, grid = make_twin_data(cfg)
             dt = grid[1] - grid[0]
-            fcfg = FilterConfig(N=N, dt=dt, alpha=0.8, seed=seed)
+            fcfg = FilterConfig(dt=dt, alpha=0.8, seed=seed)
             state = make_initial_state(initial_ensemble(problem, N, seed),
                                        problem.meas, fcfg)
             new, trace = iterative_enks_step(state, problem.proc_filter,
