@@ -24,7 +24,10 @@ this filter, its iterative form and the perturbed-observation EnKF.
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
 Dense solves go through numpy's own LAPACK (``spd_solve``): a step then
-runs all its BLAS work in one library and one thread pool.
+runs all its BLAS work in one library and one thread pool.  While a run
+draws its Brownian panels ahead (:meth:`enks.rng.ParticleNoise.drawing_ahead`)
+that pool is pinned to one thread, so the draw helper does not compete
+with a second BLAS thread for a core.
 """
 
 from __future__ import annotations

@@ -103,7 +103,11 @@ def enkf_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
               perturbation_stream: RngStream, dt: float) -> FilterState:
     """:func:`enks.core.forecast` over ``dt``, then analyze in
-    ``state.work[1]``.  ``state.noise_term`` is ``cfg.R``."""
+    ``state.work[1]``.  ``state.noise_term`` must equal ``cfg.R``, the
+    covariance the analysis uses; any other is a ``ValueError``."""
+    if state.noise_term is not cfg.R and not np.array_equal(state.noise_term,
+                                                            cfg.R):
+        raise ValueError("an EnKF state's noise term must be its config's R")
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise)
     analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream,
                            state.work[1])

@@ -14,6 +14,7 @@ high-resolution self-reference.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,7 +194,11 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     ``collect_traces`` also decides whether the traces are computed at
     all: without it the iterative steps skip their residual norms.
     ``streams`` is the ensemble's noise source and defaults to the
-    step-keyed panels of ``cfg.seed``.  A step's ``NumericFailure`` is
+    step-keyed panels of ``cfg.seed``.  A :class:`ParticleNoise` draws
+    each of the run's ``M`` panels a step ahead when its panels are large
+    enough (:meth:`ParticleNoise.drawing_ahead`); its helper thread is
+    joined, and the BLAS thread count restored, before this returns or
+    raises.  A step's ``NumericFailure`` is
     re-raised with the filter kind, the step index and the step's
     measurement time, its particle kept.  Each step's mean and ``ddof=1``
     std come from one mean, the deviations formed in the state's
@@ -238,14 +243,17 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         raise ValueError(f"unknown filter kind '{kind}'")
 
     state = FilterState(0.0, ens0, noise_term)
-    for i in range(M):
-        try:
-            state = step(state, series.values[:, i])
-        except NumericFailure as err:
-            raise NumericFailure(f"{kind} filter failed",
-                                 t=state.t_curr + cfg.dt, step=i,
-                                 particle=err.particle) from err
-        means[:, i], stds[:, i] = row_moments(state.ensemble, state.work[0])
+    with (streams.drawing_ahead(proc.m, M) if isinstance(streams, ParticleNoise)
+          else contextlib.nullcontext()):
+        for i in range(M):
+            try:
+                state = step(state, series.values[:, i])
+            except NumericFailure as err:
+                raise NumericFailure(f"{kind} filter failed",
+                                     t=state.t_curr + cfg.dt, step=i,
+                                     particle=err.particle) from err
+            means[:, i], stds[:, i] = row_moments(state.ensemble,
+                                                  state.work[0])
     return means, stds, extra
 
 

@@ -10,9 +10,23 @@ same sequence, so runs are bit-reproducible.
 Purpose ids reserve the low stream ids; the ensemble's Brownian panels
 are keyed by fine step from STEP_BASE up, so a step key never collides
 with a purpose id.
+
+Because a step's panel depends on its key alone, any thread may draw it
+early without moving a bit.  Inside ``ParticleNoise.drawing_ahead`` a
+helper thread draws step k+1's panel while step k runs (numpy's fills
+release the GIL), and numpy's bundled OpenBLAS runs on one thread, so the
+helper is not left to compete with a second BLAS thread for a core.
+The noise is the same either way; the step's BLAS results are those of
+one OpenBLAS thread, which at some sizes differ in the last bits from
+those of two.  Panels under ``AHEAD_MIN_NORMALS`` normals, and every
+panel read outside that block, are drawn inline.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
 
 import numpy as np
 
@@ -24,6 +38,15 @@ INIT_ENSEMBLE_STREAM = 2
 FORCING_STREAM = 3
 PERTURBATION_STREAM = 4
 STEP_BASE = 1 << 20
+
+# Smallest (N, m) panel, in normals, drawn a step ahead.  On a 2-core
+# host, `enks` runs of frame20-damaged, frame50 and the linear-Gaussian
+# problem with panels of 42,000 normals or more were faster drawn ahead,
+# both in fresh processes and alternating with inline runs in one process.
+# At 30,000-32,000 only the fresh processes were; at 18,000 (frame20 at
+# N=300) runs alternating in one process were slower drawn ahead, and at
+# 8,000-12,000 either way was faster by turns.
+AHEAD_MIN_NORMALS = 40_000
 
 
 class RngStream:
@@ -65,6 +88,21 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or
+    None when numpy's core module does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
 class ParticleNoise:
     """Brownian increments of an ensemble, one keyed panel per fine step.
 
@@ -79,6 +117,12 @@ class ParticleNoise:
     step ``stride * dt_ref`` integrate the same fine Brownian path as a
     run at ``dt_ref``.
 
+    Inside :meth:`drawing_ahead`, which is told how many ``increments``
+    calls the block makes, the noise draws each step's unit panel one step
+    early on a helper thread, with the panel function and the stream an
+    inline draw uses, and draws nothing past the block's last step;
+    outside it, every panel is drawn inline.
+
     The object owns its panel and increment buffers, sized at the first
     call, so a steady-state step allocates nothing here.
     """
@@ -90,30 +134,78 @@ class ParticleNoise:
         self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
         self._stream = RngStream(self.seed, STEP_BASE)  # restarted per fine step
         self._step = 0  # next unread fine step
-        # (N, m) panel, (N, m) fine panel of a stride sum, (m, N) increments
-        self._panel = self._fine = self._out = None
+        # two (N, m) unit panels (the one read, the one drawn ahead), the
+        # (N, m) fine panel of a stride sum, the (m, N) increments
+        self._panels = self._fine = self._out = None
+        self._helper = self._pending = None  # executor and its panel job
+        self._end = 0  # first fine step past the drawing-ahead block's last
 
-    def _draw(self, k: int, out: np.ndarray) -> np.ndarray:
-        self._stream.restart(STEP_BASE + k)
-        return self._stream.standard_normal(out.shape, out=out)
+    def _unit_panel(self, k0: int, out: np.ndarray) -> np.ndarray:
+        """Unit draw of the step starting at fine step ``k0``, into ``out``."""
+        self._stream.restart(STEP_BASE + k0)
+        self._stream.standard_normal(out.shape, out=out)
+        for k in range(k0 + 1, k0 + self.stride):
+            self._stream.restart(STEP_BASE + k)
+            out += self._stream.standard_normal(out.shape, out=self._fine)
+        if self.stride > 1:
+            out /= np.sqrt(self.stride)
+        return out
 
     def increments(self, m: int, dt: float) -> np.ndarray:
         """Next step's increments, shape (m, N): column j ~ N(0, dt I_m).
 
         The result is a buffer of this object, valid until the next call.
+        A draw that failed on the helper raises here, in the step that
+        reads its panel.
         """
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
         if self._out is None or self._out.shape[0] != m:
-            self._panel, self._out = np.empty((self.N, m)), np.empty((m, self.N))
+            if self._pending is not None:  # drawn at another width: redraw
+                self._pending.exception()
+                self._pending = None
+            self._panels = (np.empty((self.N, m)), np.empty((self.N, m)))
+            self._out = np.empty((m, self.N))
             self._fine = np.empty((self.N, m)) if self.stride > 1 else None
         k0, self._step = self._step, self._step + self.stride
-        panel = self._draw(k0, self._panel)
-        if self.stride > 1:
-            for k in range(k0 + 1, self._step):
-                panel += self._draw(k, self._fine)
-            panel /= np.sqrt(self.stride)
+        pending, self._pending = self._pending, None
+        panel = (pending.result() if pending is not None
+                 else self._unit_panel(k0, self._panels[0]))
+        if self._helper is not None and self._step < self._end:
+            free = self._panels[1] if panel is self._panels[0] else self._panels[0]
+            self._pending = self._helper.submit(self._unit_panel, self._step, free)
         return np.multiply(np.sqrt(dt), panel.T, out=self._out)
+
+    @contextlib.contextmanager
+    def drawing_ahead(self, m: int, steps: int):
+        """Within the block, which makes at most ``steps`` ``increments``
+        calls, draw each step's ``(N, m)`` panel a step early.
+
+        The noise draws ahead only when its panel has at least
+        ``AHEAD_MIN_NORMALS`` normals and numpy's OpenBLAS thread count can
+        be set; otherwise the block draws inline.  While drawing ahead,
+        one helper thread draws and OpenBLAS runs on one thread.  However
+        the block ends, the helper is joined and the thread count found on
+        entry is restored.
+        """
+        blas = _openblas_threads() if self.N * m >= AHEAD_MIN_NORMALS else None
+        if blas is None:
+            yield self
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        get, set_ = blas
+        found = get()
+        self._end = self._step + steps * self.stride
+        self._helper = ThreadPoolExecutor(1, thread_name_prefix="enks-draw")
+        try:
+            set_(1)
+            yield self
+        finally:
+            # a panel drawn for a step the block did not reach is dropped,
+            # its outcome with it; a later read of that step draws inline
+            helper, self._helper, self._pending = self._helper, None, None
+            helper.shutdown(wait=True, cancel_futures=True)
+            set_(found)
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:

@@ -4,6 +4,10 @@ scipy bundles its own OpenBLAS with its own thread pool; a step that calls
 into both libraries waits on the other pool's threads.  This guard runs one
 step of each filter in a fresh interpreter and checks that scipy was never
 imported.
+
+A run that draws its Brownian panels ahead pins numpy's OpenBLAS to one
+thread through two symbols of numpy's core module; a second guard checks,
+in a fresh interpreter, that they are still there and set the count.
 """
 
 import os
@@ -50,3 +54,53 @@ def test_filter_steps_do_not_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+BLAS_SCRIPT = """
+import ctypes
+import numpy as np
+lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+get = lib.scipy_openblas_get_num_threads64_
+set_ = lib.scipy_openblas_set_num_threads64_
+found = get()
+set_(1)
+pinned = get()
+set_(found)
+print(found, pinned, get())
+"""
+
+
+def test_numpy_exports_the_openblas_thread_count():
+    # without these symbols every run would draw inline and lose the
+    # draw-ahead gain without a word; a numpy wheel that moves them fails here
+    done = subprocess.run([sys.executable, "-c", BLAS_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    found, pinned, restored = map(int, done.stdout.split())
+    assert found >= 1 and pinned == 1 and restored == found
+
+
+GATE_SCRIPT = """
+import sys
+from enks.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(problem="linear-gaussian", N=50, horizon=0.05,
+                                filters=("enks", "enks-iter", "enkf"),
+                                emit_outputs=False))
+print("concurrent.futures" in sys.modules)
+run_experiment(ExperimentConfig(problem="frame20-damaged", N=700,
+                                horizon=0.03, emit_outputs=False))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_executor_is_imported_only_past_the_gate():
+    # a run whose panels are drawn inline does not pay for importing the
+    # helper's executor (and the logging it pulls in); frame20's panels
+    # are drawn ahead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", GATE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -177,6 +177,25 @@ class TestEnkfStep:
 
         assert np.array_equal(run(), run())
 
+    def test_noise_term_other_than_R_is_rejected(self):
+        # the analysis takes its covariance from cfg.R, so a state carrying
+        # any other noise term is refused rather than run on R; an equal
+        # copy of R is accepted
+        proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
+                            constant_diffusion=np.eye(1))
+        meas = identity_meas(1)
+        ens = RngStream(5, 2).standard_normal((1, 8))
+        cfg = EnkfConfig(R=0.01 * np.eye(1))
+        for term in (0.02 * np.eye(1), np.zeros((1, 1)), np.eye(2)):
+            with pytest.raises(ValueError, match="noise term"):
+                enkf_step(FilterState(0.0, ens, term), proc, meas,
+                          np.array([0.3]), cfg, particle_streams(5, 8),
+                          RngStream(5, 4), dt=0.01)
+        state = enkf_step(FilterState(0.0, ens, cfg.R.copy()), proc, meas,
+                          np.array([0.3]), cfg, particle_streams(5, 8),
+                          RngStream(5, 4), dt=0.01)
+        assert np.isfinite(state.ensemble).all()
+
     def test_mean_error_shrinks_with_ensemble_size(self):
         # trajectory-level consistency: error against the exact Kalman
         # mean drops at roughly N^(-1/2) on a log-log fit

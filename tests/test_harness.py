@@ -1,3 +1,5 @@
+import contextlib
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from enks import harness, iterative
+from enks import harness, iterative, rng
 from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
@@ -21,6 +23,19 @@ from enks.sde import predict_ensemble
 from oracles import FixedNoise, StepKeyedNoise
 
 POPULATION_SEED = 2  # truth stays bounded through T = 5 for this seed
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread, as in a run that draws ahead: at
+    some sizes OpenBLAS on two threads sums in another order."""
+    get_blas, set_blas = rng._openblas_threads()
+    found = get_blas()
+    set_blas(1)
+    try:
+        yield
+    finally:
+        set_blas(found)
 
 
 class TestExperimentConfig:
@@ -248,14 +263,22 @@ class TestRunFilterSeries:
         return problem, series, initial_ensemble(problem, N, seed), fcfg
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
-    @pytest.mark.parametrize("problem_id", ["linear-gaussian", "frame4-damaged"])
+    @pytest.mark.parametrize("problem_id", ["linear-gaussian", "frame4-damaged",
+                                            "frame20-damaged"])
     def test_matches_per_particle_noise_loop(self, problem_id, kind):
         # the default noise is the step-keyed panels, drawn here by the
-        # loop over particles and steps
-        problem, series, ens0, fcfg = self.setup_data(problem_id, 12, 0.7)
-        runs = [run_filter_series(kind, problem, series, ens0, fcfg,
-                                  schedule=make_schedule(3), streams=streams)
-                for streams in (None, StepKeyedNoise(fcfg.seed, 12))]
+        # loop over particles and steps; frame20-damaged's (700, 60)
+        # panels are drawn a step ahead on the helper, so both runs use
+        # one BLAS thread and differ in their noise source alone
+        N, horizon = (700, 0.03) if problem_id == "frame20-damaged" else (12, 0.7)
+        problem, series, ens0, fcfg = self.setup_data(problem_id, N, horizon)
+        assert ((N * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS)
+                == (problem_id == "frame20-damaged"))
+        with one_blas_thread():
+            runs = [run_filter_series(kind, problem, series, ens0, fcfg,
+                                      schedule=make_schedule(3),
+                                      streams=streams)
+                    for streams in (None, StepKeyedNoise(fcfg.seed, N))]
         (means, stds, _), (means_o, stds_o, _) = runs
         assert np.array_equal(means, means_o)
         assert np.array_equal(stds, stds_o)
@@ -291,6 +314,112 @@ class TestRunFilterSeries:
                 [PERTURBATION_STREAM] if kind == "enkf" else [])
             assert [k - STEP_BASE for k in read if k >= STEP_BASE] == list(
                 range(len(series) * stride))
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_drawn_ahead_run_reruns_identically(self, kind):
+        # a run whose panels the helper draws replays bit for bit, and
+        # gives the bits of the same noise drawn inline, stride sum
+        # included, on the one BLAS thread a drawn-ahead run uses
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
+                                                      0.04)
+        draw, off_main = RngStream.standard_normal, []
+
+        def record(self, size=None, out=None):
+            off_main.append(threading.current_thread()
+                            is not threading.main_thread())
+            return draw(self, size, out=out)
+
+        inline_gate = 700 * problem.proc_filter.m + 1
+        for stride in (1, 3):
+            runs = []
+            for gate in (rng.AHEAD_MIN_NORMALS, rng.AHEAD_MIN_NORMALS,
+                         inline_gate):
+                off_main.clear()
+                with mock.patch.object(RngStream, "standard_normal", record), \
+                        mock.patch.object(rng, "AHEAD_MIN_NORMALS", gate), \
+                        one_blas_thread():
+                    runs.append(run_filter_series(
+                        kind, problem, series, ens0, fcfg,
+                        schedule=make_schedule(3),
+                        streams=particle_streams(fcfg.seed, 700, stride)))
+                assert any(off_main) == (gate != inline_gate)
+            for means, stds, _ in runs[1:]:
+                assert np.array_equal(means, runs[0][0])
+                assert np.array_equal(stds, runs[0][1])
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("outcome", ["returns", "fails"])
+    def test_draw_ahead_ends_with_the_run(self, outcome, kind):
+        # after a drawn-ahead run, returned or failed mid-run on an
+        # overflowing h, no thread is left and OpenBLAS runs on the thread
+        # count it had before; during the run it runs on one thread
+        get_blas, set_blas = rng._openblas_threads()
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
+                                                      0.04)
+        if outcome == "fails":
+            h = problem.meas.h
+
+            def overflowing(x, t):  # from the step ending at t = 0.02 on
+                return h(x, t) * (1e200 if t > 0.015 else 1.0)
+
+            problem = replace(problem, meas=replace(problem.meas,
+                                                    h=overflowing))
+        name = {"enks": "enks_step", "enks-iter": "iterative_enks_step",
+                "enkf": "enkf_step"}[kind]
+        step, during = getattr(harness, name), []
+
+        def recorded(*args, **kwargs):
+            during.append(get_blas())
+            return step(*args, **kwargs)
+
+        found, before = get_blas(), threading.enumerate()
+        try:
+            set_blas(2)
+            with mock.patch.object(harness, name, recorded):
+                if outcome == "fails":
+                    with pytest.raises(NumericFailure) as info:
+                        run_filter_series(kind, problem, series, ens0, fcfg,
+                                          schedule=make_schedule(3))
+                    assert info.value.step == 1
+                else:
+                    run_filter_series(kind, problem, series, ens0, fcfg,
+                                      schedule=make_schedule(3))
+            assert threading.enumerate() == before
+            assert get_blas() == 2
+            assert during == [1] * (2 if outcome == "fails" else len(series))
+        finally:
+            set_blas(found)
+
+    def test_helper_draw_error_surfaces_in_the_reading_step(self):
+        # a draw that raises on the helper raises, unchanged, in the step
+        # that reads its panel; the run still ends its helper
+        class DrawError(Exception):
+            pass
+
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
+                                                      0.05)
+        draw, step, steps_begun = (RngStream.standard_normal, harness.enks_step,
+                                   [])
+
+        def failing(self, size=None, out=None):
+            if (self.stream_id == STEP_BASE + 2
+                    and threading.current_thread() is not threading.main_thread()):
+                raise DrawError("panel of step 2")
+            return draw(self, size, out=out)
+
+        def counted(*args, **kwargs):
+            steps_begun.append(len(steps_begun))
+            return step(*args, **kwargs)
+
+        get_blas = rng._openblas_threads()[0]
+        found, before = get_blas(), threading.enumerate()
+        with mock.patch.object(RngStream, "standard_normal", failing), \
+                mock.patch.object(harness, "enks_step", counted), \
+                pytest.raises(DrawError, match="panel of step 2"):
+            run_filter_series("enks", problem, series, ens0, fcfg)
+        assert steps_begun == [0, 1, 2]
+        assert threading.enumerate() == before
+        assert get_blas() == found
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_one_cholesky_and_one_solve_per_analysis(self, kind):
@@ -344,7 +473,7 @@ class TestRunFilterSeries:
         # 1.74x (enks, enkf) and 2.34x (enks-iter); 2.57x for enks when it
         # predicts into a new array; 4.8x, 5.3x and 4.8x when a step makes
         # its own prediction, centred copy and update arrays.
-        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 300,
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
                                                       0.06)
         name = {"enks": "enks_step", "enks-iter": "iterative_enks_step",
                 "enkf": "enkf_step"}[kind]
