@@ -502,8 +502,11 @@ def _frame_problem(name, dof, *, N, horizon, proc_noise, xi, dt,
                  meas_noise_std=1.0 if meas_noise_std is None else meas_noise_std)
     proc_f, meas = build_shear_frame(spec, param_diffusion=param_diffusion,
                                      **build)
-    # truth: reference parameters, frozen (no parameter diffusion)
-    proc_t, _ = build_shear_frame(spec, param_diffusion=0.0, **build)
+    # truth: reference parameters, frozen: the filter's model without its
+    # parameter diffusion, columns dof: of F
+    F_truth = proc_f.constant_diffusion.copy()
+    F_truth[:, dof:] = 0.0
+    proc_t = replace(proc_f, constant_diffusion=F_truth)
     if damaged_storey is not None:
         k_ref = list(spec.k_ref)
         k_ref[damaged_storey - 1] = damaged_k

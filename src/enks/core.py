@@ -23,11 +23,14 @@ this filter, its iterative form and the perturbed-observation EnKF.
 
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
-Dense solves go through numpy's own LAPACK (``spd_solve``): a step then
-runs all its BLAS work in one library and one thread pool.  While a run
-draws its Brownian panels ahead (:meth:`enks.rng.ParticleNoise.drawing_ahead`)
-that pool is pinned to one thread, so the draw helper does not compete
-with a second BLAS thread for a core.
+Dense solves call numpy's own LAPACK gufuncs, ``cholesky_lo`` and
+``solve`` of ``numpy.linalg._umath_linalg``: the bits of
+``np.linalg.cholesky`` and ``np.linalg.solve`` without their Python
+wrappers.  A step then runs all its BLAS work in one library and one
+thread pool.  While a run draws its Brownian panels ahead
+(:meth:`enks.rng.ParticleNoise.drawing_ahead`) that pool is pinned to one
+thread, so the draw helper does not compete with a second BLAS thread for
+a core.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericFailure
-from .models import MeasurementModel, ProcessModel, validate_ensemble
+from .models import (MeasurementModel, ProcessModel, all_finite,
+                     validate_ensemble)
 from .rng import ParticleNoise
 from .sde import predict_ensemble
 
@@ -137,22 +142,6 @@ def row_moments(x: np.ndarray, work: np.ndarray
     return mean[:, 0], np.sqrt(var, out=var)
 
 
-def spd_solve(A: np.ndarray, B: np.ndarray, message: str) -> np.ndarray:
-    """Solve ``A X = B`` for symmetric positive definite ``A``.
-
-    The Cholesky factorization checks that ``A`` is positive definite; an
-    ``A`` that is not raises ``NumericFailure(message)``.  The system
-    is then solved in one LU solve: numpy has no triangular solver, so
-    solving on the factor would take two.  A non-finite ``B`` yields a
-    non-finite ``X`` without a warning; callers check the result.
-    """
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as err:
-        raise NumericFailure(message) from err
-    return np.linalg.solve(A, B)
-
-
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
                   weight: float, noise_term: np.ndarray, failures: tuple,
                   work: np.ndarray | None = None) -> np.ndarray:
@@ -167,22 +156,29 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
     ``failures`` holds the ``NumericFailure`` messages for a non-finite
     denominator, a denominator that is not positive definite and a
     non-finite gain.
+
+    The denominator's Cholesky factor checks that it is positive definite,
+    and one LU solve gives the gain (numpy has no triangular solver).  Both
+    are numpy's LAPACK gufuncs: a failed factorization leaves a NaN factor,
+    and only then is the denominator checked for finiteness.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
     if h_pred.shape[1] != pred.shape[1]:
         raise ValueError("pred and h_pred disagree on ensemble size")
     non_finite_denom, not_definite, non_finite_gain = failures
-    # a diverging ensemble overflows here; the finite checks below report it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a diverging ensemble overflows here, and a failed factorization is
+    # invalid; the finite checks below report both
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         Xd = np.subtract(pred, row_mean(pred), out=work)
         Hd = h_pred - row_mean(h_pred)
         cross = Xd @ Hd.T
         denom = weight * (Hd @ Hd.T) + noise_term
-    if not np.isfinite(denom).all():
-        raise NumericFailure(non_finite_denom)
-    gain = scale * spd_solve(denom, cross.T, not_definite).T
-    if not np.isfinite(gain).all():
+        if not all_finite(_umath_linalg.cholesky_lo(denom)):
+            raise NumericFailure(not_definite if all_finite(denom)
+                                 else non_finite_denom)
+        gain = scale * _umath_linalg.solve(denom, cross.T).T
+    if not all_finite(gain):
         raise NumericFailure(non_finite_gain)
     return gain
 
@@ -259,6 +255,6 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
     gain = compute_gain(pred, h_pred, cfg, state.noise_term, state.work[1])
     updated = additive_update(pred, gain, y, h_pred)
-    if not np.isfinite(updated).all():
+    if not all_finite(updated):
         raise NumericFailure("non-finite ensemble after update")
     return replace(state, t_curr=t_new, ensemble=updated)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import FilterConfig, FilterState, compute_gain, forecast
 from .errors import NumericFailure
-from .models import MeasurementModel, ProcessModel
+from .models import MeasurementModel, ProcessModel, all_finite
 from .rng import ParticleNoise
 
 
@@ -105,7 +105,7 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
         np.subtract(y[:, None], h_k, out=innov)
         incr = np.matmul(beta * gain, innov, out=work)
         ens += incr
-        if not np.isfinite(ens).all():
+        if not all_finite(ens):
             raise NumericFailure("non-finite iterate")
         if record is not None:
             record.residuals[k] = np.linalg.norm(incr)

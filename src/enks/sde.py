@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericFailure
-from .models import MeasurementModel, MeasurementSeries, ProcessModel
+from .models import (MeasurementModel, MeasurementSeries, ProcessModel,
+                     all_finite)
 from .rng import ParticleNoise, RngStream
 
 
@@ -63,9 +64,8 @@ def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
     dB = noise.increments(model.m, dt) if model.m else None
     with np.errstate(over="ignore", invalid="ignore"):
         out = _em(model, ens, t_prev, dt, dB, out)
-    bad = ~np.isfinite(out).all(axis=0)
-    if bad.any():
-        j = int(np.argmax(bad))
+    if not all_finite(out):
+        j = int(np.argmax(~np.isfinite(out).all(axis=0)))
         raise NumericFailure("non-finite particle after prediction",
                              t=t_prev + dt, particle=j)
     return out

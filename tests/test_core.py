@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from enks.core import (GAIN_FAILURES, FilterConfig, additive_update,
                        analysis_gain, compute_gain, enks_step,
                        make_initial_state, row_mean, row_moments)
+from enks import enkf
 from enks.benchmarks import enks_limit_oracle, scalar_linear_gaussian
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
@@ -242,6 +243,59 @@ class TestComputeGain:
                                h + np.array([[3.0], [1.0]]), cfg,
                                0.2 * np.eye(2))
         assert np.allclose(G_shift, G, rtol=1e-12, atol=1e-14)
+
+
+class TestGainFailures:
+    """The failure each of the kernel's failure tuples names.
+
+    Every case runs with warnings as errors: the kernel's factor and solve
+    warn of nothing and raise no ``LinAlgError``, only ``NumericFailure``.
+    """
+
+    PRED = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, -1.0]])
+    H = np.array([[0.1, 0.2, 0.4], [1.0, 0.0, -1.0]])
+
+    @staticmethod
+    def failure(pred, h, noise_term, failures):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure) as info:
+                analysis_gain(pred, h, 0.5, 0.5, noise_term, failures)
+        return str(info.value)
+
+    @pytest.mark.parametrize("failures", [GAIN_FAILURES, enkf.GAIN_FAILURES])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "nan-off-diagonal",
+                                     "overflowing-spread"])
+    def test_non_finite_denominator(self, failures, bad):
+        noise, h = np.eye(2), self.H
+        if bad == "nan":
+            noise[1, 1] = np.nan
+        elif bad == "inf":
+            noise[0, 0] = np.inf
+        elif bad == "nan-off-diagonal":
+            noise[0, 1] = noise[1, 0] = np.nan
+        else:
+            h = np.array([[1e200, -1e200, 0.0], [1.0, 0.0, -1.0]])
+        message = self.failure(self.PRED, h, noise, failures)
+        assert message == failures[0] != failures[1]
+
+    @pytest.mark.parametrize("failures", [GAIN_FAILURES, enkf.GAIN_FAILURES])
+    @pytest.mark.parametrize("noise", [-np.eye(2), np.diag([1.0, -1.0])])
+    def test_indefinite_denominator(self, failures, noise):
+        # a spread of 1e-3 leaves the noise term's negative eigenvalue in
+        # the denominator
+        message = self.failure(self.PRED, 1e-3 * self.H, noise, failures)
+        assert message == failures[1]
+
+    @pytest.mark.parametrize("failures", [GAIN_FAILURES, enkf.GAIN_FAILURES])
+    def test_finite_denominator_with_overflowing_cross_product(self,
+                                                               failures):
+        # one huge state row centres exactly (its mean is 0) and overflows
+        # only in Xd Hd^T; the denominator is finite and positive definite
+        pred = np.array([[1e308, -1e308, 0.0], [0.0, 1.0, -1.0]])
+        h = np.array([[10.0, -10.0, 0.0], [1.0, 0.0, -1.0]])
+        message = self.failure(pred, h, np.eye(2), failures)
+        assert message == failures[2] != failures[1]
 
 
 class TestAdditiveUpdate:

@@ -8,6 +8,11 @@ imported.
 A run that draws its Brownian panels ahead pins numpy's OpenBLAS to one
 thread through two symbols of numpy's core module; a second guard checks,
 in a fresh interpreter, that they are still there and set the count.
+
+The analysis kernel calls two private LAPACK gufuncs of numpy directly; a
+third guard checks, in a fresh interpreter, that they are still there,
+give the bits of the public calls and report a failed factorization as a
+non-finite factor.
 """
 
 import os
@@ -104,3 +109,40 @@ def test_executor_is_imported_only_past_the_gate():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+LAPACK_SCRIPT = """
+import warnings
+import numpy as np
+from numpy.linalg import _umath_linalg as lapack
+
+warnings.simplefilter("error")
+print(hasattr(lapack, "cholesky_lo"), hasattr(lapack, "solve"))
+rng = np.random.default_rng(0)
+same = []
+for q in (1, 50):
+    a = rng.standard_normal((q, q + 5))
+    A = a @ a.T + 0.1 * np.eye(q)
+    same.append(np.array_equal(lapack.cholesky_lo(A), np.linalg.cholesky(A)))
+    for r in (1, 200):
+        # a C-ordered right-hand side, and a transposed view like the
+        # kernel's cross.T
+        for B in (rng.standard_normal((q, r)), rng.standard_normal((r, q)).T):
+            same.append(np.array_equal(lapack.solve(A, B),
+                                       np.linalg.solve(A, B)))
+print(len(same), all(same))
+with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    factor = lapack.cholesky_lo(np.array([[1.0, 2.0], [2.0, 1.0]]))
+print(np.isfinite(factor).all())
+"""
+
+
+def test_numpy_exports_the_lapack_gufuncs_of_the_kernel():
+    # core.analysis_gain calls cholesky_lo and solve without np.linalg's
+    # wrappers; a numpy that moves them or changes what a failed
+    # factorization leaves fails here rather than slowing the kernel down
+    # or naming the wrong failure
+    done = subprocess.run([sys.executable, "-c", LAPACK_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True", "10", "True", "False"]

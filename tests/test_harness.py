@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from enks import harness, iterative, rng
+from enks import core, harness, iterative, rng
 from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
@@ -425,18 +425,24 @@ class TestRunFilterSeries:
     def test_one_cholesky_and_one_solve_per_analysis(self, kind):
         # cost guard: each analysis (an enks or enkf step, an enks-iter
         # pass) checks its denominator with one Cholesky factorization and
-        # solves with one LU solve; the EnKF factors R once per run besides
+        # solves with one LU solve, both numpy's LAPACK gufuncs called
+        # directly; the EnKF factors R once per run besides, through
+        # np.linalg.cholesky, and nothing goes through np.linalg.solve
         problem, series, ens0, fcfg = self.setup_data("frame4-damaged", 12, 0.05)
         kappa = 3
         analyses = len(series) * (kappa if kind == "enks-iter" else 1)
-        with mock.patch.object(np.linalg, "cholesky",
-                               wraps=np.linalg.cholesky) as cholesky, \
+        lapack = mock.Mock(wraps=core._umath_linalg)
+        with mock.patch.object(core, "_umath_linalg", lapack), \
+                mock.patch.object(np.linalg, "cholesky",
+                                  wraps=np.linalg.cholesky) as cholesky, \
                 mock.patch.object(np.linalg, "solve",
                                   wraps=np.linalg.solve) as solve:
             run_filter_series(kind, problem, series, ens0, fcfg,
                               schedule=make_schedule(kappa))
-        assert cholesky.call_count == analyses + (kind == "enkf")
-        assert solve.call_count == analyses
+        assert lapack.cholesky_lo.call_count == analyses
+        assert lapack.solve.call_count == analyses
+        assert cholesky.call_count == (kind == "enkf")
+        assert solve.call_count == 0
 
     def test_iterative_run_computes_traces_only_on_request(self):
         # cost guard: an enks-iter run reaches harness.iterative_enks_step
