@@ -167,7 +167,7 @@ def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
     meas = MeasurementModel(q=q, h=lambda x, t: x[dof + channels],
                             nu=nu_from_noise_std(np.broadcast_to(
                                 np.asarray(meas_noise_std, dtype=float), (q,)), dt),
-                            dt_scale=dt)
+                            dt_scale=dt, linear=True)
     return proc, meas
 
 
@@ -274,7 +274,8 @@ def build_population(spec: PopulationSpec
                         constant_diffusion=np.array([[spec.proc_noise_std]]))
     meas = MeasurementModel(
         q=1, h=lambda x, t: x,
-        nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt)
+        nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt,
+        linear=True)
     return proc, meas
 
 
@@ -341,7 +342,8 @@ def build_linear_gaussian(spec: LinearGaussianSpec, dt: float
                         drift_ensemble=lambda x, t: A @ x, constant_diffusion=F)
     noise_std = np.sqrt(np.diag(spec.R))
     meas = MeasurementModel(q=spec.q, h=lambda x, t: H @ x,
-                            nu=nu_from_noise_std(noise_std, dt), dt_scale=dt)
+                            nu=nu_from_noise_std(noise_std, dt), dt_scale=dt,
+                            linear=True)
     return proc, meas
 
 

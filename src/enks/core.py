@@ -19,7 +19,10 @@ writes it adds two terms built from the previous step's means and time
 multiplies a zero-sum quantity: ``Xd 1 = 0`` and ``Hd 1 = 0``.  What is
 left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
 dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
-this filter, its iterative form and the perturbed-observation EnKF.
+this filter, its iterative form and the perturbed-observation EnKF: the
+ensemble moments ``Xd Hd^T`` and ``Hd Hd^T`` (:func:`analysis_moments`),
+then the gain from them (:func:`gain_from_moments`), which the iterative
+form's passes on a linear map take without an ensemble.
 
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
@@ -42,7 +45,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NumericFailure
 from .models import (MeasurementModel, ProcessModel, all_finite,
-                     validate_ensemble)
+                     require_finite, validate_ensemble)
 from .rng import ParticleNoise
 from .sde import predict_ensemble
 
@@ -142,67 +145,99 @@ def row_moments(x: np.ndarray, work: np.ndarray
     return mean[:, 0], np.sqrt(var, out=var)
 
 
-def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
-                  weight: float, noise_term: np.ndarray, failures: tuple,
-                  work: np.ndarray | None = None) -> np.ndarray:
-    """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
+def analysis_moments(pred: np.ndarray, h_pred: np.ndarray,
+                     work: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The analysis's ensemble moments ``(Xd Hd^T, Hd Hd^T)``, (n, q) and (q, q).
 
     ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
     ensemble means; ``Xd`` is written into ``work``, an array of the shape
-    of ``pred`` that does not alias it, when one is given.  Every filter's
-    analysis runs through this kernel: the EnKS with ``(tc/N,
-    alpha/(N-1), (1-alpha) sigma^T sigma)`` and the perturbed-observation
-    EnKF with ``(1/(N-1), 1/(N-1), R)``.
-    ``failures`` holds the ``NumericFailure`` messages for a non-finite
-    denominator, a denominator that is not positive definite and a
-    non-finite gain.
-
-    The denominator's Cholesky factor checks that it is positive definite,
-    and one LU solve gives the gain (numpy has no triangular solver).  Both
-    are numpy's LAPACK gufuncs: a failed factorization leaves a NaN factor,
-    and only then is the denominator checked for finiteness.
+    of ``pred`` that does not alias it, when one is given.  Like
+    :func:`gain_from_moments` it runs under its caller's
+    ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``: a
+    diverging ensemble overflows here, and the gain's finite checks report
+    it.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
     if h_pred.shape[1] != pred.shape[1]:
         raise ValueError("pred and h_pred disagree on ensemble size")
+    Xd = np.subtract(pred, row_mean(pred), out=work)
+    Hd = h_pred - row_mean(h_pred)
+    return Xd @ Hd.T, Hd @ Hd.T
+
+
+def gain_from_moments(cross: np.ndarray, hh: np.ndarray, scale: float,
+                      weight: float, noise_term: np.ndarray, failures: tuple
+                      ) -> np.ndarray:
+    """Gain ``scale cross (weight hh + noise_term)^{-1}``, the shape of ``cross``.
+
+    ``cross`` and ``hh`` are the moments of :func:`analysis_moments`, or
+    any rows to solve against the same denominator.  ``failures`` holds
+    the ``NumericFailure`` messages for a non-finite denominator, a
+    denominator that is not positive definite and a non-finite gain.
+
+    The denominator's Cholesky factor checks that it is positive definite,
+    and one LU solve gives the gain (numpy has no triangular solver).  Both
+    are numpy's LAPACK gufuncs: a failed factorization leaves a NaN factor,
+    and only then is the denominator checked for finiteness.  It runs
+    under the caller's ``errstate``, as :func:`analysis_moments` does.
+    """
     non_finite_denom, not_definite, non_finite_gain = failures
-    # a diverging ensemble overflows here, and a failed factorization is
-    # invalid; the finite checks below report both
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        Xd = np.subtract(pred, row_mean(pred), out=work)
-        Hd = h_pred - row_mean(h_pred)
-        cross = Xd @ Hd.T
-        denom = weight * (Hd @ Hd.T) + noise_term
-        if not all_finite(_umath_linalg.cholesky_lo(denom)):
-            raise NumericFailure(not_definite if all_finite(denom)
-                                 else non_finite_denom)
-        gain = scale * _umath_linalg.solve(denom, cross.T).T
+    denom = weight * hh + noise_term
+    if not all_finite(_umath_linalg.cholesky_lo(denom)):
+        raise NumericFailure(not_definite if all_finite(denom)
+                             else non_finite_denom)
+    gain = scale * _umath_linalg.solve(denom, cross.T).T
     if not all_finite(gain):
         raise NumericFailure(non_finite_gain)
     return gain
 
 
+def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
+                  weight: float, noise_term: np.ndarray, failures: tuple,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
+
+    :func:`gain_from_moments` of :func:`analysis_moments`.  Every
+    filter's analysis runs through these two kernels: the EnKS with
+    ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` and the
+    perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return gain_from_moments(*analysis_moments(pred, h_pred, work), scale,
+                                 weight, noise_term, failures)
+
+
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
-                 noise_term: np.ndarray, work: np.ndarray | None = None
-                 ) -> np.ndarray:
+                 noise_term: np.ndarray, work: np.ndarray | None = None,
+                 N: int | None = None) -> np.ndarray:
     """EnKS gain of the additive update, shape (n, q).
 
     ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
     its measurement image, ``noise_term`` the run's ``(1 - alpha)
-    sigma^T sigma`` and ``work`` the scratch :func:`analysis_gain` centres
-    ``pred`` into; the gain's time is ``tc = cfg.dt``:
+    sigma^T sigma`` and ``work`` the scratch :func:`analysis_moments`
+    centres ``pred`` into; the gain's time is ``tc = cfg.dt``:
 
         G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
+
+    With ``N`` given, ``pred`` and ``h_pred`` are instead the moments
+    ``(cross, hh)`` of an ``N``-particle ensemble, as
+    :func:`gain_from_moments` takes them.
 
     This is the paper's gain exactly: its lagged-mean terms multiply
     ``Xd 1`` and ``Hd 1``, which are zero (module docstring).
     """
-    N = np.shape(pred)[1]
+    moments = N is not None
+    if not moments:
+        N = np.shape(pred)[1]
     if N < 2:
         raise ValueError("the gain needs at least 2 particles")
-    return analysis_gain(pred, h_pred, cfg.dt / N, cfg.alpha / (N - 1),
-                         noise_term, GAIN_FAILURES, work=work)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cross, hh = ((pred, h_pred) if moments
+                     else analysis_moments(pred, h_pred, work))
+        return gain_from_moments(cross, hh, cfg.dt / N, cfg.alpha / (N - 1),
+                                 noise_term, GAIN_FAILURES)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
@@ -255,6 +290,5 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
     gain = compute_gain(pred, h_pred, cfg, state.noise_term, state.work[1])
     updated = additive_update(pred, gain, y, h_pred)
-    if not all_finite(updated):
-        raise NumericFailure("non-finite ensemble after update")
+    require_finite(updated, "non-finite ensemble after update")
     return replace(state, t_curr=t_new, ensemble=updated)

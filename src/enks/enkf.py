@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import FilterState, analysis_gain, forecast
-from .errors import NumericFailure
-from .models import MeasurementModel, ProcessModel, all_finite
+from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise, RngStream
 
 # NumericFailure messages of the analysis gain: non-finite denominator,
@@ -94,8 +93,7 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 
     eps = cfg.chol_R @ stream.standard_normal((q, N))
     analysis = pred + np.matmul(gain, y[:, None] + eps - h_pred, out=work)
-    if not all_finite(analysis):
-        raise NumericFailure("non-finite analysis ensemble")
+    require_finite(analysis, "non-finite analysis ensemble")
     return analysis
 
 

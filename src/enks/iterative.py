@@ -7,6 +7,13 @@ those of the outer step for every pass; only the iterate and its
 measurement image change.  One undamped pass (kappa = 1) reproduces the
 non-iterative update exactly.
 
+When the measurement map is linear (``MeasurementModel.linear``), each
+pass's moments follow exactly from the previous pass's small matrices,
+so the passes run on ``(n, q)`` and ``(q, q)`` arrays and the step is
+one additive update of the prediction with the summed step gain: the
+map is evaluated once per step and the ensemble updated once.  Other
+maps run the passes on the iterate itself.
+
 The per-pass trace (increment and mean-innovation norms) is computed only
 on request: ``trace=True`` here, ``collect_traces`` in
 :func:`enks.harness.run_filter_series`.  Without it a pass does only the
@@ -19,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FilterConfig, FilterState, compute_gain, forecast
-from .errors import NumericFailure
-from .models import MeasurementModel, ProcessModel, all_finite
+from .core import (FilterConfig, FilterState, additive_update,
+                   analysis_moments, compute_gain, forecast)
+from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise
 
 
@@ -74,30 +81,36 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    ) -> tuple[np.ndarray, IterationTrace | None]:
     """Run kappa damped additive passes at the measurement time ``t``.
 
-    ``h_pred`` is the measurement image of ``pred`` at ``t``, which the
-    first pass uses; each later pass re-evaluates the measurement map at
-    ``t`` on the current iterate.  ``state`` supplies the gain's noise
-    term.  Every pass re-assembles the gain and applies ``beta_k G (y -
-    h_j)`` per particle.  All kappa passes always run.  With ``trace``
-    set, the returned trace records, per pass, the Frobenius norm of that
-    increment (the residual between consecutive iterates) and the norm of
-    the mean innovation; without it neither is computed and the trace is
-    None.
+    ``h_pred`` is the measurement image of ``pred`` at ``t``.  ``state``
+    supplies the gain's noise term.  Pass k re-assembles the gain ``G_k``
+    from the current iterate and applies ``beta_k G_k (y - h_j)`` per
+    particle.  All kappa passes always run.  With ``trace`` set, the
+    returned trace records, per pass, the Frobenius norm of that increment
+    (the residual between consecutive iterates) and the norm of the mean
+    innovation; without it neither is computed and the trace is None.
 
-    The iterate is one copy of ``pred``, updated in place by every pass.
-    Each pass centres it into ``state.work[1]`` (a new array when that
-    does not have the shape of ``pred``) and then forms its increment
-    there, so neither ``pred`` nor ``h_pred`` changes.
+    When ``meas.linear`` is set the passes run on moments
+    (:func:`_linear_passes`) and the result is one additive update of
+    ``pred``.  Otherwise the iterate is one copy of ``pred``, updated in
+    place by every pass, and each later pass re-evaluates the measurement
+    map at ``t`` on it.  Either way ``state.work[1]`` (a new array when
+    that does not have the shape of ``pred``) is the scratch the gain
+    centres into, and neither ``pred`` nor ``h_pred`` changes.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    ens = np.array(pred, dtype=float)
+    pred = np.asarray(pred, dtype=float)
     h_k = np.asarray(h_pred, dtype=float)
     record = (IterationTrace(residuals=np.empty(schedule.kappa),
                              innovation_norms=np.empty(schedule.kappa))
               if trace else None)
+    work = (state.work[1] if state.work.shape[1:] == pred.shape
+            else np.empty_like(pred))
+    if meas.linear:
+        ens = _linear_passes(pred, h_k, state, y, schedule, cfg, work, record)
+        require_finite(ens, "non-finite iterate")
+        return ens, record
+    ens = pred.copy()
     innov = np.empty_like(h_k)
-    work = (state.work[1] if state.work.shape[1:] == ens.shape
-            else np.empty_like(ens))
     for k, beta in enumerate(schedule.betas):
         if k:
             h_k = meas.evaluate(ens, t)
@@ -105,12 +118,77 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
         np.subtract(y[:, None], h_k, out=innov)
         incr = np.matmul(beta * gain, innov, out=work)
         ens += incr
-        if not all_finite(ens):
-            raise NumericFailure("non-finite iterate")
+        require_finite(ens, "non-finite iterate")
         if record is not None:
             record.residuals[k] = np.linalg.norm(incr)
             record.innovation_norms[k] = np.linalg.norm(innov.mean(axis=1))
     return ens, record
+
+
+def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
+                   y: np.ndarray, schedule: AnnealingSchedule,
+                   cfg: FilterConfig, work: np.ndarray,
+                   record: IterationTrace | None) -> np.ndarray:
+    """The passes of :func:`iterate_update` for a linear measurement map.
+
+    With ``h`` linear, ``h(X_k)`` of every iterate follows from
+    ``h(pred)``, so every pass is (n, q) and (q, q) algebra on the moments
+    ``cross_k = Xd_k Hd_k^T`` and ``C_k = Hd_k Hd_k^T``, formed once from
+    ``pred`` and ``h_pred``.  With ``A_k = beta_k G_k`` pass k's damped
+    gain, ``D_k`` its denominator, ``K_k = h(A_k) = beta_k (tc/N) C_k
+    D_k^{-1}`` and ``E_k = I - K_k``:
+
+        cross_{k+1} = (cross_k - A_k C_k) E_k^T = cross_k E_k^T E_k^T,
+        C_{k+1} = E_k C_k E_k^T,
+
+    since ``A_k C_k = cross_k K_k^T``.  So ``cross_k = cross_0 P_k`` with a
+    (q, q) ``P_k``, and each pass but the last solves only ``P_k`` and
+    ``C_k`` against its denominator.  Pass k's innovations are ``Q_k (y -
+    h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, so the last iterate is
+    one additive update ``pred + B (y - h(pred))`` with the step gain ``B
+    = sum_k A_k Q_k``.  Every pass's solve goes through
+    :func:`enks.core.compute_gain`; the last pass solves ``cross_0 P``
+    alone, so with kappa = 1 ``B`` is the plain gain and the step that of
+    :func:`enks.core.enks_step`, bit for bit.
+    """
+    N = pred.shape[1]
+    q = h_pred.shape[0]
+    eye = np.eye(q)
+    P = Q = eye
+    S = np.zeros((q, q))  # B = cross_0 S + A_last Q_last
+    if record is not None:
+        innov = y[:, None] - h_pred
+        mean = innov.mean(axis=1)
+
+    def note(k, AQ):
+        record.residuals[k] = np.linalg.norm(np.matmul(AQ, innov, out=work))
+        record.innovation_norms[k] = np.linalg.norm(Q @ mean)
+
+    # a diverging ensemble or iterate overflows here; the next pass's gain
+    # or the caller's finite check reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cross, hh = analysis_moments(pred, h_pred, work)
+        # compute_gain's arguments are positional, as bench/tracing.py
+        # reads them
+        for k, beta in enumerate(schedule.betas[:-1]):
+            gain = beta * compute_gain(np.concatenate((P, hh)), hh, cfg,
+                                       state.noise_term, None, N)
+            PDQ = gain[:q] @ Q  # A_k Q_k = cross_0 PDQ
+            S += PDQ
+            if record is not None:
+                note(k, cross @ PDQ)
+            E = eye - gain[q:]
+            hh = E @ hh @ E.T
+            P = P @ E.T @ E.T
+            Q = E @ Q
+        first = schedule.kappa == 1
+        A = schedule.betas[-1] * compute_gain(cross if first else cross @ P,
+                                              hh, cfg, state.noise_term,
+                                              None, N)
+        B = A if first else cross @ S + A @ Q
+        if record is not None:
+            note(schedule.kappa - 1, A if first else A @ Q)
+    return additive_update(pred, B, y, h_pred)
 
 
 def iterative_enks_step(state: FilterState, proc: ProcessModel,

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NumericFailure
+
 
 def all_finite(x: np.ndarray) -> bool:
     """Whether every entry of ``x`` is finite.
@@ -22,6 +24,19 @@ def all_finite(x: np.ndarray) -> bool:
     ``ndarray.all``, which the filter steps would pay on every check.
     """
     return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
+
+
+def require_finite(ens: np.ndarray, message: str, t: Optional[float] = None
+                   ) -> None:
+    """Raise ``NumericFailure(message)`` unless every entry of ``ens`` is finite.
+
+    The failure names the first particle (column of the ``(n, N)``
+    ensemble) with a non-finite entry; that column is looked for only on
+    the failure path.
+    """
+    if not all_finite(ens):
+        particle = int(np.argmax(~np.isfinite(ens).all(axis=0)))
+        raise NumericFailure(message, t=t, particle=particle)
 
 
 def validate_ensemble(ens: np.ndarray, n: Optional[int] = None) -> np.ndarray:
@@ -113,12 +128,19 @@ class MeasurementModel:
         ``(q, q)`` noise intensity matrix.
     dt_scale : float
         Step length used to scale the intensity, sigma = nu * dt_scale.
+    linear : bool
+        Set where a model is built when ``h`` is linear in the state:
+        ``h(a X + b Z, t) = a h(X, t) + b h(Z, t)`` for every ``t``, so
+        ``h(0, t) = 0``.  :func:`enks.iterative.iterate_update` then runs
+        its passes on the ensemble's moments and evaluates ``h`` on no
+        iterate.  A map that is not linear must leave it False.
     """
 
     q: int
     h: Callable[[np.ndarray, float], np.ndarray]
     nu: np.ndarray
     dt_scale: float
+    linear: bool = False
 
     def __post_init__(self):
         if self.q < 1:

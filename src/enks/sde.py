@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .models import (MeasurementModel, MeasurementSeries, ProcessModel,
-                     all_finite)
+                     require_finite)
 from .rng import ParticleNoise, RngStream
 
 
@@ -64,10 +64,7 @@ def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
     dB = noise.increments(model.m, dt) if model.m else None
     with np.errstate(over="ignore", invalid="ignore"):
         out = _em(model, ens, t_prev, dt, dB, out)
-    if not all_finite(out):
-        j = int(np.argmax(~np.isfinite(out).all(axis=0)))
-        raise NumericFailure("non-finite particle after prediction",
-                             t=t_prev + dt, particle=j)
+    require_finite(out, "non-finite particle after prediction", t=t_prev + dt)
     return out
 
 

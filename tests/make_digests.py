@@ -2,7 +2,11 @@
 
 Run from the repository root with
 
-    PYTHONPATH=src python tests/make_digests.py
+    PYTHONPATH=src python tests/make_digests.py [--check]
+
+``--check`` writes nothing: it prints the keys whose digest differs from
+the file (or is missing from either side) and exits with status 1 if any
+does.
 
 Each digest is the sha256 of one array's bytes from ``run_experiment``:
 the truth, and every filter's means and stds, for every problem at seeds
@@ -14,9 +18,11 @@ compares against the file only where they match.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +73,28 @@ def digests() -> dict:
     return out
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print the keys that differ from the file; "
+                             "write nothing")
+    args = parser.parse_args(argv)
+    if args.check:
+        recorded = json.loads(PATH.read_text(encoding="utf-8"))
+        if recorded["environment"] != environment():
+            print(f"recorded in another environment: "
+                  f"{recorded['environment']}")
+        before, now = recorded["digests"], digests()
+        keys = sorted(k for k in before.keys() | now.keys()
+                      if before.get(k) != now.get(k))
+        print("\n".join(keys) if keys else "no digest differs")
+        return 1 if keys else 0
     PATH.write_text(json.dumps({"environment": environment(),
                                 "digests": digests()}, indent=1) + "\n",
                     encoding="utf-8")
     print(f"wrote {PATH}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enks.benchmarks import (LinearGaussianSpec, PendulumSpec, PopulationSpec,
+from enks.benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
+                             PopulationSpec,
                              ShearFrameSpec, build_linear_gaussian,
                              build_pendulum, build_population, build_problem,
                              build_shear_frame,
@@ -377,3 +378,38 @@ def test_truth_reproducibility():
     a = simulate_truth(proc, np.array([2.1]), grid, RngStream(6, 0))
     b = simulate_truth(proc, np.array([2.1]), grid, RngStream(6, 0))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("problem_id", PROBLEM_IDS)
+def test_measurement_map_declared_linear_is_linear(problem_id):
+    # a map declared linear lets enks-iter run its passes on moments, so
+    # the declaration must hold: h(aX + bZ) = a h(X) + b h(Z) to rounding
+    # and h(0) = 0, at any time.  The pendulum's reaction is not linear,
+    # every other registry map is
+    problem = build_problem(problem_id)
+    meas, n = problem.meas, problem.proc_filter.n
+    assert meas.linear == (problem_id != "pendulum")
+    # the harness finalizes the noise level through with_noise_std
+    assert problem.with_noise_std(np.full(meas.q, 0.3), 0.02).meas.linear \
+        == meas.linear
+    if not meas.linear:
+        return
+    rng = RngStream(21, 0)
+    X = 5.0 * rng.standard_normal((n, 6))
+    Z = 5.0 * rng.standard_normal((n, 6))
+    a, b = 0.7, -1.9
+    for t in (0.0, 0.37, 4.5):
+        hX, hZ = meas.evaluate(X, t), meas.evaluate(Z, t)
+        combined = meas.evaluate(a * X + b * Z, t)
+        scale = np.abs(a * hX).max() + np.abs(b * hZ).max()
+        assert np.allclose(combined, a * hX + b * hZ, rtol=0,
+                           atol=1e-14 * scale)
+        assert np.array_equal(meas.evaluate(np.zeros((n, 3)), t),
+                              np.zeros((meas.q, 3)))
+
+
+def test_twin_data_keeps_the_linear_declaration():
+    for problem_id in ("frame4-damaged", "pendulum"):
+        problem, _, _, _ = make_twin_data(ExperimentConfig(
+            problem=problem_id, N=8, horizon=0.05, emit_outputs=False))
+        assert problem.meas.linear == (problem_id != "pendulum")

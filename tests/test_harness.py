@@ -526,6 +526,55 @@ class TestRunFilterSeries:
         assert isinstance(err.__cause__, NumericFailure)
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_analysis_failure_carries_filter_step_and_particle(self, kind):
+        # a non-finite particle in a step's analysis (particle 5 of step 3,
+        # put into the update's result or the EnKF's perturbations) fails
+        # the step's own finite check, which names the particle; the run
+        # re-raises it with the filter and the step
+        problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
+        assert problem.meas.linear  # enks-iter ends in one additive update
+        calls = []
+
+        def poisoned(x):
+            calls.append(None)
+            if len(calls) == 4:
+                x[:, 5] = np.nan
+            return x
+
+        if kind == "enkf":
+            class Perturbations:
+                def __init__(self, stream):
+                    self.stream = stream
+
+                def standard_normal(self, shape):
+                    return poisoned(self.stream.standard_normal(shape))
+
+            step = harness.enkf_step
+            owner, name = harness, "enkf_step"
+
+            def patched(state, proc, meas, y, cfg, noise, perturb, dt):
+                return step(state, proc, meas, y, cfg, noise,
+                            Perturbations(perturb), dt)
+        else:
+            owner = core if kind == "enks" else iterative
+            name, update = "additive_update", owner.additive_update
+
+            def patched(*args):
+                return poisoned(update(*args))
+
+        with mock.patch.object(owner, name, patched), \
+                pytest.raises(NumericFailure) as info:
+            run_filter_series(kind, problem, series, ens0, fcfg,
+                              schedule=make_schedule(3))
+        err, cause = info.value, info.value.__cause__
+        assert (err.step, err.particle, cause.particle) == (3, 5, 5)
+        assert err.t == pytest.approx(series.times[3])
+        assert str(cause).startswith({
+            "enks": "non-finite ensemble after update",
+            "enks-iter": "non-finite iterate",
+            "enkf": "non-finite analysis ensemble"}[kind])
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_overflowing_ensemble_fails_without_warnings(self, kind):
         # finite members whose statistics overflow: a NumericFailure, and
         # no numpy RuntimeWarning on the way

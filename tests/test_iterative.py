@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enks.benchmarks import PROBLEM_IDS
 from enks.core import (FilterConfig, FilterState, additive_update,
                        compute_gain, enks_step, make_initial_state)
 from enks.iterative import (AnnealingSchedule, iterate_update,
@@ -135,16 +137,19 @@ class TestIterateUpdate:
     def test_trace_records_increment_and_mean_innovation(self):
         # on a frame4-damaged step, residuals[k] is the distance between
         # consecutive iterates and innovation_norms[k] the norm of
-        # y - mean h(iterate_k); the measurement map sees every iterate
+        # y - mean h(iterate_k).  The iterates come from the pass loop (the
+        # map declared not linear), where the measurement map sees every
+        # one; the step as declared runs on moments, and its trace must
+        # match the same iterates
         from enks.harness import (ExperimentConfig, initial_ensemble,
                                   make_twin_data)
         N, seed, kappa = 50, 1, 10
         cfg = ExperimentConfig(problem="frame4-damaged", filters=("enks-iter",),
                                N=N, seed=seed, emit_outputs=False)
         problem, truth, series, grid = make_twin_data(cfg)
+        assert problem.meas.linear
         fcfg = FilterConfig(dt=grid[0], seed=seed)
-        state = make_initial_state(initial_ensemble(problem, N, seed),
-                                   problem.meas, fcfg)
+        ens0 = initial_ensemble(problem, N, seed)
         seen = []
         evaluate = MeasurementModel.evaluate
 
@@ -154,26 +159,36 @@ class TestIterateUpdate:
             return h
 
         y = series.values[:, 0]
-        with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
-                               side_effect=record):
-            new, trace = iterative_enks_step(state, problem.proc_filter,
-                                             problem.meas, y, fcfg,
-                                             particle_streams(seed, N),
-                                             make_schedule(kappa), trace=True)
-        iterates = [ens for ens, _ in seen] + [new.ensemble]
+        traces = []
+        for meas in (replace(problem.meas, linear=False), problem.meas):
+            state = make_initial_state(ens0, meas, fcfg)
+            with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
+                                   side_effect=record):
+                new, trace = iterative_enks_step(state, problem.proc_filter,
+                                                 meas, y, fcfg,
+                                                 particle_streams(seed, N),
+                                                 make_schedule(kappa),
+                                                 trace=True)
+            if not traces:
+                loop_seen, loop_new = seen[:], new.ensemble
+            traces.append(trace)
+        # the loop evaluated every iterate, the moments route only pred
+        assert len(seen) == kappa + 1
+        iterates = [ens for ens, _ in loop_seen] + [loop_new]
         assert len(iterates) == kappa + 1
         residuals = np.array([np.linalg.norm(b - a)
                               for a, b in zip(iterates, iterates[1:])])
-        innovations = [np.linalg.norm(y - h.mean(axis=1)) for _, h in seen]
+        innovations = [np.linalg.norm(y - h.mean(axis=1)) for _, h in loop_seen]
         # iterate_{k+1} is ens + incr rounded, off by at most half an ulp
         # per entry; the early increments are 1e-8 of the ensemble's norm,
         # so that rounding, not rtol, bounds their difference
         rounding = np.finfo(float).eps * np.array(
             [np.linalg.norm(b) for b in iterates[1:]])
-        assert np.all(np.abs(trace.residuals - residuals)
-                      <= 1e-12 * residuals + rounding)
-        assert np.allclose(trace.innovation_norms, innovations, rtol=1e-12,
-                           atol=0)
+        for trace in traces:
+            assert np.all(np.abs(trace.residuals - residuals)
+                          <= 1e-12 * residuals + rounding)
+            assert np.allclose(trace.innovation_norms, innovations,
+                               rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("problem_id", ["frame4-damaged",
                                             "linear-gaussian"])
@@ -309,3 +324,71 @@ class TestIterateUpdate:
                                              make_schedule(50), trace=True)
             assert np.isfinite(new.ensemble).all(), problem_id
             assert np.isfinite(trace.residuals).all(), problem_id
+
+
+def short_run(problem_id, N, steps, seed=1):
+    """A problem's twin data cut to ``steps`` steps, its ensemble and config."""
+    from enks.benchmarks import build_problem
+    from enks.harness import (ExperimentConfig, initial_ensemble,
+                              make_twin_data)
+    dt = build_problem(problem_id).default_dt
+    cfg = ExperimentConfig(problem=problem_id, N=N, seed=seed,
+                           horizon=steps * dt, emit_outputs=False)
+    problem, _, series, grid = make_twin_data(cfg)
+    return (problem, series, initial_ensemble(problem, N, seed),
+            FilterConfig(dt=grid[0], seed=seed))
+
+
+LINEAR_PROBLEMS = tuple(p for p in PROBLEM_IDS if p != "pendulum")
+
+
+class TestMomentsRoute:
+    """enks-iter on a linear map runs its passes on moments; the pass loop
+    over the iterate is the reference it must reproduce."""
+
+    @pytest.mark.parametrize("problem_id", LINEAR_PROBLEMS)
+    def test_matches_the_pass_loop(self, problem_id):
+        from enks.harness import run_filter_series
+        N = 80 if problem_id == "frame50" else 40
+        problem, series, ens0, fcfg = short_run(problem_id, N, 6)
+        assert problem.meas.linear
+        runs = [run_filter_series("enks-iter", replace(problem, meas=meas),
+                                  series, ens0, fcfg,
+                                  schedule=make_schedule(10),
+                                  collect_traces=True)
+                for meas in (problem.meas,
+                             replace(problem.meas, linear=False))]
+        (means, stds, traces), (means_loop, stds_loop, traces_loop) = runs
+        assert np.all(np.abs(means - means_loop) <= 1e-10 * stds_loop)
+        assert np.all(np.abs(stds - stds_loop) <= 1e-10 * stds_loop)
+        for trace, loop in zip(traces, traces_loop, strict=True):
+            assert np.allclose(trace.residuals, loop.residuals, rtol=1e-12,
+                               atol=0)
+            assert np.allclose(trace.innovation_norms, loop.innovation_norms,
+                               rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
+    def test_kappa_one_is_the_plain_step_bitwise(self, problem_id):
+        from enks.harness import run_filter_series
+        problem, series, ens0, fcfg = short_run(problem_id, 30, 5)
+        plain = run_filter_series("enks", problem, series, ens0, fcfg)
+        one = run_filter_series("enks-iter", problem, series, ens0, fcfg,
+                                schedule=make_schedule(1))
+        assert np.array_equal(plain[0], one[0])
+        assert np.array_equal(plain[1], one[1])
+
+    @pytest.mark.parametrize("problem_id", ["frame4-damaged", "pendulum"])
+    def test_measurement_map_evaluations_per_step(self, problem_id):
+        # cost guard: a linear map is evaluated on the ensemble once per
+        # step, by the forecast; the pendulum's once per pass
+        from enks.harness import run_filter_series
+        kappa = 4
+        problem, series, ens0, fcfg = short_run(problem_id, 12, 3)
+        evaluate = MeasurementModel.evaluate
+        with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
+                               side_effect=evaluate) as counted:
+            run_filter_series("enks-iter", problem, series, ens0, fcfg,
+                              schedule=make_schedule(kappa))
+        per_step = 1 if problem.meas.linear else kappa
+        assert counted.call_count == per_step * len(series) == (
+            3 if problem_id == "frame4-damaged" else 12)
