@@ -27,9 +27,10 @@ form's passes on a linear map take without an ensemble.
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
 Dense solves call numpy's own LAPACK gufuncs, ``cholesky_lo`` and
-``solve`` of ``numpy.linalg._umath_linalg``: the bits of
-``np.linalg.cholesky`` and ``np.linalg.solve`` without their Python
-wrappers.  A step then runs all its BLAS work in one library and one
+``solve`` of ``numpy.linalg._umath_linalg``, and the iterative form's
+whitening (:func:`whitened_spectrum`) ``inv`` and ``eigh_lo``: the bits
+of ``np.linalg.cholesky``, ``solve``, ``inv`` and ``eigh`` without their
+Python wrappers.  A step then runs all its BLAS work in one library and one
 thread pool.  While a run draws its Brownian panels ahead
 (:meth:`enks.rng.ParticleNoise.drawing_ahead`) that pool is pinned to one
 thread, so the draw helper does not compete with a second BLAS thread for
@@ -136,12 +137,19 @@ def row_moments(x: np.ndarray, work: np.ndarray
 
     The bits of ``x.mean(axis=1)`` and ``x.std(axis=1, ddof=1)``, from one
     mean: the deviations are formed and squared in ``work``, an array of
-    the shape of ``x`` that does not alias it.
+    the shape of ``x`` that does not alias it.  Finite entries whose sum
+    or squared deviation overflows (above about 1e154) raise
+    ``NumericFailure("ensemble moments overflow")`` rather than a numpy
+    warning or an infinite std.
     """
-    mean = row_mean(x)
-    dev = np.subtract(x, mean, out=work)
-    np.multiply(dev, dev, out=dev)
-    var = np.add.reduce(dev, axis=1) / (x.shape[1] - 1)
+    try:
+        with np.errstate(over="raise"):
+            mean = row_mean(x)
+            dev = np.subtract(x, mean, out=work)
+            np.multiply(dev, dev, out=dev)
+            var = np.add.reduce(dev, axis=1) / (x.shape[1] - 1)
+    except FloatingPointError:
+        raise NumericFailure("ensemble moments overflow") from None
     return mean[:, 0], np.sqrt(var, out=var)
 
 
@@ -183,15 +191,44 @@ def gain_from_moments(cross: np.ndarray, hh: np.ndarray, scale: float,
     and only then is the denominator checked for finiteness.  It runs
     under the caller's ``errstate``, as :func:`analysis_moments` does.
     """
-    non_finite_denom, not_definite, non_finite_gain = failures
-    denom = weight * hh + noise_term
-    if not all_finite(_umath_linalg.cholesky_lo(denom)):
-        raise NumericFailure(not_definite if all_finite(denom)
-                             else non_finite_denom)
+    denom, _ = factor_denominator(hh, weight, noise_term, failures)
     gain = scale * _umath_linalg.solve(denom, cross.T).T
     if not all_finite(gain):
-        raise NumericFailure(non_finite_gain)
+        raise NumericFailure(failures[2])
     return gain
+
+
+def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
+                       failures: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The denominator ``D = weight hh + noise_term`` and its Cholesky factor.
+
+    The lower factor is numpy's LAPACK gufunc ``cholesky_lo``, which
+    leaves a NaN factor when ``D`` is not positive definite; ``D`` is
+    checked for finiteness only then, to name the first or second of
+    ``failures`` (:func:`gain_from_moments`).  It runs under the caller's
+    ``errstate``.
+    """
+    denom = weight * hh + noise_term
+    factor = _umath_linalg.cholesky_lo(denom)
+    if not all_finite(factor):
+        raise NumericFailure(failures[1] if all_finite(denom) else failures[0])
+    return denom, factor
+
+
+def whitened_spectrum(hh: np.ndarray, factor: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of ``hh`` whitened by the lower factor ``L``: ``(mu, W, U)``.
+
+    ``L^{-1} hh L^{-T} = V diag(mu) V^T`` is one symmetric eigensolve (the
+    gufunc ``eigh_lo``, which reads the lower triangle), with ``L^{-1}``
+    from the gufunc ``inv``; ``W = L^{-T} V`` and ``U = L V``, so ``hh =
+    U diag(mu) U^T``, ``L L^T = U U^T`` and ``W^T U = U W^T = I``.  It
+    runs under the caller's ``errstate``: a failed eigensolve leaves NaNs,
+    which the caller's later checks report.
+    """
+    inverse = _umath_linalg.inv(factor)
+    mu, V = _umath_linalg.eigh_lo(inverse @ hh @ inverse.T)
+    return mu, inverse.T @ V, factor @ V
 
 
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
@@ -229,15 +266,19 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
     ``Xd 1`` and ``Hd 1``, which are zero (module docstring).
     """
     moments = N is not None
-    if not moments:
-        N = np.shape(pred)[1]
-    if N < 2:
-        raise ValueError("the gain needs at least 2 particles")
+    scale, weight = gain_weights(cfg, N if moments else np.shape(pred)[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cross, hh = ((pred, h_pred) if moments
                      else analysis_moments(pred, h_pred, work))
-        return gain_from_moments(cross, hh, cfg.dt / N, cfg.alpha / (N - 1),
-                                 noise_term, GAIN_FAILURES)
+        return gain_from_moments(cross, hh, scale, weight, noise_term,
+                                 GAIN_FAILURES)
+
+
+def gain_weights(cfg: FilterConfig, N: int) -> tuple[float, float]:
+    """The EnKS gain's scale ``tc/N`` and blend weight ``alpha/(N-1)``."""
+    if N < 2:
+        raise ValueError("the gain needs at least 2 particles")
+    return cfg.dt / N, cfg.alpha / (N - 1)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,

@@ -198,7 +198,7 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     each of the run's ``M`` panels a step ahead when its panels are large
     enough (:meth:`ParticleNoise.drawing_ahead`); its helper thread is
     joined, and the BLAS thread count restored, before this returns or
-    raises.  A step's ``NumericFailure`` is
+    raises.  A step's ``NumericFailure``, or one from its moments, is
     re-raised with the filter kind, the step index and the step's
     measurement time, its particle kept.  Each step's mean and ``ddof=1``
     std come from one mean, the deviations formed in the state's
@@ -246,14 +246,14 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     with (streams.drawing_ahead(proc.m, M) if isinstance(streams, ParticleNoise)
           else contextlib.nullcontext()):
         for i in range(M):
+            t = state.t_curr + cfg.dt
             try:
                 state = step(state, series.values[:, i])
+                means[:, i], stds[:, i] = row_moments(state.ensemble,
+                                                      state.work[0])
             except NumericFailure as err:
-                raise NumericFailure(f"{kind} filter failed",
-                                     t=state.t_curr + cfg.dt, step=i,
+                raise NumericFailure(f"{kind} filter failed", t=t, step=i,
                                      particle=err.particle) from err
-            means[:, i], stds[:, i] = row_moments(state.ensemble,
-                                                  state.work[0])
     return means, stds, extra
 
 

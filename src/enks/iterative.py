@@ -11,8 +11,12 @@ When the measurement map is linear (``MeasurementModel.linear``), each
 pass's moments follow exactly from the previous pass's small matrices,
 so the passes run on ``(n, q)`` and ``(q, q)`` arrays and the step is
 one additive update of the prediction with the summed step gain: the
-map is evaluated once per step and the ensemble updated once.  Other
-maps run the passes on the iterate itself.
+map is evaluated once per step and the ensemble updated once.  Every
+pass's matrices are then functions of one symmetric ``(q, q)`` matrix,
+the measured moment whitened by the first denominator, so one
+eigendecomposition of it gives the kappa - 1 damped passes in closed
+form, as a recursion on q numbers; the last pass alone solves against
+its denominator.  Other maps run the passes on the iterate itself.
 
 The per-pass trace (increment and mean-innovation norms) is computed only
 on request: ``trace=True`` here, ``collect_traces`` in
@@ -26,8 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FilterConfig, FilterState, additive_update,
-                   analysis_moments, compute_gain, forecast)
+from .core import (GAIN_FAILURES, FilterConfig, FilterState,
+                   additive_update, analysis_moments, compute_gain,
+                   factor_denominator, forecast, gain_weights,
+                   whitened_spectrum)
 from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise
 
@@ -90,7 +96,8 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     innovation; without it neither is computed and the trace is None.
 
     When ``meas.linear`` is set the passes run on moments
-    (:func:`_linear_passes`) and the result is one additive update of
+    (:func:`_linear_passes`): one eigendecomposition gives the damped
+    passes, one gain the last, and the result is one additive update of
     ``pred``.  Otherwise the iterate is one copy of ``pred``, updated in
     place by every pass, and each later pass re-evaluates the measurement
     map at ``t`` on it.  Either way ``state.work[1]`` (a new array when
@@ -134,60 +141,95 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     With ``h`` linear, ``h(X_k)`` of every iterate follows from
     ``h(pred)``, so every pass is (n, q) and (q, q) algebra on the moments
     ``cross_k = Xd_k Hd_k^T`` and ``C_k = Hd_k Hd_k^T``, formed once from
-    ``pred`` and ``h_pred``.  With ``A_k = beta_k G_k`` pass k's damped
-    gain, ``D_k`` its denominator, ``K_k = h(A_k) = beta_k (tc/N) C_k
+    ``pred`` and ``h_pred``.  With ``s = tc/N``, ``w = alpha/(N-1)``,
+    ``R0`` the noise term, ``A_k = beta_k G_k`` pass k's damped gain,
+    ``D_k = w C_k + R0`` its denominator, ``K_k = h(A_k) = beta_k s C_k
     D_k^{-1}`` and ``E_k = I - K_k``:
 
         cross_{k+1} = (cross_k - A_k C_k) E_k^T = cross_k E_k^T E_k^T,
         C_{k+1} = E_k C_k E_k^T,
 
-    since ``A_k C_k = cross_k K_k^T``.  So ``cross_k = cross_0 P_k`` with a
-    (q, q) ``P_k``, and each pass but the last solves only ``P_k`` and
-    ``C_k`` against its denominator.  Pass k's innovations are ``Q_k (y -
-    h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, so the last iterate is
-    one additive update ``pred + B (y - h(pred))`` with the step gain ``B
-    = sum_k A_k Q_k``.  Every pass's solve goes through
-    :func:`enks.core.compute_gain`; the last pass solves ``cross_0 P``
-    alone, so with kappa = 1 ``B`` is the plain gain and the step that of
-    :func:`enks.core.enks_step`, bit for bit.
+    since ``A_k C_k = cross_k K_k^T``.  So ``cross_k = cross_0 P_k`` with
+    ``P_0 = I``, ``P_{k+1} = P_k E_k^T E_k^T``.  Pass k's innovations are
+    ``Q_k (y - h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, so the last
+    iterate is one additive update ``pred + B (y - h(pred))`` with the
+    step gain ``B = sum_k A_k Q_k = cross_0 S + A_last Q_last``, ``S =
+    sum_{k < kappa-1} beta_k s P_k D_k^{-1} Q_k``.
+
+    Every pass but the last is diagonal in one basis.  Factor ``D_0 = L
+    L^T`` and diagonalize ``L^{-1} C_0 L^{-T} = V diag(mu_0) V^T``
+    (:func:`enks.core.whitened_spectrum`); with ``W = L^{-T} V`` and ``U =
+    L V``, ``U W^T = W^T U = I``, ``C_0 = U diag(mu_0) U^T`` and ``R0 =
+    U diag(r) U^T``, ``r = 1 - w mu_0``.  If ``C_k = U diag(mu_k) U^T``,
+    then ``D_k = U diag(d_k) U^T`` with ``d_k = w mu_k + r``, ``K_k = U
+    diag(beta_k s mu_k / d_k) W^T`` and ``E_k = U diag(eps_k) W^T``,
+    ``eps_k = 1 - beta_k s mu_k / d_k``, so ``C_{k+1}`` is diagonal too,
+    with ``mu_{k+1} = eps_k^2 mu_k``.  With ``e_k = prod_{j<k} eps_j``:
+
+        P_k = W diag(e_k^2) U^T,   Q_k = U diag(e_k) W^T,
+        A_k Q_k = cross_0 W diag(beta_k s e_k^3 / d_k) W^T,
+
+    and ``S = W diag(Phi) W^T``, ``Phi = sum_{k < kappa-1} beta_k s
+    e_k^3 / d_k``.  The kappa - 1 damped passes are this recursion on q
+    numbers; ``mu`` and ``r`` are clipped at 0, so that rounding cannot
+    make a ``d_k`` negative.  The factor of ``D_0`` is the first pass's
+    positive-definiteness check, with its failures.  The last pass is a
+    solve as before, through :func:`enks.core.compute_gain`: ``A_last =
+    beta_last G(cross_0 P, C)`` with ``P = W diag(e^2) U^T`` and ``C = U
+    diag(mu) U^T``.  With kappa = 1 there is no damped pass, ``B`` is the
+    plain gain and the step that of :func:`enks.core.enks_step`, bit for
+    bit.
     """
     N = pred.shape[1]
-    q = h_pred.shape[0]
-    eye = np.eye(q)
-    P = Q = eye
-    S = np.zeros((q, q))  # B = cross_0 S + A_last Q_last
+    damped = schedule.betas[:-1]
     if record is not None:
         innov = y[:, None] - h_pred
         mean = innov.mean(axis=1)
-
-    def note(k, AQ):
-        record.residuals[k] = np.linalg.norm(np.matmul(AQ, innov, out=work))
-        record.innovation_norms[k] = np.linalg.norm(Q @ mean)
-
-    # a diverging ensemble or iterate overflows here; the next pass's gain
-    # or the caller's finite check reports it
+    # a diverging ensemble overflows here; the gain's or the caller's
+    # finite checks report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cross, hh = analysis_moments(pred, h_pred, work)
+        rows = cross  # the last pass solves cross_0 P
+        if damped:
+            scale, weight = gain_weights(cfg, N)
+            _, factor = factor_denominator(hh, weight, state.noise_term,
+                                           GAIN_FAILURES)
+            mu, W, U = whitened_spectrum(hh, factor)
+            np.maximum(mu, 0.0, out=mu)
+            r = np.maximum(1.0 - weight * mu, 0.0)
+            e = np.ones_like(mu)
+            phi = np.zeros_like(mu)
+            if record is not None:
+                cross_W, W_innov, W_mean = cross @ W, W.T @ innov, W.T @ mean
+            for k, beta in enumerate(damped):
+                damp = beta * scale / (weight * mu + r)  # beta_k s / d_k
+                f = damp * e ** 3  # A_k Q_k = cross_0 W diag(f) W^T
+                phi += f
+                if record is not None:
+                    record.residuals[k] = np.linalg.norm(
+                        np.matmul(cross_W * f, W_innov, out=work))
+                    record.innovation_norms[k] = np.linalg.norm(
+                        U @ (e * W_mean))
+                eps = 1.0 - damp * mu
+                mu *= eps * eps
+                e *= eps
+            rows = cross @ ((W * (e * e)) @ U.T)
+            hh = (U * mu) @ U.T
         # compute_gain's arguments are positional, as bench/tracing.py
         # reads them
-        for k, beta in enumerate(schedule.betas[:-1]):
-            gain = beta * compute_gain(np.concatenate((P, hh)), hh, cfg,
-                                       state.noise_term, None, N)
-            PDQ = gain[:q] @ Q  # A_k Q_k = cross_0 PDQ
-            S += PDQ
-            if record is not None:
-                note(k, cross @ PDQ)
-            E = eye - gain[q:]
-            hh = E @ hh @ E.T
-            P = P @ E.T @ E.T
-            Q = E @ Q
-        first = schedule.kappa == 1
-        A = schedule.betas[-1] * compute_gain(cross if first else cross @ P,
-                                              hh, cfg, state.noise_term,
+        A = schedule.betas[-1] * compute_gain(rows, hh, cfg, state.noise_term,
                                               None, N)
-        B = A if first else cross @ S + A @ Q
+        if damped:
+            Q = (U * e) @ W.T
+            A = A @ Q  # A_last Q_last
+            B = cross @ ((W * phi) @ W.T) + A
+        else:
+            B = A
         if record is not None:
-            note(schedule.kappa - 1, A if first else A @ Q)
+            record.residuals[-1] = np.linalg.norm(np.matmul(A, innov,
+                                                            out=work))
+            record.innovation_norms[-1] = np.linalg.norm(
+                Q @ mean if damped else mean)
     return additive_update(pred, B, y, h_pred)
 
 

@@ -9,8 +9,8 @@ A run that draws its Brownian panels ahead pins numpy's OpenBLAS to one
 thread through two symbols of numpy's core module; a second guard checks,
 in a fresh interpreter, that they are still there and set the count.
 
-The analysis kernel calls two private LAPACK gufuncs of numpy directly; a
-third guard checks, in a fresh interpreter, that they are still there,
+The analysis kernels call four private LAPACK gufuncs of numpy directly;
+a third guard checks, in a fresh interpreter, that they are still there,
 give the bits of the public calls and report a failed factorization as a
 non-finite factor.
 """
@@ -117,13 +117,20 @@ import numpy as np
 from numpy.linalg import _umath_linalg as lapack
 
 warnings.simplefilter("error")
-print(hasattr(lapack, "cholesky_lo"), hasattr(lapack, "solve"))
+print(*(hasattr(lapack, name)
+        for name in ("cholesky_lo", "solve", "inv", "eigh_lo")))
 rng = np.random.default_rng(0)
 same = []
 for q in (1, 50):
     a = rng.standard_normal((q, q + 5))
     A = a @ a.T + 0.1 * np.eye(q)
-    same.append(np.array_equal(lapack.cholesky_lo(A), np.linalg.cholesky(A)))
+    L = lapack.cholesky_lo(A)
+    same.append(np.array_equal(L, np.linalg.cholesky(A)))
+    # the whitening of iterative._linear_passes: the inverse of a factor,
+    # and the eigenpairs of a symmetric matrix from its lower triangle
+    same.append(np.array_equal(lapack.inv(L), np.linalg.inv(L)))
+    for ours, public in zip(lapack.eigh_lo(A), np.linalg.eigh(A)):
+        same.append(np.array_equal(ours, public))
     for r in (1, 200):
         # a C-ordered right-hand side, and a transposed view like the
         # kernel's cross.T
@@ -138,11 +145,12 @@ print(np.isfinite(factor).all())
 
 
 def test_numpy_exports_the_lapack_gufuncs_of_the_kernel():
-    # core.analysis_gain calls cholesky_lo and solve without np.linalg's
+    # core.analysis_gain calls cholesky_lo and solve, and
+    # core.whitened_spectrum inv and eigh_lo, without np.linalg's
     # wrappers; a numpy that moves them or changes what a failed
-    # factorization leaves fails here rather than slowing the kernel down
+    # factorization leaves fails here rather than slowing the kernels down
     # or naming the wrong failure
     done = subprocess.run([sys.executable, "-c", LAPACK_SCRIPT],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["True", "True", "10", "True", "False"]
+    assert done.stdout.split() == ["True"] * 4 + ["16", "True", "False"]

@@ -424,25 +424,37 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_one_cholesky_and_one_solve_per_analysis(self, kind):
         # cost guard: each analysis (an enks or enkf step, an enks-iter
-        # pass) checks its denominator with one Cholesky factorization and
-        # solves with one LU solve, both numpy's LAPACK gufuncs called
-        # directly; the EnKF factors R once per run besides, through
-        # np.linalg.cholesky, and nothing goes through np.linalg.solve
-        problem, series, ens0, fcfg = self.setup_data("frame4-damaged", 12, 0.05)
-        kappa = 3
-        analyses = len(series) * (kappa if kind == "enks-iter" else 1)
-        lapack = mock.Mock(wraps=core._umath_linalg)
-        with mock.patch.object(core, "_umath_linalg", lapack), \
-                mock.patch.object(np.linalg, "cholesky",
-                                  wraps=np.linalg.cholesky) as cholesky, \
-                mock.patch.object(np.linalg, "solve",
-                                  wraps=np.linalg.solve) as solve:
-            run_filter_series(kind, problem, series, ens0, fcfg,
-                              schedule=make_schedule(kappa))
-        assert lapack.cholesky_lo.call_count == analyses
-        assert lapack.solve.call_count == analyses
-        assert cholesky.call_count == (kind == "enkf")
-        assert solve.call_count == 0
+        # pass on the pendulum's map) checks its denominator with one
+        # Cholesky factorization and solves with one LU solve, both numpy's
+        # LAPACK gufuncs called directly.  An enks-iter step on a linear
+        # map, whatever kappa, factors its first denominator, diagonalizes
+        # the whitened moment with one inverse and one symmetric
+        # eigensolve, and factors and solves its last pass.  The EnKF
+        # factors R once per run besides, through np.linalg.cholesky, and
+        # nothing goes through np.linalg.solve
+        cases = ([("frame4-damaged", 3), ("frame4-damaged", 10),
+                  ("pendulum", 3)] if kind == "enks-iter"
+                 else [("frame4-damaged", 3)])
+        for problem_id, kappa in cases:
+            problem, series, ens0, fcfg = self.setup_data(problem_id, 12, 0.05)
+            steps = len(series)
+            spectral = kind == "enks-iter" and problem.meas.linear
+            analyses = steps * (kappa if kind == "enks-iter" and not spectral
+                                else 1)
+            lapack = mock.Mock(wraps=core._umath_linalg)
+            with mock.patch.object(core, "_umath_linalg", lapack), \
+                    mock.patch.object(np.linalg, "cholesky",
+                                      wraps=np.linalg.cholesky) as cholesky, \
+                    mock.patch.object(np.linalg, "solve",
+                                      wraps=np.linalg.solve) as solve:
+                run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(kappa))
+            assert lapack.cholesky_lo.call_count == analyses + steps * spectral
+            assert lapack.solve.call_count == analyses
+            assert lapack.inv.call_count == steps * spectral
+            assert lapack.eigh_lo.call_count == steps * spectral
+            assert cholesky.call_count == (kind == "enkf")
+            assert solve.call_count == 0
 
     def test_iterative_run_computes_traces_only_on_request(self):
         # cost guard: an enks-iter run reaches harness.iterative_enks_step
@@ -588,8 +600,52 @@ class TestRunFilterSeries:
         assert info.value.step == 0
         assert info.value.t == pytest.approx(series.times[0])
 
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_overflowing_moments_fail_the_step_that_made_them(self, kind):
+        # a two-state model measuring x[1] alone, N = 8: the unmeasured
+        # x[0] of one particle grows a hundredfold a step from 1e150, so
+        # every step succeeds with finite entries, and the recorded
+        # moments overflow from step 2 (1e156 squared).  The run ends
+        # there with a NumericFailure naming the filter, the step and its
+        # time, and no numpy warning on the way
+        from enks.benchmarks import Problem
+        from enks.models import (MeasurementModel, MeasurementSeries,
+                                 ProcessModel)
+        dt, N, M = 0.01, 8, 5
+        growth = np.array([[99.0 / dt], [0.0]])
+        proc = ProcessModel(n=2, m=1, drift_ensemble=lambda x, t: growth * x,
+                            constant_diffusion=np.zeros((2, 1)))
+        meas = MeasurementModel(q=1, h=lambda x, t: x[1:], nu=np.eye(1),
+                                dt_scale=dt, linear=True)
+        problem = Problem(name="two-state", proc_truth=proc, proc_filter=proc,
+                          meas=meas, x0_truth=np.zeros(2),
+                          init_mean=np.zeros(2), init_spread=np.ones(2),
+                          channel_names=["x0", "x1"],
+                          noise_std=np.array([0.1]))
+        series = MeasurementSeries(times=dt * np.arange(1, M + 1),
+                                   values=np.zeros((1, M)))
+        ens0 = np.zeros((2, N))
+        ens0[0, 5] = 1e150
+        fcfg = FilterConfig(dt=dt, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailure) as info:
+                run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(3))
+        err = info.value
+        assert str(err).startswith(f"{kind} filter failed step=2 ")
+        assert err.step == 2 and err.particle is None
+        assert err.t == pytest.approx(series.times[2])
+        assert str(err.__cause__) == "ensemble moments overflow"
+        # two steps fewer, the same run records finite moments
+        means, stds, _ = run_filter_series(
+            kind, problem, MeasurementSeries(series.times[:2],
+                                             series.values[:, :2]),
+            ens0, fcfg, schedule=make_schedule(3))
+        assert np.isfinite(stds).all() and stds[0, 1] > 1e153
 
-STEP_CALLS = ("predict_ensemble", "enks_step", "iterate_update",
+
+STEP_CALLS =("predict_ensemble", "enks_step", "iterate_update",
               "iterative_enks_step", "enkf_step", "enkf_update")
 
 

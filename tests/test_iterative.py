@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enks.benchmarks import PROBLEM_IDS
-from enks.core import (FilterConfig, FilterState, additive_update,
-                       compute_gain, enks_step, make_initial_state)
+from enks.core import (GAIN_FAILURES, FilterConfig, FilterState,
+                       additive_update, compute_gain, enks_step,
+                       make_initial_state)
+from enks.errors import NumericFailure
 from enks.iterative import (AnnealingSchedule, iterate_update,
                             iterative_enks_step, make_schedule)
 from enks.models import MeasurementModel, ProcessModel
@@ -326,14 +328,15 @@ class TestIterateUpdate:
             assert np.isfinite(trace.residuals).all(), problem_id
 
 
-def short_run(problem_id, N, steps, seed=1):
+def short_run(problem_id, N, steps, seed=1, meas_noise_std=None):
     """A problem's twin data cut to ``steps`` steps, its ensemble and config."""
     from enks.benchmarks import build_problem
     from enks.harness import (ExperimentConfig, initial_ensemble,
                               make_twin_data)
     dt = build_problem(problem_id).default_dt
     cfg = ExperimentConfig(problem=problem_id, N=N, seed=seed,
-                           horizon=steps * dt, emit_outputs=False)
+                           horizon=steps * dt, emit_outputs=False,
+                           meas_noise_std=meas_noise_std)
     problem, _, series, grid = make_twin_data(cfg)
     return (problem, series, initial_ensemble(problem, N, seed),
             FilterConfig(dt=grid[0], seed=seed))
@@ -342,30 +345,117 @@ def short_run(problem_id, N, steps, seed=1):
 LINEAR_PROBLEMS = tuple(p for p in PROBLEM_IDS if p != "pendulum")
 
 
+def assert_matches_the_loop(run, loop_run):
+    """Means and stds within 1e-10 of the loop's spread, traces within
+    1e-12 relative."""
+    means, stds, traces = run
+    means_loop, stds_loop, traces_loop = loop_run
+    assert np.all(np.abs(means - means_loop) <= 1e-10 * stds_loop)
+    assert np.all(np.abs(stds - stds_loop) <= 1e-10 * stds_loop)
+    for trace, loop in zip(traces, traces_loop, strict=True):
+        assert np.allclose(trace.residuals, loop.residuals, rtol=1e-12,
+                           atol=0)
+        assert np.allclose(trace.innovation_norms, loop.innovation_norms,
+                           rtol=1e-12, atol=0)
+
+
 class TestMomentsRoute:
-    """enks-iter on a linear map runs its passes on moments; the pass loop
-    over the iterate is the reference it must reproduce."""
+    """enks-iter on a linear map runs its damped passes as one whitened
+    eigendecomposition and its last pass as a solve on moments; the pass
+    loop over the iterate is the reference it must reproduce."""
 
     @pytest.mark.parametrize("problem_id", LINEAR_PROBLEMS)
     def test_matches_the_pass_loop(self, problem_id):
+        # every kappa the eigendecomposition serves, and a measurement
+        # noise of 1e-9, where the whitened noise 1 - w mu is rounding
+        # and clipped at 0
         from enks.harness import run_filter_series
         N = 80 if problem_id == "frame50" else 40
-        problem, series, ens0, fcfg = short_run(problem_id, N, 6)
-        assert problem.meas.linear
-        runs = [run_filter_series("enks-iter", replace(problem, meas=meas),
+        noises = ((None, 1e-9) if problem_id in ("population",
+                                                 "frame4-damaged")
+                  else (None,))
+        for noise in noises:
+            problem, series, ens0, fcfg = short_run(problem_id, N, 6,
+                                                    meas_noise_std=noise)
+            assert problem.meas.linear
+            for kappa in (2, 3, 10, 25):
+                assert_matches_the_loop(*(
+                    run_filter_series("enks-iter",
+                                      replace(problem, meas=meas), series,
+                                      ens0, fcfg,
+                                      schedule=make_schedule(kappa),
+                                      collect_traces=True)
+                    for meas in (problem.meas,
+                                 replace(problem.meas, linear=False))))
+
+    @pytest.mark.parametrize("N", [2, 3, 12])
+    def test_correlated_noise_and_rank_deficient_moments(self, N):
+        # a linear map of 4 states to q = 3 with a non-diagonal SPD noise
+        # intensity; N <= q leaves the measured moment C_0 of rank N - 1,
+        # so the whitened spectrum has zeros.  The noise term is of the
+        # moments' size, so the denominators are well conditioned and the
+        # loop's own rounding stays below the tolerances
+        H = np.array([[1.0, 0.5, 0.0, -0.3], [0.0, 1.0, 0.2, 0.0],
+                      [0.4, 0.0, 0.0, 1.0]])
+        nu = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2],
+                       [0.1, -0.2, 0.6]])
+        meas = MeasurementModel(q=3, h=lambda x, t: H @ x, nu=nu,
+                                dt_scale=0.3, linear=True)
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        pred = 1.0 + RngStream(5, N).standard_normal((4, N))
+        h = meas.evaluate(pred, 0.0)
+        y = np.array([1.2, 0.8, 1.1])
+        state = make_state(0.0, (1 - cfg.alpha) * meas.sigma_gram, n=4)
+        for kappa in (2, 3, 10, 25):
+            outs = []
+            for m in (meas, replace(meas, linear=False)):
+                ens, trace = iterate_update(pred, h, state, y,
+                                            make_schedule(kappa), m, cfg,
+                                            0.0, trace=True)
+                outs.append((ens.mean(axis=1), ens.std(axis=1, ddof=1),
+                             [trace]))
+            assert_matches_the_loop(*outs)
+
+    @pytest.mark.parametrize("kappa", [2, 10])
+    def test_zero_spread_leaves_the_ensemble_unchanged(self, kappa):
+        # identical particles have zero moments, so every gain is zero and
+        # the step returns the prediction's bits, whatever the innovation
+        meas = replace(identity_meas(2), linear=True)
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        pred = np.tile(np.array([[1.5], [-0.25]]), (1, 6))
+        state = make_state(0.1, 0.2 * meas.sigma_gram, n=2)
+        out, trace = iterate_update(pred, pred.copy(), state,
+                                    np.array([3.0, 1.0]),
+                                    make_schedule(kappa), meas, cfg, 0.1,
+                                    trace=True)
+        assert np.array_equal(out, pred)
+        assert np.all(trace.residuals == 0)
+
+    @pytest.mark.parametrize("failure", [0, 1])
+    def test_denominator_failures_match_the_pass_loop(self, failure):
+        # from step 2 the map reads NaN (a non-finite first denominator)
+        # or zero with a zero noise term (a first denominator that is not
+        # positive definite): both routes raise the first pass's message,
+        # and run_filter_series names the step and its time
+        from enks.harness import run_filter_series
+        problem, series, ens0, fcfg = short_run("frame4-damaged", 12, 4)
+        h, t_bad = problem.meas.h, series.times[2] - 0.5 * fcfg.dt
+        late = np.nan if failure == 0 else 0.0
+        meas = replace(problem.meas,
+                       h=lambda x, t: h(x, t) * (1.0 if t < t_bad else late),
+                       nu=problem.meas.nu if failure == 0
+                       else np.zeros_like(problem.meas.nu))
+        raised = []
+        for m in (meas, replace(meas, linear=False)):
+            with pytest.raises(NumericFailure) as info:
+                run_filter_series("enks-iter", replace(problem, meas=m),
                                   series, ens0, fcfg,
-                                  schedule=make_schedule(10),
-                                  collect_traces=True)
-                for meas in (problem.meas,
-                             replace(problem.meas, linear=False))]
-        (means, stds, traces), (means_loop, stds_loop, traces_loop) = runs
-        assert np.all(np.abs(means - means_loop) <= 1e-10 * stds_loop)
-        assert np.all(np.abs(stds - stds_loop) <= 1e-10 * stds_loop)
-        for trace, loop in zip(traces, traces_loop, strict=True):
-            assert np.allclose(trace.residuals, loop.residuals, rtol=1e-12,
-                               atol=0)
-            assert np.allclose(trace.innovation_norms, loop.innovation_norms,
-                               rtol=1e-12, atol=0)
+                                  schedule=make_schedule(10))
+            raised.append((str(info.value), str(info.value.__cause__)))
+            assert info.value.step == 2
+            assert info.value.t == pytest.approx(series.times[2])
+        assert raised[0] == raised[1]
+        assert raised[0][1] == GAIN_FAILURES[failure]
 
     @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
     def test_kappa_one_is_the_plain_step_bitwise(self, problem_id):
