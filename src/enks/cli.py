@@ -21,7 +21,7 @@ import numpy as np
 from .configfile import experiment_config, parse_config_file
 from .errors import ConfigError, NumericFailure
 from .harness import convergence_sweep, make_twin_data, run_experiment
-from .record import _fmt, emit_series_csv, load_series_csv
+from .record import _fmt, emit_dataset, load_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,50 +60,10 @@ def _build_cfg(args, force_filters=None):
     return experiment_config(settings, overrides)
 
 
-def load_dataset(data_dir) -> tuple:
-    """Load a ``simulate`` output directory: (truth, series, noise_std, seed).
-
-    ``seed`` is the one ``simulate`` wrote to ``seed.txt``, or None for a
-    dataset without that file.
-    """
-    from .models import MeasurementSeries
-
-    data_dir = Path(data_dir)
-    for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
-        if not (data_dir / name).exists():
-            raise ConfigError(f"dataset file missing: {data_dir / name}")
-    _, truth = load_series_csv(data_dir / "truth.csv")
-    times, values = load_series_csv(data_dir / "measurements.csv")
-    noise_path = data_dir / "noise_std.csv"
-    try:
-        noise_std = np.array([float(l.split(",")[1])
-                              for l in noise_path.read_text().splitlines()[1:]])
-    except (ValueError, IndexError) as err:
-        raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
-    seed_path = data_dir / "seed.txt"
-    seed = None
-    if seed_path.exists():
-        try:
-            seed = int(seed_path.read_text())
-        except ValueError as err:
-            raise ConfigError(f"malformed dataset seed in {seed_path}: "
-                              f"{err}") from err
-    return (truth, MeasurementSeries(times=times, values=values), noise_std,
-            seed)
-
-
 def cmd_simulate(args) -> int:
     cfg = _build_cfg(args)
-    problem, truth, series, grid = make_twin_data(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_series_csv(out / "truth.csv", grid, truth)
-    emit_series_csv(out / "measurements.csv", series.times, series.values)
-    with open(out / "noise_std.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("channel,noise_std\n")
-        for c, s in enumerate(np.atleast_1d(problem.noise_std)):
-            fh.write(f"{c},{_fmt(s)}\n")
-    (out / "seed.txt").write_text(f"{cfg.seed}\n", encoding="utf-8")
+    problem, truth, series, _ = make_twin_data(cfg)
+    out = emit_dataset(cfg.out_dir, truth, series, problem.noise_std, cfg.seed)
     print(f"wrote truth ({truth.shape[0]} channels x {truth.shape[1]} steps), "
           f"measurements, noise levels and seed to {out}")
     return EXIT_OK

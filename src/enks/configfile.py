@@ -24,6 +24,8 @@ _FLOAT_KEYS = {"dt", "alpha", "horizon", "proc_noise", "meas_noise_std",
                "param_diffusion", "init_spread_scale"}
 _LIST_KEYS = {"filter", "tracked_channels"}
 KNOWN_KEYS = _STR_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS
+# the keys named apart from their ExperimentConfig field
+_FIELD_OF = {"ensemble": "N", "filter": "filters", "out": "out_dir"}
 
 
 def parse_config_file(path) -> dict:
@@ -63,27 +65,14 @@ def _coerce(key: str, value: str, where: str):
 
 def experiment_config(settings: dict, overrides: Optional[dict] = None
                       ) -> ExperimentConfig:
-    """Build an ExperimentConfig from file settings plus CLI overrides."""
-    merged = dict(settings)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            merged[key] = val
+    """Build an ExperimentConfig from file settings plus CLI overrides.
+
+    Only the keys that are set are passed, so every default is
+    ExperimentConfig's own.
+    """
+    merged = {**settings, **{key: val for key, val in (overrides or {}).items()
+                             if val is not None}}
     if "problem" not in merged:
         raise ConfigError("a problem id is required (flag --problem or config key)")
-    kwargs = dict(
-        problem=merged["problem"],
-        filters=merged.get("filter", ("enks",)),
-        N=merged.get("ensemble"),
-        dt=merged.get("dt"),
-        alpha=merged.get("alpha", 0.8),
-        kappa=merged.get("kappa", 10),
-        seed=merged.get("seed", 0),
-        horizon=merged.get("horizon"),
-        out_dir=merged.get("out", "runs"),
-        proc_noise=merged.get("proc_noise"),
-        meas_noise_std=merged.get("meas_noise_std"),
-        param_diffusion=merged.get("param_diffusion", 0.01),
-        init_spread_scale=merged.get("init_spread_scale", 1.0),
-        tracked_channels=merged.get("tracked_channels"),
-    )
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{_FIELD_OF.get(key, key): val
+                               for key, val in merged.items()})

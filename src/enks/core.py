@@ -30,11 +30,8 @@ Dense solves call numpy's own LAPACK gufuncs, ``cholesky_lo`` and
 ``solve`` of ``numpy.linalg._umath_linalg``, and the iterative form's
 whitening (:func:`whitened_spectrum`) ``inv`` and ``eigh_lo``: the bits
 of ``np.linalg.cholesky``, ``solve``, ``inv`` and ``eigh`` without their
-Python wrappers.  A step then runs all its BLAS work in one library and one
-thread pool.  While a run draws its Brownian panels ahead
-(:meth:`enks.rng.ParticleNoise.drawing_ahead`) that pool is pinned to one
-thread, so the draw helper does not compete with a second BLAS thread for
-a core.
+Python wrappers.  A step then runs all its BLAS work in one library, which
+the run loop (:func:`enks.harness.run_filter_series`) keeps on one thread.
 """
 
 from __future__ import annotations

@@ -15,10 +15,13 @@ high-resolution self-reference.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,11 @@ from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
 from .sde import clean_signal, simulate_truth, synth_measurements
 
 FILTER_KINDS = ("enks", "enks-iter", "enkf")
+# ExperimentConfig's real fields (unless None) must be finite, and >= 0
+# where the flag is set, else positive
+_REAL_FIELDS = (("dt", False), ("horizon", False), ("proc_noise", True),
+                ("meas_noise_std", False), ("param_diffusion", True),
+                ("init_spread_scale", False))
 
 
 @dataclass
@@ -72,22 +80,19 @@ class ExperimentConfig:
             raise ConfigError("at least one filter must be selected")
         if self.N is not None and self.N < 2:
             raise ConfigError("N must be >= 2")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly inside (0, 1)")
         if self.kappa < 1:
             raise ConfigError("kappa must be >= 1")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.proc_noise is not None and self.proc_noise < 0:
-            raise ConfigError("proc_noise must be >= 0")
-        if self.meas_noise_std is not None and self.meas_noise_std <= 0:
-            raise ConfigError("meas_noise_std must be positive")
-        if self.param_diffusion < 0:
-            raise ConfigError("param_diffusion must be >= 0")
+        for name, may_be_zero in _REAL_FIELDS:
+            x = getattr(self, name)
+            if x is not None and not (math.isfinite(x)
+                                      and (x >= 0 if may_be_zero else x > 0)):
+                raise ConfigError(f"{name} must be finite and "
+                                  f"{'>= 0' if may_be_zero else 'positive'}, "
+                                  f"got {x}")
 
 
 @dataclass
@@ -181,6 +186,38 @@ def initial_ensemble(problem: Problem, N: int, seed: int) -> np.ndarray:
             + problem.init_spread[:, None] * stream.standard_normal((n, N)))
 
 
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or
+    None when numpy's core module does not export them."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread within the block and restore the
+    count found however it ends; yields whether the count could be set."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    found = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(found)
+
+
 def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
                       ens0: np.ndarray, cfg: FilterConfig,
                       schedule: Optional[AnnealingSchedule] = None,
@@ -194,10 +231,13 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     ``collect_traces`` also decides whether the traces are computed at
     all: without it the iterative steps skip their residual norms.
     ``streams`` is the ensemble's noise source and defaults to the
-    step-keyed panels of ``cfg.seed``.  A :class:`ParticleNoise` draws
-    each of the run's ``M`` panels a step ahead when its panels are large
-    enough (:meth:`ParticleNoise.drawing_ahead`); its helper thread is
-    joined, and the BLAS thread count restored, before this returns or
+    step-keyed panels of ``cfg.seed``.  Where numpy's OpenBLAS thread
+    count can be set, the run keeps it at one thread from its first step
+    to its last, whatever its size or noise, so its bits do not depend on
+    the host's core count, and a :class:`ParticleNoise` draws each of the
+    run's ``M`` panels a step ahead when its panels are large enough
+    (:meth:`ParticleNoise.drawing_ahead`).  The thread count found is
+    restored, and the helper thread joined, before this returns or
     raises.  A step's ``NumericFailure``, or one from its moments, is
     re-raised with the filter kind, the step index and the step's
     measurement time, its particle kept.  Each step's mean and ``ddof=1``
@@ -243,8 +283,10 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         raise ValueError(f"unknown filter kind '{kind}'")
 
     state = FilterState(0.0, ens0, noise_term)
-    with (streams.drawing_ahead(proc.m, M) if isinstance(streams, ParticleNoise)
-          else contextlib.nullcontext()):
+    with contextlib.ExitStack() as run:
+        if (run.enter_context(_one_blas_thread())
+                and isinstance(streams, ParticleNoise)):
+            run.enter_context(streams.drawing_ahead(proc.m, M))
         for i in range(M):
             t = state.t_curr + cfg.dt
             try:
@@ -263,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig,
 
     ``data`` optionally supplies a previously persisted dataset as
     ``(truth, series, noise_std, seed)`` (for instance loaded by
-    :func:`enks.cli.load_dataset`); the models are still rebuilt from the
+    :func:`enks.record.load_dataset`); the models are still rebuilt from the
     configuration, so the run's seed must be the one that generated the
     data for the forcing input to agree.  Each of these is a
     ``ConfigError``: a dataset seed other than ``cfg.seed``, times that
@@ -337,10 +379,22 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
+def fit_power_law(values: Sequence, errors: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``(slope, intercept)`` of ``log(errors)`` against
+    ``log(values)``: ``errors ~ exp(intercept) * values ** slope``.
+
+    A non-positive or non-finite error is a ``NumericFailure``.
+    """
+    errors = np.asarray(errors, dtype=float)
+    if np.any(errors <= 0) or not np.isfinite(errors).all():
+        raise NumericFailure("sweep produced non-positive or non-finite errors")
+    slope, intercept = np.polyfit(np.log(np.asarray(values, dtype=float)),
+                                  np.log(errors), 1)
+    return float(slope), float(intercept)
+
+
 def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
-                      repeats: int,
-                      error_fn: Optional[Callable[[float, int], float]] = None,
-                      ref_factor: int = 10) -> ConvergenceReport:
+                      repeats: int, ref_factor: int = 10) -> ConvergenceReport:
     """Estimate the empirical convergence order in N or dt.
 
     An order is measured against the limit of the filter being swept, so
@@ -351,9 +405,8 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
     problems reference the filter's own run at ``16 * max(values)``.  dt
     sweeps share one fine-grid truth path and one measurement-noise panel
     across resolutions (common random numbers) and reference the filter's
-    own run at ``min(values) / ref_factor``.
-    ``error_fn`` is a test hook: when given, it supplies the error for
-    each (value, repeat) pair directly and no simulation runs.
+    own run at ``min(values) / ref_factor``.  The order is the slope
+    :func:`fit_power_law` fits to the mean errors.
     """
     if variable not in ("N", "dt"):
         raise ConfigError("variable must be 'N' or 'dt'")
@@ -365,11 +418,7 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
     kind = cfg.filters[0]
 
     errors = np.empty((len(values), repeats))
-    if error_fn is not None:
-        for i, v in enumerate(values):
-            for r in range(repeats):
-                errors[i, r] = error_fn(v, r)
-    elif variable == "N":
+    if variable == "N":
         for r in range(repeats):
             run_cfg = ExperimentConfig(**{**cfg.__dict__, "seed": cfg.seed + r,
                                           "emit_outputs": False})
@@ -396,15 +445,10 @@ def convergence_sweep(cfg: ExperimentConfig, variable: str, values: Sequence,
                                           "emit_outputs": False})
             per_dt = _dt_sweep_errors(run_cfg, values, dt_ref, kind)
             errors[:, r] = per_dt
-    mean_err = errors.mean(axis=1)
-    if np.any(mean_err <= 0) or not np.isfinite(mean_err).all():
-        raise NumericFailure("sweep produced non-positive or non-finite errors")
-    slope, intercept = np.polyfit(np.log(np.asarray(values, dtype=float)),
-                                  np.log(mean_err), 1)
+    slope, intercept = fit_power_law(values, errors.mean(axis=1))
     return ConvergenceReport(variable=variable,
                              values=np.asarray(values, dtype=float),
-                             errors=errors, slope=float(slope),
-                             intercept=float(intercept))
+                             errors=errors, slope=slope, intercept=intercept)
 
 
 def _large_n_limit(spec: LinearGaussianSpec, series: MeasurementSeries,

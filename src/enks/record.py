@@ -1,7 +1,8 @@
 """Run records, error metrics, CSV persistence, and SVG line charts.
 
-Besides the run record's rows CSV, the dataset series that ``enks
-simulate`` writes and ``enks run --data`` reads are persisted here.
+Besides the run record's rows CSV, the dataset that ``enks simulate``
+writes and ``enks run --data`` reads is persisted here: its truth and
+measurement series, its noise levels and its seed.
 
 The rows CSV is the deterministic artifact of a run: identical configs
 must produce byte-identical files, so floats are written with shortest
@@ -19,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .models import MeasurementSeries
 
 
 @dataclass
@@ -179,6 +181,53 @@ def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     except (ValueError, IndexError) as err:
         raise ConfigError(f"malformed dataset row in {path}: {err}") from err
     return times, values
+
+
+def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
+                 seed: int) -> Path:
+    """Write a dataset directory: ``truth.csv`` and ``measurements.csv``
+    (series at ``series.times``), ``noise_std.csv`` (rows
+    ``channel,noise_std``) and ``seed.txt``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    emit_series_csv(out / "truth.csv", series.times, truth)
+    emit_series_csv(out / "measurements.csv", series.times, series.values)
+    with open(out / "noise_std.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("channel,noise_std\n")
+        for c, s in enumerate(np.atleast_1d(noise_std)):
+            fh.write(f"{c},{_fmt(s)}\n")
+    (out / "seed.txt").write_text(f"{seed}\n", encoding="utf-8")
+    return out
+
+
+def load_dataset(data_dir) -> tuple:
+    """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``.
+
+    ``seed`` is None for a dataset without ``seed.txt``.  A missing file
+    or a malformed row is a ``ConfigError``.
+    """
+    data_dir = Path(data_dir)
+    for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
+        if not (data_dir / name).exists():
+            raise ConfigError(f"dataset file missing: {data_dir / name}")
+    _, truth = load_series_csv(data_dir / "truth.csv")
+    times, values = load_series_csv(data_dir / "measurements.csv")
+    noise_path = data_dir / "noise_std.csv"
+    try:
+        noise_std = np.array([float(l.split(",")[1])
+                              for l in noise_path.read_text().splitlines()[1:]])
+    except (ValueError, IndexError) as err:
+        raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
+    seed_path = data_dir / "seed.txt"
+    seed = None
+    if seed_path.exists():
+        try:
+            seed = int(seed_path.read_text())
+        except ValueError as err:
+            raise ConfigError(f"malformed dataset seed in {seed_path}: "
+                              f"{err}") from err
+    return (truth, MeasurementSeries(times=times, values=values), noise_std,
+            seed)
 
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

@@ -14,19 +14,15 @@ with a purpose id.
 Because a step's panel depends on its key alone, any thread may draw it
 early without moving a bit.  Inside ``ParticleNoise.drawing_ahead`` a
 helper thread draws step k+1's panel while step k runs (numpy's fills
-release the GIL), and numpy's bundled OpenBLAS runs on one thread, so the
-helper is not left to compete with a second BLAS thread for a core.
-The noise is the same either way; the step's BLAS results are those of
-one OpenBLAS thread, which at some sizes differ in the last bits from
-those of two.  Panels under ``AHEAD_MIN_NORMALS`` normals, and every
-panel read outside that block, are drawn inline.
+release the GIL); the run loop keeps numpy's OpenBLAS on one thread, so
+the helper does not compete with a second BLAS thread for a core.  Panels
+under ``AHEAD_MIN_NORMALS`` normals, and every panel read outside that
+block, are drawn inline.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import functools
 
 import numpy as np
 
@@ -86,21 +82,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or
-    None when numpy's core module does not export them."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return get, set_
 
 
 class ParticleNoise:
@@ -181,31 +162,23 @@ class ParticleNoise:
         """Within the block, which makes at most ``steps`` ``increments``
         calls, draw each step's ``(N, m)`` panel a step early.
 
-        The noise draws ahead only when its panel has at least
-        ``AHEAD_MIN_NORMALS`` normals and numpy's OpenBLAS thread count can
-        be set; otherwise the block draws inline.  While drawing ahead,
-        one helper thread draws and OpenBLAS runs on one thread.  However
-        the block ends, the helper is joined and the thread count found on
-        entry is restored.
+        The noise draws ahead, on one helper thread, only when its panel
+        has at least ``AHEAD_MIN_NORMALS`` normals; otherwise the block
+        draws inline.  However the block ends, the helper is joined.
         """
-        blas = _openblas_threads() if self.N * m >= AHEAD_MIN_NORMALS else None
-        if blas is None:
+        if self.N * m < AHEAD_MIN_NORMALS:
             yield self
             return
         from concurrent.futures import ThreadPoolExecutor
-        get, set_ = blas
-        found = get()
         self._end = self._step + steps * self.stride
         self._helper = ThreadPoolExecutor(1, thread_name_prefix="enks-draw")
         try:
-            set_(1)
             yield self
         finally:
             # a panel drawn for a step the block did not reach is dropped,
             # its outcome with it; a later read of that step draws inline
             helper, self._helper, self._pending = self._helper, None, None
             helper.shutdown(wait=True, cancel_futures=True)
-            set_(found)
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:

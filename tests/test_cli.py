@@ -2,6 +2,7 @@ import pytest
 
 from enks.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from enks.configfile import (ConfigError, experiment_config, parse_config_file)
+from enks.harness import ExperimentConfig
 
 POPULATION_SEED = 2   # bounded truth through T = 5
 DIVERGING_SEED = 1    # truth overflows before T = 8
@@ -54,6 +55,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             experiment_config({}, {})
 
+    @pytest.mark.parametrize("problem", ["population", "frame50"])
+    def test_unset_keys_take_the_config_defaults(self, problem):
+        assert experiment_config({"problem": problem}) == \
+            ExperimentConfig(problem=problem)
+
 
 class TestCli:
     def test_invalid_problem_exits_2(self, capsys):
@@ -78,6 +84,22 @@ class TestCli:
         code = main(["run", "--config", str(p), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "unknown key 'time_origin'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "nan"), ("dt", "inf"), ("horizon", "nan"), ("horizon", "inf"),
+        ("proc_noise", "nan"), ("proc_noise", "inf"),
+        ("meas_noise_std", "nan"), ("meas_noise_std", "inf"),
+        ("param_diffusion", "nan"), ("param_diffusion", "-inf"),
+        ("init_spread_scale", "nan"), ("init_spread_scale", "inf"),
+        ("init_spread_scale", "-1"), ("init_spread_scale", "0")])
+    def test_non_finite_or_out_of_range_value_exits_2(self, tmp_path, capsys,
+                                                      key, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"problem = population\n{key} = {value}\n")
+        code = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"config error: {key} must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.glob("population_*"))
 
     def test_bad_sweep_values_exit_2(self, capsys):
         code = main(["sweep", "--problem", "linear-gaussian", "--variable", "N",

@@ -76,8 +76,10 @@ print(found, pinned, get())
 
 
 def test_numpy_exports_the_openblas_thread_count():
-    # without these symbols every run would draw inline and lose the
-    # draw-ahead gain without a word; a numpy wheel that moves them fails here
+    # without these symbols a run would keep the host's BLAS thread count,
+    # so its bits would depend on the core count, and would draw inline and
+    # lose the draw-ahead gain without a word; a numpy wheel that moves them
+    # fails here
     done = subprocess.run([sys.executable, "-c", BLAS_SCRIPT],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,4 +1,3 @@
-import contextlib
 import threading
 import tracemalloc
 import warnings
@@ -13,8 +12,8 @@ from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
 from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
-                          initial_ensemble, make_twin_data, run_experiment,
-                          run_filter_series)
+                          fit_power_law, initial_ensemble, make_twin_data,
+                          run_experiment, run_filter_series)
 from enks.iterative import iterate_update, iterative_enks_step, make_schedule
 from enks.record import load_csv
 from enks.rng import STEP_BASE, PERTURBATION_STREAM, RngStream, particle_streams
@@ -23,19 +22,6 @@ from enks.sde import predict_ensemble
 from oracles import FixedNoise, StepKeyedNoise
 
 POPULATION_SEED = 2  # truth stays bounded through T = 5 for this seed
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """numpy's OpenBLAS on one thread, as in a run that draws ahead: at
-    some sizes OpenBLAS on two threads sums in another order."""
-    get_blas, set_blas = rng._openblas_threads()
-    found = get_blas()
-    set_blas(1)
-    try:
-        yield
-    finally:
-        set_blas(found)
 
 
 class TestExperimentConfig:
@@ -160,7 +146,8 @@ class TestRunExperiment:
 
     def test_run_from_persisted_dataset(self, tmp_path):
         # simulate -> load -> run must reproduce the direct run exactly
-        from enks.cli import load_dataset, main
+        from enks.cli import main
+        from enks.record import load_dataset
         seed = POPULATION_SEED
         assert main(["simulate", "--problem", "population", "--horizon", "2.0",
                      "--seed", str(seed), "--out", str(tmp_path / "data")]) == 0
@@ -185,28 +172,29 @@ class TestConvergenceSweep:
                                 horizon=1.0, emit_outputs=False)
 
     def test_injected_inverse_sqrt_law(self):
-        report = convergence_sweep(self.base_cfg(), "N", [50, 100, 200, 400],
-                                   repeats=5,
-                                   error_fn=lambda v, r: 3.7 / np.sqrt(v))
-        assert report.slope == pytest.approx(-0.5, abs=1e-12)
-        assert np.exp(report.intercept) == pytest.approx(3.7, rel=1e-12)
+        values = np.array([50, 100, 200, 400])
+        slope, intercept = fit_power_law(values, 3.7 / np.sqrt(values))
+        assert slope == pytest.approx(-0.5, abs=1e-12)
+        assert np.exp(intercept) == pytest.approx(3.7, rel=1e-12)
 
     def test_injected_sqrt_dt_law(self):
-        report = convergence_sweep(self.base_cfg(), "dt",
-                                   [0.02, 0.01, 0.005, 0.0025], repeats=5,
-                                   error_fn=lambda v, r: 0.9 * np.sqrt(v))
-        assert report.slope == pytest.approx(0.5, abs=1e-12)
+        values = np.array([0.02, 0.01, 0.005, 0.0025])
+        slope, _ = fit_power_law(values, 0.9 * np.sqrt(values))
+        assert slope == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_fit_rejects_a_non_positive_or_non_finite_error(self, bad):
+        with pytest.raises(NumericFailure, match="non-positive or non-finite"):
+            fit_power_law([1, 2, 4], [1.0, bad, 0.5])
 
     def test_preconditions(self):
+        # each is raised before any run is simulated
         with pytest.raises(ValueError):
-            convergence_sweep(self.base_cfg(), "N", [10, 20], repeats=5,
-                              error_fn=lambda v, r: 1.0)
+            convergence_sweep(self.base_cfg(), "N", [10, 20], repeats=5)
         with pytest.raises(ValueError):
-            convergence_sweep(self.base_cfg(), "N", [10, 20, 40], repeats=4,
-                              error_fn=lambda v, r: 1.0)
+            convergence_sweep(self.base_cfg(), "N", [10, 20, 40], repeats=4)
         with pytest.raises(ValueError):
-            convergence_sweep(self.base_cfg(), "mass", [1, 2, 3], repeats=5,
-                              error_fn=lambda v, r: 1.0)
+            convergence_sweep(self.base_cfg(), "mass", [1, 2, 3], repeats=5)
 
     def test_real_small_N_sweep_runs(self):
         cfg = ExperimentConfig(problem="linear-gaussian", filters=("enks",),
@@ -268,17 +256,14 @@ class TestRunFilterSeries:
     def test_matches_per_particle_noise_loop(self, problem_id, kind):
         # the default noise is the step-keyed panels, drawn here by the
         # loop over particles and steps; frame20-damaged's (700, 60)
-        # panels are drawn a step ahead on the helper, so both runs use
-        # one BLAS thread and differ in their noise source alone
+        # panels are drawn a step ahead on the helper
         N, horizon = (700, 0.03) if problem_id == "frame20-damaged" else (12, 0.7)
         problem, series, ens0, fcfg = self.setup_data(problem_id, N, horizon)
         assert ((N * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS)
                 == (problem_id == "frame20-damaged"))
-        with one_blas_thread():
-            runs = [run_filter_series(kind, problem, series, ens0, fcfg,
-                                      schedule=make_schedule(3),
-                                      streams=streams)
-                    for streams in (None, StepKeyedNoise(fcfg.seed, N))]
+        runs = [run_filter_series(kind, problem, series, ens0, fcfg,
+                                  schedule=make_schedule(3), streams=streams)
+                for streams in (None, StepKeyedNoise(fcfg.seed, N))]
         (means, stds, _), (means_o, stds_o, _) = runs
         assert np.array_equal(means, means_o)
         assert np.array_equal(stds, stds_o)
@@ -318,8 +303,7 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_drawn_ahead_run_reruns_identically(self, kind):
         # a run whose panels the helper draws replays bit for bit, and
-        # gives the bits of the same noise drawn inline, stride sum
-        # included, on the one BLAS thread a drawn-ahead run uses
+        # gives the bits of the same noise drawn inline, stride sum included
         problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
                                                       0.04)
         draw, off_main = RngStream.standard_normal, []
@@ -336,8 +320,7 @@ class TestRunFilterSeries:
                          inline_gate):
                 off_main.clear()
                 with mock.patch.object(RngStream, "standard_normal", record), \
-                        mock.patch.object(rng, "AHEAD_MIN_NORMALS", gate), \
-                        one_blas_thread():
+                        mock.patch.object(rng, "AHEAD_MIN_NORMALS", gate):
                     runs.append(run_filter_series(
                         kind, problem, series, ens0, fcfg,
                         schedule=make_schedule(3),
@@ -350,20 +333,11 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     @pytest.mark.parametrize("outcome", ["returns", "fails"])
     def test_draw_ahead_ends_with_the_run(self, outcome, kind):
-        # after a drawn-ahead run, returned or failed mid-run on an
-        # overflowing h, no thread is left and OpenBLAS runs on the thread
-        # count it had before; during the run it runs on one thread
-        get_blas, set_blas = rng._openblas_threads()
-        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
-                                                      0.04)
-        if outcome == "fails":
-            h = problem.meas.h
-
-            def overflowing(x, t):  # from the step ending at t = 0.02 on
-                return h(x, t) * (1e200 if t > 0.015 else 1.0)
-
-            problem = replace(problem, meas=replace(problem.meas,
-                                                    h=overflowing))
+        # a run drawn ahead (frame20-damaged at N=700) or inline
+        # (linear-Gaussian at N=50) runs OpenBLAS on one thread during every
+        # step; after it, returned or failed mid-run on an overflowing h, no
+        # thread is left and OpenBLAS runs on the thread count it had before
+        get_blas, set_blas = harness._openblas_threads()
         name = {"enks": "enks_step", "enks-iter": "iterative_enks_step",
                 "enkf": "enkf_step"}[kind]
         step, during = getattr(harness, name), []
@@ -372,23 +346,94 @@ class TestRunFilterSeries:
             during.append(get_blas())
             return step(*args, **kwargs)
 
-        found, before = get_blas(), threading.enumerate()
-        try:
-            set_blas(2)
-            with mock.patch.object(harness, name, recorded):
-                if outcome == "fails":
-                    with pytest.raises(NumericFailure) as info:
+        for problem_id, N in (("frame20-damaged", 700), ("linear-gaussian", 50)):
+            problem, series, ens0, fcfg = self.setup_data(problem_id, N, 0.04)
+            assert ((N * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS)
+                    == (problem_id == "frame20-damaged"))
+            if outcome == "fails":
+                h = problem.meas.h
+
+                def overflowing(x, t, h=h):  # from the step ending at 0.02 on
+                    return h(x, t) * (1e200 if t > 0.015 else 1.0)
+
+                problem = replace(problem, meas=replace(problem.meas,
+                                                        h=overflowing))
+            found, before = get_blas(), threading.enumerate()
+            during.clear()
+            try:
+                set_blas(2)
+                with mock.patch.object(harness, name, recorded):
+                    if outcome == "fails":
+                        with pytest.raises(NumericFailure) as info:
+                            run_filter_series(kind, problem, series, ens0, fcfg,
+                                              schedule=make_schedule(3))
+                        assert info.value.step == 1
+                    else:
                         run_filter_series(kind, problem, series, ens0, fcfg,
                                           schedule=make_schedule(3))
-                    assert info.value.step == 1
-                else:
-                    run_filter_series(kind, problem, series, ens0, fcfg,
-                                      schedule=make_schedule(3))
-            assert threading.enumerate() == before
-            assert get_blas() == 2
-            assert during == [1] * (2 if outcome == "fails" else len(series))
+                assert threading.enumerate() == before
+                assert get_blas() == 2
+                assert during == [1] * (2 if outcome == "fails"
+                                        else len(series))
+            finally:
+                set_blas(found)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_bits_do_not_depend_on_the_blas_threads_found(self, kind):
+        # frame20-damaged at N=500 draws its (500, 60) panels inline, under
+        # the draw-ahead gate; its analysis at two OpenBLAS threads sums in
+        # another order than at one, so only a run that sets one thread
+        # whatever it finds gives the same bits on every host
+        get_blas, set_blas = harness._openblas_threads()
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 500,
+                                                      0.05)
+        assert 500 * problem.proc_filter.m < rng.AHEAD_MIN_NORMALS
+        found, runs = get_blas(), []
+        try:
+            for threads in (2, 1):
+                set_blas(threads)
+                runs.append(run_filter_series(kind, problem, series, ens0, fcfg,
+                                              schedule=make_schedule(10)))
         finally:
             set_blas(found)
+        (means_2, stds_2, _), (means_1, stds_1, _) = runs
+        assert len(series) == 5
+        assert np.array_equal(means_2, means_1)
+        assert np.array_equal(stds_2, stds_1)
+
+    def test_no_pin_and_no_helper_without_the_blas_symbols(self):
+        # a numpy that does not export OpenBLAS's thread count runs every
+        # step at the count it has, and draws every panel inline, even
+        # above the draw-ahead gate
+        get_blas, set_blas = harness._openblas_threads()
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
+                                                      0.04)
+        assert 700 * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS
+        draw, step, off_main, during = (RngStream.standard_normal,
+                                        harness.enks_step, [], [])
+
+        def record(self, size=None, out=None):
+            off_main.append(threading.current_thread()
+                            is not threading.main_thread())
+            return draw(self, size, out=out)
+
+        def recorded(*args, **kwargs):
+            during.append(get_blas())
+            return step(*args, **kwargs)
+
+        found = get_blas()
+        try:
+            set_blas(2)
+            with mock.patch.object(harness, "_openblas_threads",
+                                   return_value=None), \
+                    mock.patch.object(RngStream, "standard_normal", record), \
+                    mock.patch.object(harness, "enks_step", recorded):
+                run_filter_series("enks", problem, series, ens0, fcfg)
+            assert get_blas() == 2
+        finally:
+            set_blas(found)
+        assert during == [2] * len(series)
+        assert off_main == [False] * len(series)
 
     def test_helper_draw_error_surfaces_in_the_reading_step(self):
         # a draw that raises on the helper raises, unchanged, in the step
@@ -411,7 +456,7 @@ class TestRunFilterSeries:
             steps_begun.append(len(steps_begun))
             return step(*args, **kwargs)
 
-        get_blas = rng._openblas_threads()[0]
+        get_blas = harness._openblas_threads()[0]
         found, before = get_blas(), threading.enumerate()
         with mock.patch.object(RngStream, "standard_normal", failing), \
                 mock.patch.object(harness, "enks_step", counted), \

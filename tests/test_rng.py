@@ -257,14 +257,13 @@ def test_drawing_ahead_redraws_a_step_whose_width_changes():
 def test_drawing_ahead_holds_under_a_short_switch_interval():
     # three noises drawing ahead at once, more helpers than cores, with the
     # interpreter switching threads every 10 us: every increment is still
-    # the inline draw, and the thread count found is restored
+    # the inline draw
     N, m, steps = 800, 50, 12
     inline = [particle_streams(seed, N, 2) for seed in range(3)]
     expected = [[noise.increments(m, 0.1).copy() for _ in range(steps)]
                 for noise in inline]
     noises = [particle_streams(seed, N, 2) for seed in range(3)]
-    get_blas = rng._openblas_threads()[0]
-    found, interval = get_blas(), sys.getswitchinterval()
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with contextlib.ExitStack() as stack:
@@ -275,23 +274,17 @@ def test_drawing_ahead_holds_under_a_short_switch_interval():
                     assert np.array_equal(noise.increments(m, 0.1), dBs[k])
     finally:
         sys.setswitchinterval(interval)
-    assert get_blas() == found
 
 
 def test_draws_inline_where_drawing_ahead_does_not_apply():
-    # under the gate (a frame50 panel just below it), or without numpy's
-    # OpenBLAS thread symbols, no helper starts and the BLAS thread count
-    # is left alone
-    set_blas, before = mock.Mock(), threading.enumerate()
-    for blas, noise, m in (((lambda: 2, set_blas), particle_streams(0, 2000), 1),
-                           ((lambda: 2, set_blas), particle_streams(0, 260), 150),
-                           (None, particle_streams(0, 800), 150)):
-        with mock.patch.object(rng, "_openblas_threads", return_value=blas), \
-                noise.drawing_ahead(m, 5):
+    # under the gate (a frame50 panel just below it) no helper starts
+    before = threading.enumerate()
+    for noise, m in ((particle_streams(0, 2000), 1),
+                     (particle_streams(0, 260), 150)):
+        with noise.drawing_ahead(m, 5):
             noise.increments(m, 0.1)
             noise.increments(m, 0.1)
             assert threading.enumerate() == before
-    set_blas.assert_not_called()
 
 
 def test_particle_noise_rejects_bad_arguments():
