@@ -21,8 +21,11 @@ left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
 dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
 this filter, its iterative form and the perturbed-observation EnKF: the
 ensemble moments ``Xd Hd^T`` and ``Hd Hd^T`` (:func:`analysis_moments`),
-then the gain from them (:func:`gain_from_moments`), which the iterative
-form's passes on a linear map take without an ensemble.
+then one Cholesky check of the denominator and one solve.  The iterative
+form on a linear map takes the same moments and the same factor
+(:func:`factor_denominator`), whitens the measured moment by it
+(:func:`whitened_spectrum`) and forms its step gain in that basis,
+without a solve (:mod:`enks.iterative`).
 
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
@@ -157,11 +160,10 @@ def analysis_moments(pred: np.ndarray, h_pred: np.ndarray,
 
     ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
     ensemble means; ``Xd`` is written into ``work``, an array of the shape
-    of ``pred`` that does not alias it, when one is given.  Like
-    :func:`gain_from_moments` it runs under its caller's
-    ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``: a
-    diverging ensemble overflows here, and the gain's finite checks report
-    it.
+    of ``pred`` that does not alias it, when one is given.  It runs under
+    its caller's ``np.errstate(over="ignore", invalid="ignore",
+    divide="ignore")``: a diverging ensemble overflows here, and the
+    gain's finite checks report it.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
@@ -172,29 +174,6 @@ def analysis_moments(pred: np.ndarray, h_pred: np.ndarray,
     return Xd @ Hd.T, Hd @ Hd.T
 
 
-def gain_from_moments(cross: np.ndarray, hh: np.ndarray, scale: float,
-                      weight: float, noise_term: np.ndarray, failures: tuple
-                      ) -> np.ndarray:
-    """Gain ``scale cross (weight hh + noise_term)^{-1}``, the shape of ``cross``.
-
-    ``cross`` and ``hh`` are the moments of :func:`analysis_moments`, or
-    any rows to solve against the same denominator.  ``failures`` holds
-    the ``NumericFailure`` messages for a non-finite denominator, a
-    denominator that is not positive definite and a non-finite gain.
-
-    The denominator's Cholesky factor checks that it is positive definite,
-    and one LU solve gives the gain (numpy has no triangular solver).  Both
-    are numpy's LAPACK gufuncs: a failed factorization leaves a NaN factor,
-    and only then is the denominator checked for finiteness.  It runs
-    under the caller's ``errstate``, as :func:`analysis_moments` does.
-    """
-    denom, _ = factor_denominator(hh, weight, noise_term, failures)
-    gain = scale * _umath_linalg.solve(denom, cross.T).T
-    if not all_finite(gain):
-        raise NumericFailure(failures[2])
-    return gain
-
-
 def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
                        failures: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The denominator ``D = weight hh + noise_term`` and its Cholesky factor.
@@ -202,7 +181,7 @@ def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
     The lower factor is numpy's LAPACK gufunc ``cholesky_lo``, which
     leaves a NaN factor when ``D`` is not positive definite; ``D`` is
     checked for finiteness only then, to name the first or second of
-    ``failures`` (:func:`gain_from_moments`).  It runs under the caller's
+    ``failures`` (:func:`analysis_gain`).  It runs under the caller's
     ``errstate``.
     """
     denom = weight * hh + noise_term
@@ -213,19 +192,18 @@ def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
 
 
 def whitened_spectrum(hh: np.ndarray, factor: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of ``hh`` whitened by the lower factor ``L``: ``(mu, W, U)``.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``hh`` whitened by the lower factor ``L``: ``(mu, W)``.
 
     ``L^{-1} hh L^{-T} = V diag(mu) V^T`` is one symmetric eigensolve (the
     gufunc ``eigh_lo``, which reads the lower triangle), with ``L^{-1}``
-    from the gufunc ``inv``; ``W = L^{-T} V`` and ``U = L V``, so ``hh =
-    U diag(mu) U^T``, ``L L^T = U U^T`` and ``W^T U = U W^T = I``.  It
-    runs under the caller's ``errstate``: a failed eigensolve leaves NaNs,
-    which the caller's later checks report.
+    from the gufunc ``inv``; ``W = L^{-T} V``, so ``W^T hh W = diag(mu)``
+    and ``W^T L L^T W = I``.  It runs under the caller's ``errstate``: a
+    failed eigensolve leaves NaNs, which the caller's later checks report.
     """
     inverse = _umath_linalg.inv(factor)
     mu, V = _umath_linalg.eigh_lo(inverse @ hh @ inverse.T)
-    return mu, inverse.T @ V, factor @ V
+    return mu, inverse.T @ V
 
 
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
@@ -233,19 +211,28 @@ def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
                   work: np.ndarray | None = None) -> np.ndarray:
     """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
-    :func:`gain_from_moments` of :func:`analysis_moments`.  Every
-    filter's analysis runs through these two kernels: the EnKS with
-    ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` and the
+    The moments of :func:`analysis_moments`, then the denominator's
+    Cholesky factor (:func:`factor_denominator`) checks that it is
+    positive definite, and one LU solve gives the gain (numpy has no
+    triangular solver).  ``failures`` holds the ``NumericFailure``
+    messages for a non-finite denominator, a denominator that is not
+    positive definite and a non-finite gain.  Every filter's analysis
+    runs through this kernel: the EnKS with ``(tc/N, alpha/(N-1),
+    (1-alpha) sigma^T sigma)`` (:func:`compute_gain`) and the
     perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return gain_from_moments(*analysis_moments(pred, h_pred, work), scale,
-                                 weight, noise_term, failures)
+        cross, hh = analysis_moments(pred, h_pred, work)
+        denom, _ = factor_denominator(hh, weight, noise_term, failures)
+        gain = scale * _umath_linalg.solve(denom, cross.T).T
+    if not all_finite(gain):
+        raise NumericFailure(failures[2])
+    return gain
 
 
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
-                 noise_term: np.ndarray, work: np.ndarray | None = None,
-                 N: int | None = None) -> np.ndarray:
+                 noise_term: np.ndarray, work: np.ndarray | None = None
+                 ) -> np.ndarray:
     """EnKS gain of the additive update, shape (n, q).
 
     ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
@@ -255,20 +242,12 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
 
         G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
 
-    With ``N`` given, ``pred`` and ``h_pred`` are instead the moments
-    ``(cross, hh)`` of an ``N``-particle ensemble, as
-    :func:`gain_from_moments` takes them.
-
     This is the paper's gain exactly: its lagged-mean terms multiply
     ``Xd 1`` and ``Hd 1``, which are zero (module docstring).
     """
-    moments = N is not None
-    scale, weight = gain_weights(cfg, N if moments else np.shape(pred)[1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cross, hh = ((pred, h_pred) if moments
-                     else analysis_moments(pred, h_pred, work))
-        return gain_from_moments(cross, hh, scale, weight, noise_term,
-                                 GAIN_FAILURES)
+    scale, weight = gain_weights(cfg, np.shape(pred)[1])
+    return analysis_gain(pred, h_pred, scale, weight, noise_term,
+                         GAIN_FAILURES, work)
 
 
 def gain_weights(cfg: FilterConfig, N: int) -> tuple[float, float]:

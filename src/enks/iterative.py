@@ -14,9 +14,10 @@ one additive update of the prediction with the summed step gain: the
 map is evaluated once per step and the ensemble updated once.  Every
 pass's matrices are then functions of one symmetric ``(q, q)`` matrix,
 the measured moment whitened by the first denominator, so one
-eigendecomposition of it gives the kappa - 1 damped passes in closed
-form, as a recursion on q numbers; the last pass alone solves against
-its denominator.  Other maps run the passes on the iterate itself.
+eigendecomposition of it gives all kappa passes in closed form, as a
+recursion on q numbers run on Python floats, and the step gain as one
+product in that basis, with no solve.  Other maps, and one undamped pass,
+run the passes on the iterate itself.
 
 The per-pass trace (increment and mean-innovation norms) is computed only
 on request: ``trace=True`` here, ``collect_traces`` in
@@ -34,7 +35,9 @@ from .core import (GAIN_FAILURES, FilterConfig, FilterState,
                    additive_update, analysis_moments, compute_gain,
                    factor_denominator, forecast, gain_weights,
                    whitened_spectrum)
-from .models import MeasurementModel, ProcessModel, require_finite
+from .errors import NumericFailure
+from .models import (MeasurementModel, ProcessModel, all_finite,
+                     require_finite)
 from .rng import ParticleNoise
 
 
@@ -95,14 +98,15 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     (the residual between consecutive iterates) and the norm of the mean
     innovation; without it neither is computed and the trace is None.
 
-    When ``meas.linear`` is set the passes run on moments
-    (:func:`_linear_passes`): one eigendecomposition gives the damped
-    passes, one gain the last, and the result is one additive update of
-    ``pred``.  Otherwise the iterate is one copy of ``pred``, updated in
-    place by every pass, and each later pass re-evaluates the measurement
-    map at ``t`` on it.  Either way ``state.work[1]`` (a new array when
-    that does not have the shape of ``pred``) is the scratch the gain
-    centres into, and neither ``pred`` nor ``h_pred`` changes.
+    When ``meas.linear`` is set and kappa >= 2 the passes run on moments
+    (:func:`_linear_passes`): one eigendecomposition gives every pass,
+    and the result is one additive update of ``pred``.  Otherwise the
+    iterate is one copy of ``pred``, updated in place by every pass, and
+    each later pass re-evaluates the measurement map at ``t`` on it; with
+    kappa = 1 that is :func:`enks.core.enks_step`'s gain and update, bit
+    for bit.  Either way ``state.work[1]`` (a new array when that does
+    not have the shape of ``pred``) is the scratch the moments are centred
+    into, and neither ``pred`` nor ``h_pred`` changes.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     pred = np.asarray(pred, dtype=float)
@@ -112,7 +116,7 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
               if trace else None)
     work = (state.work[1] if state.work.shape[1:] == pred.shape
             else np.empty_like(pred))
-    if meas.linear:
+    if meas.linear and schedule.kappa > 1:
         ens = _linear_passes(pred, h_k, state, y, schedule, cfg, work, record)
         require_finite(ens, "non-finite iterate")
         return ens, record
@@ -136,7 +140,8 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    y: np.ndarray, schedule: AnnealingSchedule,
                    cfg: FilterConfig, work: np.ndarray,
                    record: IterationTrace | None) -> np.ndarray:
-    """The passes of :func:`iterate_update` for a linear measurement map.
+    """The passes of :func:`iterate_update` for a linear measurement map
+    and kappa >= 2.
 
     With ``h`` linear, ``h(X_k)`` of every iterate follows from
     ``h(pred)``, so every pass is (n, q) and (q, q) algebra on the moments
@@ -153,84 +158,94 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     ``P_0 = I``, ``P_{k+1} = P_k E_k^T E_k^T``.  Pass k's innovations are
     ``Q_k (y - h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, so the last
     iterate is one additive update ``pred + B (y - h(pred))`` with the
-    step gain ``B = sum_k A_k Q_k = cross_0 S + A_last Q_last``, ``S =
-    sum_{k < kappa-1} beta_k s P_k D_k^{-1} Q_k``.
+    step gain ``B = sum_k A_k Q_k``, ``A_k Q_k = beta_k s cross_0 P_k
+    D_k^{-1} Q_k``.
 
-    Every pass but the last is diagonal in one basis.  Factor ``D_0 = L
-    L^T`` and diagonalize ``L^{-1} C_0 L^{-T} = V diag(mu_0) V^T``
+    Every pass is diagonal in one basis.  Factor ``D_0 = L L^T`` and
+    diagonalize ``L^{-1} C_0 L^{-T} = V diag(mu_0) V^T``
     (:func:`enks.core.whitened_spectrum`); with ``W = L^{-T} V`` and ``U =
-    L V``, ``U W^T = W^T U = I``, ``C_0 = U diag(mu_0) U^T`` and ``R0 =
-    U diag(r) U^T``, ``r = 1 - w mu_0``.  If ``C_k = U diag(mu_k) U^T``,
-    then ``D_k = U diag(d_k) U^T`` with ``d_k = w mu_k + r``, ``K_k = U
-    diag(beta_k s mu_k / d_k) W^T`` and ``E_k = U diag(eps_k) W^T``,
-    ``eps_k = 1 - beta_k s mu_k / d_k``, so ``C_{k+1}`` is diagonal too,
-    with ``mu_{k+1} = eps_k^2 mu_k``.  With ``e_k = prod_{j<k} eps_j``:
+    L V = D_0 W``, ``U W^T = W^T U = I``, ``C_0 = U diag(mu_0) U^T`` and
+    ``R0 = U diag(r) U^T``, ``r = 1 - w mu_0``.  If ``C_k = U diag(mu_k)
+    U^T``, then ``D_k = U diag(d_k) U^T`` and ``D_k^{-1} = W diag(1/d_k)
+    W^T`` with ``d_k = w mu_k + r``, ``K_k = U diag(beta_k s mu_k / d_k)
+    W^T`` and ``E_k = U diag(eps_k) W^T``, ``eps_k = 1 - beta_k s mu_k /
+    d_k``, so ``C_{k+1}`` is diagonal too, with ``mu_{k+1} = eps_k^2
+    mu_k``.  With ``e_k = prod_{j<k} eps_j``:
 
         P_k = W diag(e_k^2) U^T,   Q_k = U diag(e_k) W^T,
-        A_k Q_k = cross_0 W diag(beta_k s e_k^3 / d_k) W^T,
+        P_k D_k^{-1} Q_k = W diag(e_k^3 / d_k) W^T,
 
-    and ``S = W diag(Phi) W^T``, ``Phi = sum_{k < kappa-1} beta_k s
-    e_k^3 / d_k``.  The kappa - 1 damped passes are this recursion on q
-    numbers; ``mu`` and ``r`` are clipped at 0, so that rounding cannot
-    make a ``d_k`` negative.  The factor of ``D_0`` is the first pass's
-    positive-definiteness check, with its failures.  The last pass is a
-    solve as before, through :func:`enks.core.compute_gain`: ``A_last =
-    beta_last G(cross_0 P, C)`` with ``P = W diag(e^2) U^T`` and ``C = U
-    diag(mu) U^T``.  With kappa = 1 there is no damped pass, ``B`` is the
-    plain gain and the step that of :func:`enks.core.enks_step`, bit for
-    bit.
+    and ``B = cross_0 W diag(Phi) W^T``, ``Phi = sum_k beta_k s e_k^3 /
+    d_k`` over all kappa passes.  The passes are this recursion on q
+    numbers (:func:`_pass_weights`); ``mu`` and ``r`` are clipped at 0,
+    so that rounding cannot make a ``d_k`` negative.  The factor of
+    ``D_0`` is the first pass's positive-definiteness check, with its
+    failures; a ``d_k`` of 0 is a later denominator that is not positive
+    definite, and a non-finite ``B`` a non-finite gain.  Pass k's trace
+    is the norm of ``cross_0 W diag(f_k) W^T (y - h(pred))``, ``f_k =
+    beta_k s e_k^3 / d_k``, and that of ``U diag(e_k) W^T`` applied to
+    the mean innovation.
     """
-    N = pred.shape[1]
-    damped = schedule.betas[:-1]
-    if record is not None:
-        innov = y[:, None] - h_pred
-        mean = innov.mean(axis=1)
-    # a diverging ensemble overflows here; the gain's or the caller's
-    # finite checks report it
+    scale, weight = gain_weights(cfg, pred.shape[1])
+    # a diverging ensemble overflows here; the factor's and B's finite
+    # checks report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cross, hh = analysis_moments(pred, h_pred, work)
-        rows = cross  # the last pass solves cross_0 P
-        if damped:
-            scale, weight = gain_weights(cfg, N)
-            _, factor = factor_denominator(hh, weight, state.noise_term,
+        denom, factor = factor_denominator(hh, weight, state.noise_term,
                                            GAIN_FAILURES)
-            mu, W, U = whitened_spectrum(hh, factor)
-            np.maximum(mu, 0.0, out=mu)
-            r = np.maximum(1.0 - weight * mu, 0.0)
-            e = np.ones_like(mu)
-            phi = np.zeros_like(mu)
-            if record is not None:
-                cross_W, W_innov, W_mean = cross @ W, W.T @ innov, W.T @ mean
-            for k, beta in enumerate(damped):
-                damp = beta * scale / (weight * mu + r)  # beta_k s / d_k
-                f = damp * e ** 3  # A_k Q_k = cross_0 W diag(f) W^T
-                phi += f
-                if record is not None:
-                    record.residuals[k] = np.linalg.norm(
-                        np.matmul(cross_W * f, W_innov, out=work))
-                    record.innovation_norms[k] = np.linalg.norm(
-                        U @ (e * W_mean))
-                eps = 1.0 - damp * mu
-                mu *= eps * eps
-                e *= eps
-            rows = cross @ ((W * (e * e)) @ U.T)
-            hh = (U * mu) @ U.T
-        # compute_gain's arguments are positional, as bench/tracing.py
-        # reads them
-        A = schedule.betas[-1] * compute_gain(rows, hh, cfg, state.noise_term,
-                                              None, N)
-        if damped:
-            Q = (U * e) @ W.T
-            A = A @ Q  # A_last Q_last
-            B = cross @ ((W * phi) @ W.T) + A
-        else:
-            B = A
+        mu, W = whitened_spectrum(hh, factor)
+        try:
+            phi, f, e = _pass_weights(mu, schedule.betas, scale, weight,
+                                      record is not None)
+        except ZeroDivisionError:
+            raise NumericFailure(GAIN_FAILURES[1]) from None
+        B = cross @ ((W * phi) @ W.T)
+        if not all_finite(B):
+            raise NumericFailure(GAIN_FAILURES[2])
         if record is not None:
-            record.residuals[-1] = np.linalg.norm(np.matmul(A, innov,
-                                                            out=work))
-            record.innovation_norms[-1] = np.linalg.norm(
-                Q @ mean if damped else mean)
+            innov = y[:, None] - h_pred
+            cross_W, W_innov = cross @ W, W.T @ innov
+            U, W_mean = denom @ W, W.T @ innov.mean(axis=1)
+            for k in range(schedule.kappa):
+                record.residuals[k] = np.linalg.norm(
+                    np.matmul(cross_W * f[k], W_innov, out=work))
+                record.innovation_norms[k] = np.linalg.norm(
+                    U @ (e[k] * W_mean))
     return additive_update(pred, B, y, h_pred)
+
+
+def _pass_weights(mu: np.ndarray, betas: tuple, scale: float, weight: float,
+                  trace: bool
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``Phi`` of :func:`_linear_passes` from the whitened spectrum ``mu``,
+    and with ``trace`` each pass's ``f_k`` and ``e_k``, shape (kappa, q).
+
+    The q directions are independent and the passes sequential, so the
+    recursion runs on Python floats, one direction at a time: on q
+    numbers a numpy call costs more than its arithmetic.  ``mu`` and ``r
+    = 1 - weight mu`` are clipped at 0, and NaNs pass through.  A ``d_k``
+    of 0 raises ``ZeroDivisionError``.
+    """
+    phi, per_pass = [], []
+    steps = [beta * scale for beta in betas]  # beta_k s
+    for m in mu.tolist():
+        m = max(m, 0.0)
+        r = max(1.0 - weight * m, 0.0)
+        e, total = 1.0, 0.0
+        for step in steps:
+            damp = step / (weight * m + r)  # beta_k s / d_k
+            f = damp * (e * e * e)
+            total += f
+            if trace:
+                per_pass.append((f, e))
+            eps = 1.0 - damp * m
+            m *= eps * eps
+            e *= eps
+        phi.append(total)
+    if not trace:
+        return np.array(phi), None, None
+    f, e = np.array(per_pass).reshape(len(phi), len(betas), 2).T
+    return np.array(phi), f, e
 
 
 def iterative_enks_step(state: FilterState, proc: ProcessModel,

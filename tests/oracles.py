@@ -129,6 +129,83 @@ def enks_limit_series(m0, P0, a, Q, H, sigma_gram, alpha, dt, ys,
     return np.array(means), np.array(covs)
 
 
+def linear_step_gain_oracle(cross, hh, noise_term, betas, scale, weight):
+    """Step gain ``B`` of damped passes on a linear map, by brute force.
+
+    Carries the (n, q) cross moment, the (q, q) measured moment ``C`` and
+    the map ``Q`` from the first pass's innovations to the current ones
+    through every pass, with explicit inverses and no eigendecomposition:
+
+        D = weight C + noise_term,  A = beta scale cross D^{-1},
+        K = beta scale C D^{-1},    E = I - K,
+        B += A Q,  cross <- (cross - A C) E^T,  C <- E C E^T,  Q <- E Q.
+
+    A pass moves every particle by ``A`` times its innovation, so the
+    centred ensemble by ``-A Hd`` and its image by ``-K Hd``; the last
+    iterate is ``pred + B (y - h(pred))``.
+    """
+    cross = np.array(cross, dtype=float)
+    C = np.array(hh, dtype=float)
+    q = C.shape[0]
+    eye = np.eye(q)
+    Q = eye.copy()
+    B = np.zeros_like(cross)
+    for beta in betas:
+        inverse = np.linalg.inv(weight * C + noise_term)
+        A = beta * scale * cross @ inverse
+        E = eye - beta * scale * C @ inverse
+        B = B + A @ Q
+        cross = (cross - A @ C) @ E.T
+        C = E @ C @ E.T
+        Q = E @ Q
+    return B
+
+
+# The gain of an unperturbed additive update in three readings of the
+# EnKS formula's time weights, as functions of (P H^T, H P H^T, R, dt,
+# alpha) in the large-N limit, where sigma^T sigma = R dt:
+GAIN_READINGS = {
+    # dt P H^T (alpha H P H^T + (1 - alpha) R dt)^{-1}
+    "as specified": lambda PH, HPH, R, dt, alpha: dt * PH @ np.linalg.inv(
+        alpha * HPH + (1.0 - alpha) * R * dt),
+    # tc also weights C_hh: P H^T (alpha H P H^T + (1 - alpha) R)^{-1}
+    "tc weights C_hh": lambda PH, HPH, R, dt, alpha: PH @ np.linalg.inv(
+        alpha * HPH + (1.0 - alpha) * R),
+    # the Kalman gain P H^T (H P H^T + R)^{-1}
+    "Kalman gain": lambda PH, HPH, R, dt, alpha: PH @ np.linalg.inv(HPH + R),
+}
+
+
+def gain_reading_limit(spec, ys, dt, alpha, reading):
+    """Large-N means and step gains of the EnKS's unperturbed update with
+    the gain of ``GAIN_READINGS[reading]``, on the EM-discretized
+    linear-Gaussian model ``spec``.
+
+    Per step: ``m <- a m``, ``P <- a P a^T + F F^T dt`` with ``a = I + A
+    dt``; then ``m <- m + G (y - H m)`` and ``P <- (I - G H) P (I - G
+    H)^T``, with no ``G R G^T`` term, since the update adds no
+    perturbation.  Returns means (M, n) and gains (M, n, q).
+    """
+    gain = GAIN_READINGS[reading]
+    A, F, H, R = (np.atleast_2d(np.asarray(v, dtype=float))
+                  for v in (spec.A, spec.F, spec.H, spec.R))
+    n = A.shape[0]
+    a = np.eye(n) + A * dt
+    m = np.asarray(spec.x0_mean, dtype=float).reshape(-1).copy()
+    P = np.atleast_2d(np.asarray(spec.x0_cov, dtype=float)).copy()
+    means, gains = [], []
+    for y in ys:
+        m = a @ m
+        P = a @ P @ a.T + F @ F.T * dt
+        G = gain(P @ H.T, H @ P @ H.T, R, dt, alpha)
+        L = np.eye(n) - G @ H
+        m = m + G @ (np.atleast_1d(y) - H @ m)
+        P = L @ P @ L.T
+        means.append(m.copy())
+        gains.append(G)
+    return np.array(means), np.array(gains)
+
+
 def truth_path_oracle(model, x0, grid, stream):
     """Euler-Maruyama path of one state vector, one step at a time.
 

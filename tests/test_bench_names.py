@@ -6,7 +6,8 @@ zero that layer's trace metrics; ``bench/workloads.py`` and
 ``bench/kernels.py`` import or patch names directly, so a rename there
 would crash the benchmark.  The benchmark's own tests sit outside the
 test paths; this module keeps the names it relies on in the suite, and
-runs the tracer's patch table over a short experiment of every filter.
+runs the tracer's patch table over short experiments of every filter, on
+a linear and on a nonlinear measurement map.
 """
 
 import inspect
@@ -60,26 +61,34 @@ def tracing(monkeypatch):
 
 def test_patch_table_traces_every_filter_step(tracing):
     # the names a traced run wraps must be the ones each step calls: a
-    # call that bypasses them leaves its layer's metrics at 0
+    # call that bypasses them leaves its layer's metrics at 0.  On a
+    # linear map enks-iter forms its step gain from moments, without
+    # compute_gain; on the pendulum's map its passes call it
     steps = 3
-    cfg = enks.harness.ExperimentConfig(
-        problem="linear-gaussian", filters=enks.harness.FILTER_KINDS, N=8,
-        horizon=0.01 * steps, emit_outputs=False)
-    tracer = tracing.Tracer("names", enks.errors.NumericFailure)
-    with tracing.patched(tracing.patches(tracer, enks)):
-        enks.harness.run_experiment(cfg)
-    spans = tracer.spans
-    step_of = tracing.enclosing(spans, tracing.STEP_SPANS)
-    kind_of = {i: tracing.STEP_SPANS[s[tracing.NAME]]
-               for i, s in enumerate(spans) if s[tracing.NAME] in tracing.STEP_SPANS}
-    assert sorted(kind_of.values()) == sorted(enks.harness.FILTER_KINDS * steps)
-    under = {kind: set() for kind in enks.harness.FILTER_KINDS}
-    for i, s in enumerate(spans):
-        if step_of[i] >= 0 and step_of[i] != i:
-            under[kind_of[step_of[i]]].add(s[tracing.NAME])
-    for kind in enks.harness.FILTER_KINDS:
-        assert "sde.predict_ensemble" in under[kind], kind
-    assert "core.compute_gain" in under["enks"] & under["enks-iter"]
-    assert "core.additive_update" in under["enks"]
-    assert "iterative.iterate_update" in under["enks-iter"]
-    assert "enkf.enkf_update" in under["enkf"]
+    for problem in ("linear-gaussian", "pendulum"):
+        dt = enks.benchmarks.build_problem(problem).default_dt
+        cfg = enks.harness.ExperimentConfig(
+            problem=problem, filters=enks.harness.FILTER_KINDS, N=8,
+            horizon=dt * steps, emit_outputs=False)
+        tracer = tracing.Tracer("names", enks.errors.NumericFailure)
+        with tracing.patched(tracing.patches(tracer, enks)):
+            enks.harness.run_experiment(cfg)
+        spans = tracer.spans
+        step_of = tracing.enclosing(spans, tracing.STEP_SPANS)
+        kind_of = {i: tracing.STEP_SPANS[s[tracing.NAME]]
+                   for i, s in enumerate(spans)
+                   if s[tracing.NAME] in tracing.STEP_SPANS}
+        assert sorted(kind_of.values()) == sorted(
+            enks.harness.FILTER_KINDS * steps)
+        under = {kind: set() for kind in enks.harness.FILTER_KINDS}
+        for i, s in enumerate(spans):
+            if step_of[i] >= 0 and step_of[i] != i:
+                under[kind_of[step_of[i]]].add(s[tracing.NAME])
+        for kind in enks.harness.FILTER_KINDS:
+            assert "sde.predict_ensemble" in under[kind], (problem, kind)
+        assert "core.compute_gain" in under["enks"], problem
+        assert ("core.compute_gain" in under["enks-iter"]) == (
+            problem == "pendulum")
+        assert "core.additive_update" in under["enks"], problem
+        assert "iterative.iterate_update" in under["enks-iter"], problem
+        assert "enkf.enkf_update" in under["enkf"], problem

@@ -469,23 +469,26 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_one_cholesky_and_one_solve_per_analysis(self, kind):
         # cost guard: each analysis (an enks or enkf step, an enks-iter
-        # pass on the pendulum's map) checks its denominator with one
-        # Cholesky factorization and solves with one LU solve, both numpy's
-        # LAPACK gufuncs called directly.  An enks-iter step on a linear
-        # map, whatever kappa, factors its first denominator, diagonalizes
-        # the whitened moment with one inverse and one symmetric
-        # eigensolve, and factors and solves its last pass.  The EnKF
-        # factors R once per run besides, through np.linalg.cholesky, and
-        # nothing goes through np.linalg.solve
-        cases = ([("frame4-damaged", 3), ("frame4-damaged", 10),
-                  ("pendulum", 3)] if kind == "enks-iter"
-                 else [("frame4-damaged", 3)])
+        # step at kappa = 1, an enks-iter pass on the pendulum's map)
+        # checks its denominator with one Cholesky factorization and
+        # solves with one LU solve, both numpy's LAPACK gufuncs called
+        # directly.  An enks-iter step on a linear map at kappa >= 2
+        # factors its first denominator, diagonalizes the whitened moment
+        # with one inverse and one symmetric eigensolve, and solves
+        # nothing.  The EnKF factors R once per run besides, through
+        # np.linalg.cholesky, and nothing goes through np.linalg.solve
+        cases = ([("frame4-damaged", 1), ("frame4-damaged", 3),
+                  ("frame4-damaged", 10), ("pendulum", 3)]
+                 if kind == "enks-iter" else [("frame4-damaged", 3)])
         for problem_id, kappa in cases:
             problem, series, ens0, fcfg = self.setup_data(problem_id, 12, 0.05)
-            steps = len(series)
-            spectral = kind == "enks-iter" and problem.meas.linear
-            analyses = steps * (kappa if kind == "enks-iter" and not spectral
-                                else 1)
+            if kind == "enks-iter" and problem.meas.linear and kappa > 1:
+                per_step = {"cholesky_lo": 1, "inv": 1, "eigh_lo": 1,
+                            "solve": 0}
+            else:
+                passes = kappa if kind == "enks-iter" else 1
+                per_step = {"cholesky_lo": passes, "inv": 0, "eigh_lo": 0,
+                            "solve": passes}
             lapack = mock.Mock(wraps=core._umath_linalg)
             with mock.patch.object(core, "_umath_linalg", lapack), \
                     mock.patch.object(np.linalg, "cholesky",
@@ -494,10 +497,11 @@ class TestRunFilterSeries:
                                       wraps=np.linalg.solve) as solve:
                 run_filter_series(kind, problem, series, ens0, fcfg,
                                   schedule=make_schedule(kappa))
-            assert lapack.cholesky_lo.call_count == analyses + steps * spectral
-            assert lapack.solve.call_count == analyses
-            assert lapack.inv.call_count == steps * spectral
-            assert lapack.eigh_lo.call_count == steps * spectral
+            calls = {name: getattr(lapack, name).call_count
+                     for name in per_step}
+            assert calls == {name: len(series) * count
+                             for name, count in per_step.items()}, (
+                problem_id, kappa)
             assert cholesky.call_count == (kind == "enkf")
             assert solve.call_count == 0
 

@@ -11,12 +11,13 @@ from enks.core import (GAIN_FAILURES, FilterConfig, FilterState,
                        additive_update, compute_gain, enks_step,
                        make_initial_state)
 from enks.errors import NumericFailure
+from enks import iterative
 from enks.iterative import (AnnealingSchedule, iterate_update,
                             iterative_enks_step, make_schedule)
 from enks.models import MeasurementModel, ProcessModel
 from enks.rng import RngStream, particle_streams
 
-from oracles import gain_oracle
+from oracles import gain_oracle, linear_step_gain_oracle
 
 
 class TestMakeSchedule:
@@ -360,9 +361,10 @@ def assert_matches_the_loop(run, loop_run):
 
 
 class TestMomentsRoute:
-    """enks-iter on a linear map runs its damped passes as one whitened
-    eigendecomposition and its last pass as a solve on moments; the pass
-    loop over the iterate is the reference it must reproduce."""
+    """enks-iter on a linear map at kappa >= 2 runs all its passes from one
+    whitened eigendecomposition of the moments, with no solve; the pass
+    loop over the iterate, and the brute-force passes on explicit moments,
+    are the references it must reproduce."""
 
     @pytest.mark.parametrize("problem_id", LINEAR_PROBLEMS)
     def test_matches_the_pass_loop(self, problem_id):
@@ -416,6 +418,58 @@ class TestMomentsRoute:
                              [trace]))
             assert_matches_the_loop(*outs)
 
+    @pytest.mark.parametrize("q, N", [(1, 12), (3, 12), (3, 3), (50, 120),
+                                      (50, 30)])
+    def test_step_gain_matches_the_brute_force_passes(self, q, N):
+        # the step moves pred by B (y - h(pred)), with B the step gain of
+        # the brute-force pass loop on explicit (q, q) moments, which
+        # inverts every denominator and diagonalizes nothing.  N > q gives
+        # random SPD moments, N <= q a measured moment C_0 of rank N - 1.
+        # dt / alpha near 1 makes the passes damp the innovations far
+        # below 1, so each pass's weight e_k^3 shows
+        rng = np.random.default_rng(q * N)
+        n = q + 2
+        H = rng.standard_normal((q, n))
+        meas = MeasurementModel(q=q, h=lambda x, t: H @ x, nu=np.eye(q),
+                                dt_scale=0.1, linear=True)
+        pred = 1.0 + rng.standard_normal((n, N))
+        h = meas.evaluate(pred, 0.0)
+        y = H @ pred.mean(axis=1) + rng.standard_normal(q)
+        root = rng.standard_normal((q, q))
+        noise_term = 0.2 * (root @ root.T / q + np.eye(q))
+        cfg = FilterConfig(dt=0.5, alpha=0.8)
+        state = make_state(0.0, noise_term, n=n)
+        Xd = pred - pred.mean(axis=1, keepdims=True)
+        Hd = h - h.mean(axis=1, keepdims=True)
+        assert np.linalg.matrix_rank(Hd @ Hd.T) == min(q, N - 1)
+        for kappa in (2, 3, 10, 25):
+            betas = make_schedule(kappa).betas
+            B = linear_step_gain_oracle(Xd @ Hd.T, Hd @ Hd.T, noise_term,
+                                        betas, cfg.dt / N,
+                                        cfg.alpha / (N - 1))
+            expected = B @ (y[:, None] - h)
+            out, _ = iterate_update(pred, h, state, y, make_schedule(kappa),
+                                    meas, cfg, 0.0)
+            err = np.abs((out - pred) - expected)
+            assert np.all(err <= 1e-11 * np.abs(expected).max()
+                          + 4 * np.finfo(float).eps * np.abs(pred)), kappa
+
+    def test_singular_later_denominator_is_not_positive_definite(self):
+        # a whitened spectrum of 4 at s = w = 0.25 (N = 2, dt = 0.5,
+        # alpha = 0.25) has r = 0, and an undamped first pass takes it to
+        # 0, so the second pass's denominator d_1 = w mu_1 + r is 0
+        meas = replace(identity_meas(1), linear=True)
+        cfg = FilterConfig(dt=0.5, alpha=0.25)
+        pred = np.array([[0.0, 1.0]])
+        state = make_state(0.0, 0.2 * np.eye(1))
+        spectrum = (np.array([4.0]), np.eye(1))
+        with mock.patch.object(iterative, "whitened_spectrum",
+                               return_value=spectrum), \
+                pytest.raises(NumericFailure, match=GAIN_FAILURES[1]):
+            iterate_update(pred, pred.copy(), state, np.array([0.5]),
+                           AnnealingSchedule(betas=(1.0, 1.0)), meas, cfg,
+                           0.0)
+
     @pytest.mark.parametrize("kappa", [2, 10])
     def test_zero_spread_leaves_the_ensemble_unchanged(self, kappa):
         # identical particles have zero moments, so every gain is zero and
@@ -456,6 +510,22 @@ class TestMomentsRoute:
             assert info.value.t == pytest.approx(series.times[2])
         assert raised[0] == raised[1]
         assert raised[0][1] == GAIN_FAILURES[failure]
+
+    def test_non_finite_gain_matches_the_pass_loop(self):
+        # an unobserved state whose spread overflows the cross moment: the
+        # first denominator is finite and the gain is not, and both routes
+        # name the gain
+        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], nu=np.eye(1),
+                                dt_scale=0.1, linear=True)
+        cfg = FilterConfig(dt=0.1, alpha=0.8)
+        pred = np.array([[0.0, 1.0, 2.0, 3.0],
+                         [1e308, -1e308, 1e308, -1e308]])
+        state = make_state(0.0, 0.2 * np.eye(1), n=2)
+        for m in (meas, replace(meas, linear=False)):
+            with pytest.raises(NumericFailure) as info:
+                iterate_update(pred, m.evaluate(pred, 0.0), state,
+                               np.array([1.0]), make_schedule(3), m, cfg, 0.0)
+            assert str(info.value) == GAIN_FAILURES[2]
 
     @pytest.mark.parametrize("problem_id", PROBLEM_IDS)
     def test_kappa_one_is_the_plain_step_bitwise(self, problem_id):
