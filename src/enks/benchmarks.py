@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import matmul
 from .errors import NumericFailure
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
 
@@ -339,9 +340,10 @@ def build_linear_gaussian(spec: LinearGaussianSpec, dt: float
     A, F, H = spec.A, spec.F, spec.H
 
     proc = ProcessModel(n=spec.n, m=F.shape[1],
-                        drift_ensemble=lambda x, t: A @ x, constant_diffusion=F)
+                        drift_ensemble=lambda x, t: matmul(A, x),
+                        constant_diffusion=F)
     noise_std = np.sqrt(np.diag(spec.R))
-    meas = MeasurementModel(q=spec.q, h=lambda x, t: H @ x,
+    meas = MeasurementModel(q=spec.q, h=lambda x, t: matmul(H, x),
                             nu=nu_from_noise_std(noise_std, dt), dt_scale=dt,
                             linear=True)
     return proc, meas

@@ -13,11 +13,11 @@ gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FilterState, analysis_gain, forecast
+from .core import FilterState, analysis_gain, forecast, matmul
 from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise, RngStream
 
@@ -91,8 +91,11 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES,
                          work=work)
 
-    eps = cfg.chol_R @ stream.standard_normal((q, N))
-    analysis = pred + np.matmul(gain, y[:, None] + eps - h_pred, out=work)
+    # the perturbed innovation y + eps - h, formed in the perturbation
+    innov = matmul(cfg.chol_R, stream.standard_normal((q, N)))
+    innov += y[:, None]
+    innov -= h_pred
+    analysis = pred + matmul(gain, innov, out=work)
     require_finite(analysis, "non-finite analysis ensemble")
     return analysis
 
@@ -109,4 +112,4 @@ def enkf_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise)
     analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream,
                            state.work[1])
-    return replace(state, t_curr=t_new, ensemble=analysis)
+    return FilterState(t_new, analysis, state.noise_term, state.work)

@@ -27,13 +27,13 @@ arithmetic of its update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (GAIN_FAILURES, FilterConfig, FilterState,
                    additive_update, analysis_moments, compute_gain,
-                   factor_denominator, forecast, gain_weights,
+                   factor_denominator, forecast, gain_weights, matmul,
                    whitened_spectrum)
 from .errors import NumericFailure
 from .models import (MeasurementModel, ProcessModel, all_finite,
@@ -127,7 +127,7 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
             h_k = meas.evaluate(ens, t)
         gain = compute_gain(ens, h_k, cfg, state.noise_term, work)
         np.subtract(y[:, None], h_k, out=innov)
-        incr = np.matmul(beta * gain, innov, out=work)
+        incr = matmul(beta * gain, innov, out=work)
         ens += incr
         require_finite(ens, "non-finite iterate")
         if record is not None:
@@ -259,4 +259,4 @@ def iterative_enks_step(state: FilterState, proc: ProcessModel,
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
     updated, record = iterate_update(pred, h_pred, state, y, schedule, meas,
                                      cfg, t_new, trace=trace)
-    return replace(state, t_curr=t_new, ensemble=updated), record
+    return FilterState(t_new, updated, state.noise_term, state.work), record

@@ -98,14 +98,19 @@ def emit_csv(record: RunRecord, path) -> Path:
     header = ["step", "time", "channel", "truth"]
     for name in names:
         header += [f"{name}_mean", f"{name}_std"]
+    # Python lists of Python floats: indexing an array makes a numpy scalar
+    truth = record.truth.tolist()
+    series = [(record.filter_means[name].tolist(),
+               record.filter_stds[name].tolist()) for name in names]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i, (step, t) in enumerate(zip(record.steps, record.times)):
+        for i, (step, t) in enumerate(zip(record.steps.tolist(),
+                                          record.times.tolist())):
             for c in range(record.n_channels):
-                row = [str(int(step)), _fmt(t), str(c), _fmt(record.truth[c, i])]
-                for name in names:
-                    row.append(_fmt(record.filter_means[name][c, i]))
-                    row.append(_fmt(record.filter_stds[name][c, i]))
+                row = [str(step), _fmt(t), str(c), _fmt(truth[c][i])]
+                for means, stds in series:
+                    row.append(_fmt(means[c][i]))
+                    row.append(_fmt(stds[c][i]))
                 fh.write(",".join(row) + "\n")
     return path
 

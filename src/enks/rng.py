@@ -60,8 +60,16 @@ class RngStream:
         self.seed, self.stream_id = int(seed), int(stream_id)
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be nonnegative")
-        self._gen = np.random.Generator(np.random.Philox(
-            key=np.array([self.seed, self.stream_id], np.uint64)))
+        key = np.array([self.seed, self.stream_id], np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        # the Philox state at counter 0 that restart() loads; the state
+        # setter copies its words, so draws leave the counter at zero and
+        # a restart rewrites only the key's stream word
+        self._start = {"bit_generator": "Philox",
+                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0,
+                       "state": {"counter": np.zeros(4, np.uint64),
+                                 "key": key}}
 
     def restart(self, stream_id: int) -> None:
         """Rewind to substream ``stream_id``: draw what ``RngStream(seed,
@@ -69,11 +77,8 @@ class RngStream:
         if stream_id < 0:
             raise ValueError("stream_id must be nonnegative")
         self.stream_id = int(stream_id)
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.array([self.seed, self.stream_id], np.uint64)}}
+        self._start["state"]["key"][1] = self.stream_id
+        self._gen.bit_generator.state = self._start
 
     def standard_normal(self, size=None, out=None) -> np.ndarray:
         """Draw iid N(0, 1) variates, advancing the stream counter; with

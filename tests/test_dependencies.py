@@ -13,12 +13,24 @@ The analysis kernels call four private LAPACK gufuncs of numpy directly;
 a third guard checks, in a fresh interpreter, that they are still there,
 give the bits of the public calls and report a failed factorization as a
 non-finite factor.
+
+Products with an inner dimension of 1 go through ``np.dot`` rather than
+``np.matmul`` (``enks.core.matmul``), and a stream restart loads one
+Philox state dict that it rewrites in place; two more guards check that
+numpy gives the bits each relies on.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from enks.harness import _one_blas_thread
+from enks.rng import RngStream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -156,3 +168,43 @@ def test_numpy_exports_the_lapack_gufuncs_of_the_kernel():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True"] * 4 + ["16", "True", "False"]
+
+
+@pytest.mark.parametrize("blas", [contextlib.nullcontext, _one_blas_thread])
+@pytest.mark.parametrize("shape", [(1, 1, 2000), (4, 1, 600), (200, 50, 800)])
+def test_dot_gives_the_bits_of_matmul(shape, blas):
+    # core.matmul sends an inner dimension of 1 to np.dot, which numpy runs
+    # through BLAS where matmul runs an unblocked loop; a numpy whose two
+    # products differ in their bits would move every output.  The widest
+    # shape is frame50's update, with the F-ordered gain the solve returns:
+    # the helper keeps it on matmul only because matmul is faster there
+    rows, inner, cols = shape
+    rng = np.random.default_rng(inner)
+    a = np.asfortranarray(rng.standard_normal((rows, inner)))
+    b = rng.standard_normal((inner, cols))
+    with blas():
+        expected = a @ b
+        out = np.empty_like(expected)
+        assert np.array_equal(np.dot(a, b), expected)
+        assert np.dot(a, b, out=out) is out
+        assert np.array_equal(out, expected)
+
+
+def test_restarts_through_reused_state_dicts_replay_fresh_streams():
+    # each RngStream rewrites and reloads its own Philox state dict: the
+    # setter must copy the words, so that draws leave the dict's counter at
+    # zero, and two streams restarted and drawn by turns must not see each
+    # other's key
+    streams = RngStream(3, 0), RngStream(5, 1)
+    sizes = (3, 1, 5)
+    for key in (7, 2**20, 2**20 + 1, 7, 2**64 - 1):
+        drawn = {id(stream): [] for stream in streams}
+        for stream in streams:
+            stream.restart(key)
+        for size in sizes:
+            for stream in streams:
+                drawn[id(stream)].append(stream.standard_normal(size))
+        for stream in streams:
+            fresh = RngStream(stream.seed, key)
+            for got, size in zip(drawn[id(stream)], sizes):
+                assert np.array_equal(got, fresh.standard_normal(size))

@@ -470,6 +470,31 @@ class TestMomentsRoute:
                            AnnealingSchedule(betas=(1.0, 1.0)), meas, cfg,
                            0.0)
 
+    def test_pass_weights_clip_the_spectrum_and_the_noise_weight(self):
+        # rounding can leave a whitened eigenvalue below 0, or weight * mu
+        # above 1 (so r < 0); the recursion reads each as 0.  mu = -0.3
+        # then gives d_k = r = 1 and an e_k that stays 1; weight * mu =
+        # 1.5 gives r = 0, so d_k = weight * mu_k at every pass
+        betas, scale, weight = (0.5, 1.0), 0.1, 0.25
+        phi, f, e = iterative._pass_weights(np.array([-0.3, 6.0]), betas,
+                                            scale, weight, True)
+        assert f.shape == e.shape == (2, 2)
+        assert e[:, 0].tolist() == [1.0, 1.0]
+        assert f[:, 0].tolist() == [0.5 * scale, 1.0 * scale]
+        assert phi[0] == 0.5 * scale + 1.0 * scale
+        m, e_k, expected = 6.0, 1.0, []
+        for beta in betas:
+            damp = beta * scale / (weight * m)
+            expected.append((damp * e_k * e_k * e_k, e_k))
+            eps = 1.0 - damp * m
+            m, e_k = m * eps * eps, e_k * eps
+        assert f[:, 1] == pytest.approx([fk for fk, _ in expected],
+                                        rel=1e-14)
+        assert e[:, 1] == pytest.approx([ek for _, ek in expected],
+                                        rel=1e-14)
+        assert phi[1] == pytest.approx(sum(fk for fk, _ in expected),
+                                       rel=1e-14)
+
     @pytest.mark.parametrize("kappa", [2, 10])
     def test_zero_spread_leaves_the_ensemble_unchanged(self, kappa):
         # identical particles have zero moments, so every gain is zero and

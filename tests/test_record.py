@@ -66,6 +66,26 @@ class TestCsv:
             assert np.array_equal(back.filter_means[name], rec.filter_means[name])
             assert np.array_equal(back.filter_stds[name], rec.filter_stds[name])
 
+    def test_bytes_match_the_writer_that_indexes_the_arrays(self, tmp_path):
+        # emit_csv formats Python floats from tolist(); the reference
+        # formats the numpy scalar of every entry, as the writer once did
+        rec = small_record(M=4, n=3)
+        rec.truth[1, 2] = 1e-310
+        rec.filter_means["enkf"][0, 1] = -0.0
+        lines = [",".join(["step", "time", "channel", "truth"]
+                          + [f"{f}_{s}" for f in rec.filters
+                             for s in ("mean", "std")])]
+        for i, (step, t) in enumerate(zip(rec.steps, rec.times)):
+            for c in range(rec.n_channels):
+                row = [str(int(step)), repr(float(t)), str(c),
+                       repr(float(rec.truth[c, i]))]
+                for name in rec.filters:
+                    row += [repr(float(rec.filter_means[name][c, i])),
+                            repr(float(rec.filter_stds[name][c, i]))]
+                lines.append(",".join(row))
+        path = emit_csv(rec, tmp_path / "rows.csv")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_round_trip_survives_awkward_floats(self, tmp_path):
         rec = small_record(M=2, n=1, filters=("enks",))
         rec.truth[0] = [1 / 3, 1e-17]
