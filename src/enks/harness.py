@@ -204,16 +204,16 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread within the block and restore the
-    count found however it ends; yields whether the count could be set."""
+    count found however it ends; where the count cannot be set, leave it."""
     blas = _openblas_threads()
     if blas is None:
-        yield False
+        yield
         return
     get, set_ = blas
     found = get()
     set_(1)
     try:
-        yield True
+        yield
     finally:
         set_(found)
 
@@ -234,16 +234,14 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     step-keyed panels of ``cfg.seed``.  Where numpy's OpenBLAS thread
     count can be set, the run keeps it at one thread from its first step
     to its last, whatever its size or noise, so its bits do not depend on
-    the host's core count, and a :class:`ParticleNoise` draws each of the
-    run's ``M`` panels a step ahead when its panels are large enough
-    (:meth:`ParticleNoise.drawing_ahead`).  The thread count found is
-    restored, and the helper thread joined, before this returns or
-    raises.  A step's ``NumericFailure``, or one from its moments, is
-    re-raised with the filter kind, the step index and the step's
-    measurement time, its particle kept.  Each step's mean and ``ddof=1``
-    std come from one mean, the deviations formed in the state's
-    ``work[0]``, which holds the step's prediction and is free once the
-    step has returned.
+    the host's core count; the thread count found is restored before this
+    returns or raises.  The run starts no thread: each step draws its
+    noise on the calling thread.  A step's ``NumericFailure``, or one from
+    its moments, is re-raised with the filter kind, the step index and the
+    step's measurement time, its particle kept.  Each step's mean and
+    ``ddof=1`` std come from one mean, the deviations formed in the
+    state's ``work[0]``, which holds the step's prediction and is free
+    once the step has returned.
     """
     ens0 = validate_ensemble(ens0)
     n, N = ens0.shape
@@ -283,10 +281,7 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         raise ValueError(f"unknown filter kind '{kind}'")
 
     state = FilterState(0.0, ens0, noise_term)
-    with contextlib.ExitStack() as run:
-        if (run.enter_context(_one_blas_thread())
-                and isinstance(streams, ParticleNoise)):
-            run.enter_context(streams.drawing_ahead(proc.m, M))
+    with _one_blas_thread():
         for i in range(M):
             t = state.t_curr + cfg.dt
             try:

@@ -10,19 +10,9 @@ same sequence, so runs are bit-reproducible.
 Purpose ids reserve the low stream ids; the ensemble's Brownian panels
 are keyed by fine step from STEP_BASE up, so a step key never collides
 with a purpose id.
-
-Because a step's panel depends on its key alone, any thread may draw it
-early without moving a bit.  Inside ``ParticleNoise.drawing_ahead`` a
-helper thread draws step k+1's panel while step k runs (numpy's fills
-release the GIL); the run loop keeps numpy's OpenBLAS on one thread, so
-the helper does not compete with a second BLAS thread for a core.  Panels
-under ``AHEAD_MIN_NORMALS`` normals, and every panel read outside that
-block, are drawn inline.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -34,15 +24,6 @@ INIT_ENSEMBLE_STREAM = 2
 FORCING_STREAM = 3
 PERTURBATION_STREAM = 4
 STEP_BASE = 1 << 20
-
-# Smallest (N, m) panel, in normals, drawn a step ahead.  On a 2-core
-# host, `enks` runs of frame20-damaged, frame50 and the linear-Gaussian
-# problem with panels of 42,000 normals or more were faster drawn ahead,
-# both in fresh processes and alternating with inline runs in one process.
-# At 30,000-32,000 only the fresh processes were; at 18,000 (frame20 at
-# N=300) runs alternating in one process were slower drawn ahead, and at
-# 8,000-12,000 either way was faster by turns.
-AHEAD_MIN_NORMALS = 40_000
 
 
 class RngStream:
@@ -103,12 +84,6 @@ class ParticleNoise:
     step ``stride * dt_ref`` integrate the same fine Brownian path as a
     run at ``dt_ref``.
 
-    Inside :meth:`drawing_ahead`, which is told how many ``increments``
-    calls the block makes, the noise draws each step's unit panel one step
-    early on a helper thread, with the panel function and the stream an
-    inline draw uses, and draws nothing past the block's last step;
-    outside it, every panel is drawn inline.
-
     The object owns its panel and increment buffers, sized at the first
     call, so a steady-state step allocates nothing here.
     """
@@ -120,11 +95,9 @@ class ParticleNoise:
         self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
         self._stream = RngStream(self.seed, STEP_BASE)  # restarted per fine step
         self._step = 0  # next unread fine step
-        # two (N, m) unit panels (the one read, the one drawn ahead), the
-        # (N, m) fine panel of a stride sum, the (m, N) increments
-        self._panels = self._fine = self._out = None
-        self._helper = self._pending = None  # executor and its panel job
-        self._end = 0  # first fine step past the drawing-ahead block's last
+        # the (N, m) unit panel, the (N, m) fine panel of a stride sum, the
+        # (m, N) increments
+        self._panel = self._fine = self._out = None
 
     def _unit_panel(self, k0: int, out: np.ndarray) -> np.ndarray:
         """Unit draw of the step starting at fine step ``k0``, into ``out``."""
@@ -141,49 +114,16 @@ class ParticleNoise:
         """Next step's increments, shape (m, N): column j ~ N(0, dt I_m).
 
         The result is a buffer of this object, valid until the next call.
-        A draw that failed on the helper raises here, in the step that
-        reads its panel.
         """
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
         if self._out is None or self._out.shape[0] != m:
-            if self._pending is not None:  # drawn at another width: redraw
-                self._pending.exception()
-                self._pending = None
-            self._panels = (np.empty((self.N, m)), np.empty((self.N, m)))
+            self._panel = np.empty((self.N, m))
             self._out = np.empty((m, self.N))
             self._fine = np.empty((self.N, m)) if self.stride > 1 else None
         k0, self._step = self._step, self._step + self.stride
-        pending, self._pending = self._pending, None
-        panel = (pending.result() if pending is not None
-                 else self._unit_panel(k0, self._panels[0]))
-        if self._helper is not None and self._step < self._end:
-            free = self._panels[1] if panel is self._panels[0] else self._panels[0]
-            self._pending = self._helper.submit(self._unit_panel, self._step, free)
+        panel = self._unit_panel(k0, self._panel)
         return np.multiply(np.sqrt(dt), panel.T, out=self._out)
-
-    @contextlib.contextmanager
-    def drawing_ahead(self, m: int, steps: int):
-        """Within the block, which makes at most ``steps`` ``increments``
-        calls, draw each step's ``(N, m)`` panel a step early.
-
-        The noise draws ahead, on one helper thread, only when its panel
-        has at least ``AHEAD_MIN_NORMALS`` normals; otherwise the block
-        draws inline.  However the block ends, the helper is joined.
-        """
-        if self.N * m < AHEAD_MIN_NORMALS:
-            yield self
-            return
-        from concurrent.futures import ThreadPoolExecutor
-        self._end = self._step + steps * self.stride
-        self._helper = ThreadPoolExecutor(1, thread_name_prefix="enks-draw")
-        try:
-            yield self
-        finally:
-            # a panel drawn for a step the block did not reach is dropped,
-            # its outcome with it; a later read of that step draws inline
-            helper, self._helper, self._pending = self._helper, None, None
-            helper.shutdown(wait=True, cancel_futures=True)
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:

@@ -7,8 +7,8 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
-    # a run that draws ahead joins its helper before it returns or raises;
-    # a thread a test leaves behind would draw or hold BLAS into the next
+    # a run starts no thread; one a test leaves behind would run on into
+    # the next test, racing it for the BLAS thread count a run sets
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate()

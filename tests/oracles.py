@@ -60,6 +60,17 @@ def gain_oracle(pred, h_pred, prev_x_mean, prev_h_mean, t_i, t_prev, alpha,
     return numerator @ np.linalg.inv(denom)
 
 
+def enks_gain_cap(dt, N, alpha):
+    """Bound ``dt (N-1)/(N alpha)`` on the measured EnKS gain's eigenvalues.
+
+    On a linear map the measured gain ``H G = s C (w C + R0)^{-1}``, with
+    ``s = dt/N``, ``w = alpha/(N-1)`` and ``C = Hd Hd^T``, has the
+    eigenvalues ``s mu / (w mu + 1)`` of ``C`` whitened by ``R0``, so
+    they lie in ``[0, s/w)`` however wide the spread.
+    """
+    return dt * (N - 1) / (N * alpha)
+
+
 def scalar_kalman_step(m, P, a, Q, H, R, y):
     """Textbook scalar Kalman predict + update."""
     m_pred = a * m

@@ -36,6 +36,8 @@ from enks.iterative import make_schedule
 from enks.record import RunRecord, emit_csv, load_csv
 from enks.rng import RngStream
 
+from oracles import enks_gain_cap
+
 BOUNDED_POPULATION_SEED = 2  # truth stays in the stable basin through T = 100
 POPULATION_SEED_CAP = 200  # criterion 4 looks no further for finite truths
 
@@ -78,7 +80,10 @@ def test_criterion_1_kalman_oracle_equivalence():
     cause = (f"large-N EnKS limit: |limit - Kalman| = "
              f"{np.mean(np.abs(m_lim - m_kal)):.4f}, |EnKS - limit| = "
              f"{np.mean(np.abs(runs - m_lim[0][None, :])):.4f}, final gain "
-             f"{g_lim[-1, 0, 0]:.4f} vs Kalman gain {k_kal[0, 0]:.4f}")
+             f"{g_lim[-1, 0, 0]:.4f} (cap dt (N-1)/(N alpha) = "
+             f"{enks_gain_cap(0.01, 2000, cfg.alpha):.4g} at N = 2000, "
+             f"dt/alpha = {0.01 / cfg.alpha:.4g} at large N) vs Kalman gain "
+             f"{k_kal[0, 0]:.4f}")
     report("1 (Kalman-oracle equivalence)", passed,
            f"time-avg |EnKS - Kalman| = {deviation:.4f}, "
            f"3 x MC-SE = {3 * se:.4f}; {cause} [{time.time() - t0:.0f}s]")
@@ -159,7 +164,9 @@ def test_criterion_4_population_reproduction():
               f"diverged: EnKS {diverged['enks']}, EnKF {diverged['enkf']}; "
               f"median |estimate - truth| where both finished: EnKS "
               f"{np.median([e[0] for e in finished]):.3f}, EnKF "
-              f"{np.median([e[1] for e in finished]):.3f}")
+              f"{np.median([e[1] for e in finished]):.3f}; EnKS gain cap "
+              f"dt (N-1)/(N alpha) = "
+              f"{enks_gain_cap(0.1, 1000, cfg.alpha):.4g}, the EnKF's 1")
     report("4 (population EnKS vs EnKF)", passed,
            f"{detail} [{time.time() - t0:.0f}s]")
     assert passed, detail

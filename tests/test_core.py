@@ -14,8 +14,8 @@ from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
 from enks.rng import RngStream, particle_streams
 
-from oracles import (brute_covariance, exact_moment_ensemble, gain_oracle,
-                     scalar_kalman_series)
+from oracles import (brute_covariance, enks_gain_cap, exact_moment_ensemble,
+                     gain_oracle, scalar_kalman_series)
 
 
 def identity_meas(n, nu=1.0, dt=0.1):
@@ -193,6 +193,41 @@ class TestComputeGain:
             G = compute_gain(pred, h, cfg, (1 - alpha) * sig)
             oracle = gain_oracle(pred, h, prev_x, prev_h, tc, tp, alpha, sig)
             assert np.allclose(G, oracle, rtol=1e-10, atol=1e-12), (tc, tp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), q=st.integers(1, 4), N=st.integers(2, 40),
+           dt=st.floats(1e-3, 1.0), alpha=st.floats(0.05, 0.95),
+           spread=st.floats(1e-2, 1e2), noise=st.floats(1e-2, 1e2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_measured_gain_stays_under_its_cap(self, n, q, N, dt, alpha,
+                                               spread, noise, seed):
+        # on a linear map the measured gain K = H G is similar to a
+        # symmetric matrix, so its eigenvalues are real, and they lie in
+        # [0, enks_gain_cap) however wide the spread.  They are computed
+        # from a nonsymmetric (q, q) product, so the bounds and the
+        # imaginary parts hold to TOL of the cap, as does the match with
+        # the closed form from the brute-force covariance; over 100,000
+        # draws from these ranges the largest miss was 3.1e-8 of the cap
+        TOL = 1e-6
+        rng = np.random.default_rng(seed)
+        pred = spread * rng.standard_normal((n, N))
+        H = rng.standard_normal((q, n))
+        A = rng.standard_normal((q, q))
+        R0 = noise * (A @ A.T + 0.1 * np.eye(q))
+        cfg = FilterConfig(dt=dt, alpha=alpha)
+        K = H @ compute_gain(pred, H @ pred, cfg, R0)
+        cap = enks_gain_cap(dt, N, alpha)
+        eig = np.linalg.eigvals(K)
+        assert np.all(np.abs(eig.imag) <= TOL * cap), eig
+        eig = np.sort(eig.real)
+        assert eig[0] >= -TOL * cap and eig[-1] <= cap * (1 + TOL), (eig, cap)
+        # the oracle: S = Hd Hd^T / (N-1) from plain loops, whitened by an
+        # explicit inverse of R0's factor
+        S = brute_covariance(list((H @ pred).T))
+        Linv = np.linalg.inv(np.linalg.cholesky(R0))
+        lam = np.clip(np.linalg.eigvalsh(Linv @ S @ Linv.T), 0.0, None)
+        expected = cap * lam / (lam + 1.0 / alpha)
+        assert np.allclose(eig, np.sort(expected), rtol=0, atol=TOL * cap)
 
     def test_dimension_mismatch(self):
         cfg = FilterConfig(dt=0.1, alpha=0.5)
@@ -414,6 +449,8 @@ class TestEnksStep:
             f"{deviation:.4f} (3 x MC standard error = {3 * se:.4f}); "
             f"large-N EnKS limit: |limit - Kalman| = "
             f"{abs(m_lim[0, 0] - m_kal[0]):.4f}, gain {g_lim[0, 0, 0]:.4f} "
+            f"(cap dt (N-1)/(N alpha) = {enks_gain_cap(dt, N, cfg.alpha):.4g}"
+            f" at N = {N}, dt/alpha = {dt / cfg.alpha:.4g} at large N) "
             f"vs Kalman gain {P_kal[0] / R:.4f}")
 
 

@@ -5,12 +5,13 @@ into both libraries waits on the other pool's threads.  This guard runs one
 step of each filter in a fresh interpreter and checks that scipy was never
 imported.
 
-A run that draws its Brownian panels ahead pins numpy's OpenBLAS to one
-thread through two symbols of numpy's core module; a second guard checks,
-in a fresh interpreter, that they are still there and set the count.
+Every run pins numpy's OpenBLAS to one thread through two symbols of
+numpy's core module; a second guard checks, in a fresh interpreter, that
+they are still there and set the count.  A third checks that a run starts
+no thread and imports no executor.
 
 The analysis kernels call four private LAPACK gufuncs of numpy directly;
-a third guard checks, in a fresh interpreter, that they are still there,
+a fourth guard checks, in a fresh interpreter, that they are still there,
 give the bits of the public calls and report a failed factorization as a
 non-finite factor.
 
@@ -89,9 +90,8 @@ print(found, pinned, get())
 
 def test_numpy_exports_the_openblas_thread_count():
     # without these symbols a run would keep the host's BLAS thread count,
-    # so its bits would depend on the core count, and would draw inline and
-    # lose the draw-ahead gain without a word; a numpy wheel that moves them
-    # fails here
+    # so its bits would depend on the core count without a word; a numpy
+    # wheel that moves them fails here
     done = subprocess.run([sys.executable, "-c", BLAS_SCRIPT],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -99,30 +99,30 @@ def test_numpy_exports_the_openblas_thread_count():
     assert found >= 1 and pinned == 1 and restored == found
 
 
-GATE_SCRIPT = """
+RUN_SCRIPT = """
 import sys
+import threading
 from enks.harness import ExperimentConfig, run_experiment
-run_experiment(ExperimentConfig(problem="linear-gaussian", N=50, horizon=0.05,
-                                filters=("enks", "enks-iter", "enkf"),
-                                emit_outputs=False))
-print("concurrent.futures" in sys.modules)
-run_experiment(ExperimentConfig(problem="frame20-damaged", N=700,
-                                horizon=0.03, emit_outputs=False))
-print("concurrent.futures" in sys.modules)
+for problem, N, horizon in (("linear-gaussian", 50, 0.05),
+                            ("frame20-damaged", 700, 0.03)):
+    run_experiment(ExperimentConfig(problem=problem, N=N, horizon=horizon,
+                                    filters=("enks", "enks-iter", "enkf"),
+                                    emit_outputs=False))
+print("concurrent.futures" in sys.modules, threading.active_count())
 """
 
 
-def test_executor_is_imported_only_past_the_gate():
-    # a run whose panels are drawn inline does not pay for importing the
-    # helper's executor (and the logging it pulls in); frame20's panels
-    # are drawn ahead
+def test_a_run_starts_no_thread():
+    # every panel is drawn on the calling thread, narrow (linear-Gaussian
+    # at N=50) or wide (frame20-damaged's (700, 60)); a run that started a
+    # thread could race the next on the one BLAS thread count it sets
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", GATE_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", RUN_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "1"]
 
 
 LAPACK_SCRIPT = """
@@ -177,7 +177,7 @@ def test_dot_gives_the_bits_of_matmul(shape, blas):
     # through BLAS where matmul runs an unblocked loop; a numpy whose two
     # products differ in their bits would move every output.  The widest
     # shape is frame50's update, with the F-ordered gain the solve returns:
-    # the helper keeps it on matmul only because matmul is faster there
+    # core.matmul keeps it on matmul only because matmul is faster there
     rows, inner, cols = shape
     rng = np.random.default_rng(inner)
     a = np.asfortranarray(rng.standard_normal((rows, inner)))

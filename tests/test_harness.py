@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from enks import core, harness, iterative, rng
+from enks import core, harness, iterative
 from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
@@ -255,12 +255,10 @@ class TestRunFilterSeries:
                                             "frame20-damaged"])
     def test_matches_per_particle_noise_loop(self, problem_id, kind):
         # the default noise is the step-keyed panels, drawn here by the
-        # loop over particles and steps; frame20-damaged's (700, 60)
-        # panels are drawn a step ahead on the helper
+        # loop over particles and steps; frame20-damaged's panels are
+        # (700, 60)
         N, horizon = (700, 0.03) if problem_id == "frame20-damaged" else (12, 0.7)
         problem, series, ens0, fcfg = self.setup_data(problem_id, N, horizon)
-        assert ((N * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS)
-                == (problem_id == "frame20-damaged"))
         runs = [run_filter_series(kind, problem, series, ens0, fcfg,
                                   schedule=make_schedule(3), streams=streams)
                 for streams in (None, StepKeyedNoise(fcfg.seed, N))]
@@ -301,39 +299,9 @@ class TestRunFilterSeries:
                 range(len(series) * stride))
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_drawn_ahead_run_reruns_identically(self, kind):
-        # a run whose panels the helper draws replays bit for bit, and
-        # gives the bits of the same noise drawn inline, stride sum included
-        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
-                                                      0.04)
-        draw, off_main = RngStream.standard_normal, []
-
-        def record(self, size=None, out=None):
-            off_main.append(threading.current_thread()
-                            is not threading.main_thread())
-            return draw(self, size, out=out)
-
-        inline_gate = 700 * problem.proc_filter.m + 1
-        for stride in (1, 3):
-            runs = []
-            for gate in (rng.AHEAD_MIN_NORMALS, rng.AHEAD_MIN_NORMALS,
-                         inline_gate):
-                off_main.clear()
-                with mock.patch.object(RngStream, "standard_normal", record), \
-                        mock.patch.object(rng, "AHEAD_MIN_NORMALS", gate):
-                    runs.append(run_filter_series(
-                        kind, problem, series, ens0, fcfg,
-                        schedule=make_schedule(3),
-                        streams=particle_streams(fcfg.seed, 700, stride)))
-                assert any(off_main) == (gate != inline_gate)
-            for means, stds, _ in runs[1:]:
-                assert np.array_equal(means, runs[0][0])
-                assert np.array_equal(stds, runs[0][1])
-
-    @pytest.mark.parametrize("kind", FILTER_KINDS)
     @pytest.mark.parametrize("outcome", ["returns", "fails"])
-    def test_draw_ahead_ends_with_the_run(self, outcome, kind):
-        # a run drawn ahead (frame20-damaged at N=700) or inline
+    def test_one_blas_thread_ends_with_the_run(self, outcome, kind):
+        # a run with wide panels (frame20-damaged at N=700) or narrow ones
         # (linear-Gaussian at N=50) runs OpenBLAS on one thread during every
         # step; after it, returned or failed mid-run on an overflowing h, no
         # thread is left and OpenBLAS runs on the thread count it had before
@@ -348,8 +316,6 @@ class TestRunFilterSeries:
 
         for problem_id, N in (("frame20-damaged", 700), ("linear-gaussian", 50)):
             problem, series, ens0, fcfg = self.setup_data(problem_id, N, 0.04)
-            assert ((N * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS)
-                    == (problem_id == "frame20-damaged"))
             if outcome == "fails":
                 h = problem.meas.h
 
@@ -380,14 +346,12 @@ class TestRunFilterSeries:
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_bits_do_not_depend_on_the_blas_threads_found(self, kind):
-        # frame20-damaged at N=500 draws its (500, 60) panels inline, under
-        # the draw-ahead gate; its analysis at two OpenBLAS threads sums in
-        # another order than at one, so only a run that sets one thread
+        # frame20-damaged's analysis at N=500 and two OpenBLAS threads sums
+        # in another order than at one, so only a run that sets one thread
         # whatever it finds gives the same bits on every host
         get_blas, set_blas = harness._openblas_threads()
         problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 500,
                                                       0.05)
-        assert 500 * problem.proc_filter.m < rng.AHEAD_MIN_NORMALS
         found, runs = get_blas(), []
         try:
             for threads in (2, 1):
@@ -401,21 +365,13 @@ class TestRunFilterSeries:
         assert np.array_equal(means_2, means_1)
         assert np.array_equal(stds_2, stds_1)
 
-    def test_no_pin_and_no_helper_without_the_blas_symbols(self):
+    def test_no_pin_without_the_blas_symbols(self):
         # a numpy that does not export OpenBLAS's thread count runs every
-        # step at the count it has, and draws every panel inline, even
-        # above the draw-ahead gate
+        # step at the count it has
         get_blas, set_blas = harness._openblas_threads()
         problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
                                                       0.04)
-        assert 700 * problem.proc_filter.m >= rng.AHEAD_MIN_NORMALS
-        draw, step, off_main, during = (RngStream.standard_normal,
-                                        harness.enks_step, [], [])
-
-        def record(self, size=None, out=None):
-            off_main.append(threading.current_thread()
-                            is not threading.main_thread())
-            return draw(self, size, out=out)
+        step, during = harness.enks_step, []
 
         def recorded(*args, **kwargs):
             during.append(get_blas())
@@ -426,45 +382,12 @@ class TestRunFilterSeries:
             set_blas(2)
             with mock.patch.object(harness, "_openblas_threads",
                                    return_value=None), \
-                    mock.patch.object(RngStream, "standard_normal", record), \
                     mock.patch.object(harness, "enks_step", recorded):
                 run_filter_series("enks", problem, series, ens0, fcfg)
             assert get_blas() == 2
         finally:
             set_blas(found)
         assert during == [2] * len(series)
-        assert off_main == [False] * len(series)
-
-    def test_helper_draw_error_surfaces_in_the_reading_step(self):
-        # a draw that raises on the helper raises, unchanged, in the step
-        # that reads its panel; the run still ends its helper
-        class DrawError(Exception):
-            pass
-
-        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
-                                                      0.05)
-        draw, step, steps_begun = (RngStream.standard_normal, harness.enks_step,
-                                   [])
-
-        def failing(self, size=None, out=None):
-            if (self.stream_id == STEP_BASE + 2
-                    and threading.current_thread() is not threading.main_thread()):
-                raise DrawError("panel of step 2")
-            return draw(self, size, out=out)
-
-        def counted(*args, **kwargs):
-            steps_begun.append(len(steps_begun))
-            return step(*args, **kwargs)
-
-        get_blas = harness._openblas_threads()[0]
-        found, before = get_blas(), threading.enumerate()
-        with mock.patch.object(RngStream, "standard_normal", failing), \
-                mock.patch.object(harness, "enks_step", counted), \
-                pytest.raises(DrawError, match="panel of step 2"):
-            run_filter_series("enks", problem, series, ens0, fcfg)
-        assert steps_begun == [0, 1, 2]
-        assert threading.enumerate() == before
-        assert get_blas() == found
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_one_cholesky_and_one_solve_per_analysis(self, kind):

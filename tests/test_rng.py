@@ -1,7 +1,3 @@
-import contextlib
-import sys
-import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -86,16 +82,18 @@ def test_negative_key_rejected():
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 5), m=st.integers(1, 4),
+@given(N=st.integers(1, 5),
        stride=st.sampled_from([1, 2, 3, 7, 8, 9, 10, 20, 40, 80]),
-       dts=st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=140),
+       steps=st.lists(st.tuples(st.floats(1e-4, 2.0), st.integers(1, 4)),
+                      min_size=1, max_size=140),
        seed=st.integers(0, 2**32))
-def test_particle_noise_matches_per_particle_draws(N, m, stride, dts, seed):
+def test_particle_noise_matches_per_particle_draws(N, stride, steps, seed):
     # one panel call per fine step gives the draws of the loop over
-    # particles and fine steps bit for bit, the stride sum included
+    # particles and fine steps bit for bit, the stride sum included, also
+    # where a step asks for another width than the step before
     noise = particle_streams(seed, N, stride)
     oracle = StepKeyedNoise(seed, N, stride)
-    for dt in dts:
+    for dt, m in steps:
         assert np.array_equal(noise.increments(m, dt), oracle.increments(m, dt))
 
 
@@ -192,99 +190,6 @@ def test_particle_noise_reads_one_panel_per_fine_step():
         nested.increments(2, 0.01)
         nested.increments(2, 0.01)
         assert calls == [(k, (5, 2)) for k in range(6)]
-
-
-def test_drawing_ahead_gives_the_inline_draws():
-    # above the gate the helper draws each step's unit panel, stride sum
-    # included, one step early with the bits of the loop over particles;
-    # the first step, and steps past the block's step count, are drawn
-    # inline, so nothing is drawn past the block's last step
-    N, m, steps, seed = 800, 50, 4, 7
-    assert N * m >= rng.AHEAD_MIN_NORMALS
-    draw = RngStream.standard_normal
-    drawn = []
-
-    def record(self, size=None, out=None):
-        drawn.append((self.stream_id - STEP_BASE,
-                      threading.current_thread() is threading.main_thread()))
-        return draw(self, size, out=out)
-
-    dts = [0.1, 0.2, 0.1, 0.3, 0.1]  # one step past the block's count
-    for stride in (1, 3):
-        oracle = StepKeyedNoise(seed, N, stride)
-        expected = [oracle.increments(m, dt) for dt in dts]
-        noise = particle_streams(seed, N, stride)
-        drawn.clear()
-        with mock.patch.object(RngStream, "standard_normal", record), \
-                noise.drawing_ahead(m, steps):
-            for dt, dB in zip(dts, expected):
-                assert np.array_equal(noise.increments(m, dt), dB)
-        inline = set(range(stride)) | set(range(steps * stride,
-                                                (steps + 1) * stride))
-        assert drawn == [(k, k in inline) for k in range(len(dts) * stride)]
-
-
-def test_drawing_ahead_redraws_a_step_whose_width_changes():
-    # a panel drawn ahead at one width is dropped, and the step drawn
-    # again, when the step asks for another width; the redraw waits for
-    # the dropped draw, so the one stream is never drawn on by two
-    # threads at once (each draw is slowed to make an overlap certain)
-    N, seed, widths = 1400, 2, [30, 30, 40, 40, 30]
-    assert N * min(widths) >= rng.AHEAD_MIN_NORMALS
-    oracle = StepKeyedNoise(seed, N, 2)
-    expected = [oracle.increments(m, 0.1) for m in widths]
-    draw, lock, active, overlaps = RngStream.standard_normal, threading.Lock(), [], []
-
-    def slowed(self, size=None, out=None):
-        with lock:
-            overlaps.append(bool(active))
-            active.append(self)
-        try:
-            time.sleep(0.002)
-            return draw(self, size, out=out)
-        finally:
-            with lock:
-                active.remove(self)
-
-    noise = particle_streams(seed, N, 2)
-    with mock.patch.object(RngStream, "standard_normal", slowed), \
-            noise.drawing_ahead(30, len(widths)):
-        for m, dB in zip(widths, expected):
-            assert np.array_equal(noise.increments(m, 0.1), dB)
-    assert overlaps and not any(overlaps)
-
-
-def test_drawing_ahead_holds_under_a_short_switch_interval():
-    # three noises drawing ahead at once, more helpers than cores, with the
-    # interpreter switching threads every 10 us: every increment is still
-    # the inline draw
-    N, m, steps = 800, 50, 12
-    inline = [particle_streams(seed, N, 2) for seed in range(3)]
-    expected = [[noise.increments(m, 0.1).copy() for _ in range(steps)]
-                for noise in inline]
-    noises = [particle_streams(seed, N, 2) for seed in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with contextlib.ExitStack() as stack:
-            for noise in noises:
-                stack.enter_context(noise.drawing_ahead(m, steps))
-            for k in range(steps):
-                for noise, dBs in zip(noises, expected):
-                    assert np.array_equal(noise.increments(m, 0.1), dBs[k])
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_draws_inline_where_drawing_ahead_does_not_apply():
-    # under the gate (a frame50 panel just below it) no helper starts
-    before = threading.enumerate()
-    for noise, m in ((particle_streams(0, 2000), 1),
-                     (particle_streams(0, 260), 150)):
-        with noise.drawing_ahead(m, 5):
-            noise.increments(m, 0.1)
-            noise.increments(m, 0.1)
-            assert threading.enumerate() == before
 
 
 def test_particle_noise_rejects_bad_arguments():
