@@ -20,21 +20,26 @@ multiplies a zero-sum quantity: ``Xd 1 = 0`` and ``Hd 1 = 0``.  What is
 left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
 dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
 this filter, its iterative form and the perturbed-observation EnKF: the
-ensemble moments ``Xd Hd^T`` and ``Hd Hd^T`` (:func:`analysis_moments`),
-then one Cholesky check of the denominator and one solve.  The iterative
-form on a linear map takes the same moments and the same factor
+ensemble moments ``X Hd^T`` and ``Hd Hd^T`` (:func:`analysis_moments`),
+then one Cholesky factor ``L`` of the denominator ``D`` and its inverse,
+and ``D^{-1} = L^{-T} L^{-1}`` applied as two products: no solve.  Since
+``Hd 1 = 0``, ``X Hd^T = Xd Hd^T`` exactly, so the state ensemble is
+never centred.  In floating point the uncentred product rounds relative
+to the rows' means rather than their spreads: a row whose mean is 10^k
+times its spread loses about k digits in the cross moment.  The iterative
+form on a linear map takes the same moments and the same factor's inverse
 (:func:`factor_denominator`), whitens the measured moment by it
-(:func:`whitened_spectrum`) and forms its step gain in that basis,
-without a solve (:mod:`enks.iterative`).
+(:func:`whitened_spectrum`) and forms its step gain in that basis
+(:mod:`enks.iterative`).
 
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
-Dense solves call numpy's own LAPACK gufuncs, ``cholesky_lo`` and
-``solve`` of ``numpy.linalg._umath_linalg``, and the iterative form's
-whitening (:func:`whitened_spectrum`) ``inv`` and ``eigh_lo``: the bits
-of ``np.linalg.cholesky``, ``solve``, ``inv`` and ``eigh`` without their
-Python wrappers.  A step then runs all its BLAS work in one library, which
-the run loop (:func:`enks.harness.run_filter_series`) keeps on one thread.
+Dense factorizations call numpy's own LAPACK gufuncs ``cholesky_lo``,
+``inv`` and, for the whitening, ``eigh_lo`` of
+``numpy.linalg._umath_linalg``: the bits of ``np.linalg.cholesky``,
+``inv`` and ``eigh`` without their Python wrappers.  A step then runs all
+its BLAS work in one library, which the run loop
+(:func:`enks.harness.run_filter_series`) keeps on one thread.
 """
 
 from __future__ import annotations
@@ -90,8 +95,8 @@ class FilterState:
     that does not depend on the ensemble: ``(1 - alpha) sigma^T sigma``
     for the EnKS filters (formed by :func:`make_initial_state`) and ``R``
     for the EnKF.  It is formed once per run and carried from step to step.
-    ``work`` is the run's :func:`step_work`, carried the same way; a
-    state whose ensemble changes shape gets a new one.
+    ``work`` is the run's one :func:`step_work` scratch, carried the same
+    way; a state whose ensemble changes shape gets a new one.
     """
 
     t_curr: float
@@ -100,19 +105,19 @@ class FilterState:
     work: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.work is None or self.work.shape[1:] != self.ensemble.shape:
+        if self.work is None or self.work.shape != self.ensemble.shape:
             self.work = step_work(self.ensemble)
 
 
 def step_work(ensemble: np.ndarray) -> np.ndarray:
-    """Scratch of a run's steps, shape (2, n, N) for an (n, N) ensemble.
+    """Scratch of a run's steps, one array of the shape of the ensemble.
 
-    Each step predicts into ``work[0]``; its analysis centres into
-    ``work[1]`` and forms its update there, so the analysis result is the
-    step's one new ensemble-sized array.  The scratch is never a state's
-    ensemble, so a state may be stepped more than once.
+    Each step predicts into it, and its analysis forms the new ensemble in
+    one new array, so the scratch is free once the step has returned: the
+    run loop forms the step's moments in it.  The scratch is never a
+    state's ensemble, so a state may be stepped more than once.
     """
-    return np.empty((2,) + np.shape(ensemble))
+    return np.empty(np.shape(ensemble))
 
 
 def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
@@ -153,92 +158,94 @@ def row_moments(x: np.ndarray, work: np.ndarray
     return mean[:, 0], np.sqrt(var, out=var)
 
 
-def analysis_moments(pred: np.ndarray, h_pred: np.ndarray,
-                     work: np.ndarray | None = None
+def analysis_moments(pred: np.ndarray, h_pred: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The analysis's ensemble moments ``(Xd Hd^T, Hd Hd^T)``, (n, q) and (q, q).
+    """The analysis's ensemble moments ``(X Hd^T, Hd Hd^T)``, (n, q) and (q, q).
 
-    ``Xd`` and ``Hd`` are ``pred`` and ``h_pred`` centred on their
-    ensemble means; ``Xd`` is written into ``work``, an array of the shape
-    of ``pred`` that does not alias it, when one is given.  It runs under
-    its caller's ``np.errstate(over="ignore", invalid="ignore",
-    divide="ignore")``: a diverging ensemble overflows here, and the
-    gain's finite checks report it.
+    ``X`` is ``pred`` and ``Hd`` is ``h_pred`` centred on its ensemble
+    mean.  ``Hd 1 = 0``, so ``X Hd^T`` is the centred ``Xd Hd^T`` in exact
+    arithmetic, and ``pred`` is read, never centred or copied.  Its
+    rounding scales with the rows' means rather than their spreads: a row
+    whose mean is 10^k times its spread loses about k digits of the
+    centred product.  An ensemble whose measurements do not spread (``Hd
+    = 0``) gives moments of exactly zero.  It runs under its caller's
+    ``np.errstate(over="ignore", invalid="ignore", divide="ignore")``: a
+    diverging ensemble overflows here, and the gain's finite checks
+    report it.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
     if h_pred.shape[1] != pred.shape[1]:
         raise ValueError("pred and h_pred disagree on ensemble size")
-    Xd = np.subtract(pred, row_mean(pred), out=work)
     Hd = h_pred - row_mean(h_pred)
-    return Xd @ Hd.T, Hd @ Hd.T
+    return pred @ Hd.T, Hd @ Hd.T
 
 
 def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
                        failures: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The denominator ``D = weight hh + noise_term`` and its Cholesky factor.
+    """The denominator ``D = weight hh + noise_term`` and ``L^{-1}``, the
+    inverse of its lower Cholesky factor ``L``.
 
-    The lower factor is numpy's LAPACK gufunc ``cholesky_lo``, which
-    leaves a NaN factor when ``D`` is not positive definite; ``D`` is
-    checked for finiteness only then, to name the first or second of
-    ``failures`` (:func:`analysis_gain`).  It runs under the caller's
-    ``errstate``.
+    ``L`` is numpy's LAPACK gufunc ``cholesky_lo``, which leaves a NaN
+    factor when ``D`` is not positive definite; ``D`` is checked for
+    finiteness only then, to name the first or second of ``failures``
+    (:func:`analysis_gain`).  ``L^{-1}`` is the gufunc ``inv``, so that
+    ``D^{-1} = L^{-T} L^{-1}``.  It runs under the caller's ``errstate``.
     """
     denom = weight * hh + noise_term
     factor = _umath_linalg.cholesky_lo(denom)
     if not all_finite(factor):
         raise NumericFailure(failures[1] if all_finite(denom) else failures[0])
-    return denom, factor
+    return denom, _umath_linalg.inv(factor)
 
 
-def whitened_spectrum(hh: np.ndarray, factor: np.ndarray
+def whitened_spectrum(hh: np.ndarray, inverse: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of ``hh`` whitened by the lower factor ``L``: ``(mu, W)``.
+    """Eigenpairs of ``hh`` whitened by a lower factor ``L``: ``(mu, W)``.
 
-    ``L^{-1} hh L^{-T} = V diag(mu) V^T`` is one symmetric eigensolve (the
-    gufunc ``eigh_lo``, which reads the lower triangle), with ``L^{-1}``
-    from the gufunc ``inv``; ``W = L^{-T} V``, so ``W^T hh W = diag(mu)``
-    and ``W^T L L^T W = I``.  It runs under the caller's ``errstate``: a
-    failed eigensolve leaves NaNs, which the caller's later checks report.
+    ``inverse`` is ``L^{-1}`` (:func:`factor_denominator`).  ``L^{-1} hh
+    L^{-T} = V diag(mu) V^T`` is one symmetric eigensolve (the gufunc
+    ``eigh_lo``, which reads the lower triangle); ``W = L^{-T} V``, so
+    ``W^T hh W = diag(mu)`` and ``W^T L L^T W = I``.  It runs under the
+    caller's ``errstate``: a failed eigensolve leaves NaNs, which the
+    caller's later checks report.
     """
-    inverse = _umath_linalg.inv(factor)
     mu, V = _umath_linalg.eigh_lo(inverse @ hh @ inverse.T)
     return mu, inverse.T @ V
 
 
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
-                  weight: float, noise_term: np.ndarray, failures: tuple,
-                  work: np.ndarray | None = None) -> np.ndarray:
+                  weight: float, noise_term: np.ndarray,
+                  failures: tuple) -> np.ndarray:
     """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
     The moments of :func:`analysis_moments`, then the denominator's
-    Cholesky factor (:func:`factor_denominator`) checks that it is
-    positive definite, and one LU solve gives the gain (numpy has no
-    triangular solver).  ``failures`` holds the ``NumericFailure``
-    messages for a non-finite denominator, a denominator that is not
-    positive definite and a non-finite gain.  Every filter's analysis
-    runs through this kernel: the EnKS with ``(tc/N, alpha/(N-1),
-    (1-alpha) sigma^T sigma)`` (:func:`compute_gain`) and the
-    perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
+    Cholesky factor checks that it is positive definite, and its inverse
+    ``L^{-1}`` (:func:`factor_denominator`) gives the gain as
+    ``(scale X Hd^T) L^{-T} L^{-1}``, with no solve.  ``failures`` holds
+    the ``NumericFailure`` messages for a non-finite denominator, a
+    denominator that is not positive definite and a non-finite gain.
+    Every filter's analysis runs through this kernel: the EnKS with
+    ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` (:func:`compute_gain`)
+    and the perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
+    Measurements that do not spread give a gain of exactly zero.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cross, hh = analysis_moments(pred, h_pred, work)
-        denom, _ = factor_denominator(hh, weight, noise_term, failures)
-        gain = scale * _umath_linalg.solve(denom, cross.T).T
+        cross, hh = analysis_moments(pred, h_pred)
+        _, inverse = factor_denominator(hh, weight, noise_term, failures)
+        gain = (scale * cross) @ inverse.T @ inverse
     if not all_finite(gain):
         raise NumericFailure(failures[2])
     return gain
 
 
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
-                 noise_term: np.ndarray, work: np.ndarray | None = None
-                 ) -> np.ndarray:
+                 noise_term: np.ndarray) -> np.ndarray:
     """EnKS gain of the additive update, shape (n, q).
 
     ``pred`` is the predicted ensemble (or an inner iterate), ``h_pred``
-    its measurement image, ``noise_term`` the run's ``(1 - alpha)
-    sigma^T sigma`` and ``work`` the scratch :func:`analysis_moments`
-    centres ``pred`` into; the gain's time is ``tc = cfg.dt``:
+    its measurement image and ``noise_term`` the run's ``(1 - alpha)
+    sigma^T sigma``; the gain's time is ``tc = cfg.dt``:
 
         G = (tc / N) Xd Hd^T [ alpha/(N-1) Hd Hd^T + noise_term ]^{-1}.
 
@@ -247,7 +254,7 @@ def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,
     """
     scale, weight = gain_weights(cfg, np.shape(pred)[1])
     return analysis_gain(pred, h_pred, scale, weight, noise_term,
-                         GAIN_FAILURES, work)
+                         GAIN_FAILURES)
 
 
 def gain_weights(cfg: FilterConfig, N: int) -> tuple[float, float]:
@@ -297,7 +304,7 @@ def forecast(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
     """The forecast every filter's step starts from.
 
     Checks that ``y`` has the measurement's length, predicts the ensemble
-    over ``dt`` into ``state.work[0]`` and evaluates the measurement map
+    over ``dt`` into ``state.work`` and evaluates the measurement map
     on the prediction at the new time.  Returns ``(y, t_new, pred,
     h_pred)``, with ``y`` as a flat float array.
     """
@@ -306,7 +313,7 @@ def forecast(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + dt
     pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise,
-                            out=state.work[0])
+                            out=state.work)
     return y, t_new, pred, meas.evaluate(pred, t_new)
 
 
@@ -315,11 +322,11 @@ def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               noise: ParticleNoise) -> FilterState:
     """Advance the filter one assimilation step.
 
-    :func:`forecast` over ``cfg.dt``, then assemble the gain (centring
-    into ``state.work[1]``) and apply the additive update.
+    :func:`forecast` over ``cfg.dt``, then assemble the gain and apply the
+    additive update, whose result is the step's one new ensemble.
     """
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
-    gain = compute_gain(pred, h_pred, cfg, state.noise_term, state.work[1])
+    gain = compute_gain(pred, h_pred, cfg, state.noise_term)
     updated = additive_update(pred, gain, y, h_pred)
     require_finite(updated, "non-finite ensemble after update")
     return FilterState(t_new, updated, state.noise_term, state.work)

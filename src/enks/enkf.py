@@ -8,7 +8,8 @@ independently perturbed copy of the observation,
     eps_j ~ N(0, R).
 
 The gain comes from ``enks.core.analysis_gain``, the kernel of the EnKS
-gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``.
+gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``,
+and the update is the step's one new ensemble-sized array.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ class EnkfConfig:
 
 
 def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
-                cfg: EnkfConfig, stream: RngStream,
-                work: np.ndarray | None = None) -> np.ndarray:
+                cfg: EnkfConfig, stream: RngStream) -> np.ndarray:
     """Perturbed-observation analysis of a forecast ensemble.
 
-    The analysis is one new array; the inputs are left as they are.
+    The analysis is one new array, ``G (y + eps - h)`` with ``pred`` added
+    into it (the bits of ``pred + G (y + eps - h)``); the inputs are left
+    as they are.
 
     Parameters
     ----------
@@ -72,8 +74,6 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     cfg : EnkfConfig
     stream : RngStream
         Source of the observation perturbations (q draws per member).
-    work : ndarray, shape (n, N), optional
-        Scratch for the centred forecast, then the update; not ``pred``.
     """
     pred = np.asarray(pred, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
@@ -88,14 +88,14 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
         raise ValueError("R dimension does not match the observation")
 
     weight = 1.0 / (N - 1)
-    gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES,
-                         work=work)
+    gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES)
 
     # the perturbed innovation y + eps - h, formed in the perturbation
     innov = matmul(cfg.chol_R, stream.standard_normal((q, N)))
     innov += y[:, None]
     innov -= h_pred
-    analysis = pred + matmul(gain, innov, out=work)
+    analysis = matmul(gain, innov)
+    analysis += pred
     require_finite(analysis, "non-finite analysis ensemble")
     return analysis
 
@@ -103,13 +103,12 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 def enkf_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
               perturbation_stream: RngStream, dt: float) -> FilterState:
-    """:func:`enks.core.forecast` over ``dt``, then analyze in
-    ``state.work[1]``.  ``state.noise_term`` must equal ``cfg.R``, the
-    covariance the analysis uses; any other is a ``ValueError``."""
+    """:func:`enks.core.forecast` over ``dt``, then :func:`enkf_update`.
+    ``state.noise_term`` must equal ``cfg.R``, the covariance the analysis
+    uses; any other is a ``ValueError``."""
     if state.noise_term is not cfg.R and not np.array_equal(state.noise_term,
                                                             cfg.R):
         raise ValueError("an EnKF state's noise term must be its config's R")
     y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise)
-    analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream,
-                           state.work[1])
+    analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream)
     return FilterState(t_new, analysis, state.noise_term, state.work)

@@ -179,11 +179,16 @@ def _truth_path(problem: Problem, seed: int, grid: np.ndarray) -> np.ndarray:
 
 
 def initial_ensemble(problem: Problem, N: int, seed: int) -> np.ndarray:
-    """Gaussian ensemble around the problem's prior guess."""
+    """Gaussian ensemble around the problem's prior guess.
+
+    One ``(n, N)`` draw, scaled by the spread and shifted by the mean in
+    place: the bits of ``mean + spread * draw`` in one array.
+    """
     stream = RngStream(seed, INIT_ENSEMBLE_STREAM)
-    n = problem.init_mean.size
-    return (problem.init_mean[:, None]
-            + problem.init_spread[:, None] * stream.standard_normal((n, N)))
+    ens = stream.standard_normal((problem.init_mean.size, N))
+    ens *= problem.init_spread[:, None]
+    ens += problem.init_mean[:, None]
+    return ens
 
 
 @functools.cache
@@ -240,8 +245,8 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     its moments, is re-raised with the filter kind, the step index and the
     step's measurement time, its particle kept.  Each step's mean and
     ``ddof=1`` std come from one mean, the deviations formed in the
-    state's ``work[0]``, which holds the step's prediction and is free
-    once the step has returned.
+    state's ``work``, which holds the step's prediction and is free once
+    the step has returned.
     """
     ens0 = validate_ensemble(ens0)
     n, N = ens0.shape
@@ -287,7 +292,7 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
             try:
                 state = step(state, series.values[:, i])
                 means[:, i], stds[:, i] = row_moments(state.ensemble,
-                                                      state.work[0])
+                                                      state.work)
             except NumericFailure as err:
                 raise NumericFailure(f"{kind} filter failed", t=t, step=i,
                                      particle=err.particle) from err

@@ -104,9 +104,7 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     iterate is one copy of ``pred``, updated in place by every pass, and
     each later pass re-evaluates the measurement map at ``t`` on it; with
     kappa = 1 that is :func:`enks.core.enks_step`'s gain and update, bit
-    for bit.  Either way ``state.work[1]`` (a new array when that does
-    not have the shape of ``pred``) is the scratch the moments are centred
-    into, and neither ``pred`` nor ``h_pred`` changes.
+    for bit.  Either way neither ``pred`` nor ``h_pred`` changes.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     pred = np.asarray(pred, dtype=float)
@@ -114,10 +112,8 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     record = (IterationTrace(residuals=np.empty(schedule.kappa),
                              innovation_norms=np.empty(schedule.kappa))
               if trace else None)
-    work = (state.work[1] if state.work.shape[1:] == pred.shape
-            else np.empty_like(pred))
     if meas.linear and schedule.kappa > 1:
-        ens = _linear_passes(pred, h_k, state, y, schedule, cfg, work, record)
+        ens = _linear_passes(pred, h_k, state, y, schedule, cfg, record)
         require_finite(ens, "non-finite iterate")
         return ens, record
     ens = pred.copy()
@@ -125,9 +121,9 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     for k, beta in enumerate(schedule.betas):
         if k:
             h_k = meas.evaluate(ens, t)
-        gain = compute_gain(ens, h_k, cfg, state.noise_term, work)
+        gain = compute_gain(ens, h_k, cfg, state.noise_term)
         np.subtract(y[:, None], h_k, out=innov)
-        incr = matmul(beta * gain, innov, out=work)
+        incr = matmul(beta * gain, innov)
         ens += incr
         require_finite(ens, "non-finite iterate")
         if record is not None:
@@ -138,7 +134,7 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
 
 def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
                    y: np.ndarray, schedule: AnnealingSchedule,
-                   cfg: FilterConfig, work: np.ndarray,
+                   cfg: FilterConfig,
                    record: IterationTrace | None) -> np.ndarray:
     """The passes of :func:`iterate_update` for a linear measurement map
     and kappa >= 2.
@@ -161,16 +157,16 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     step gain ``B = sum_k A_k Q_k``, ``A_k Q_k = beta_k s cross_0 P_k
     D_k^{-1} Q_k``.
 
-    Every pass is diagonal in one basis.  Factor ``D_0 = L L^T`` and
-    diagonalize ``L^{-1} C_0 L^{-T} = V diag(mu_0) V^T``
-    (:func:`enks.core.whitened_spectrum`); with ``W = L^{-T} V`` and ``U =
-    L V = D_0 W``, ``U W^T = W^T U = I``, ``C_0 = U diag(mu_0) U^T`` and
-    ``R0 = U diag(r) U^T``, ``r = 1 - w mu_0``.  If ``C_k = U diag(mu_k)
-    U^T``, then ``D_k = U diag(d_k) U^T`` and ``D_k^{-1} = W diag(1/d_k)
-    W^T`` with ``d_k = w mu_k + r``, ``K_k = U diag(beta_k s mu_k / d_k)
-    W^T`` and ``E_k = U diag(eps_k) W^T``, ``eps_k = 1 - beta_k s mu_k /
-    d_k``, so ``C_{k+1}`` is diagonal too, with ``mu_{k+1} = eps_k^2
-    mu_k``.  With ``e_k = prod_{j<k} eps_j``:
+    Every pass is diagonal in one basis.  Factor ``D_0 = L L^T``, invert
+    ``L`` (:func:`enks.core.factor_denominator`) and diagonalize ``L^{-1}
+    C_0 L^{-T} = V diag(mu_0) V^T`` (:func:`enks.core.whitened_spectrum`);
+    with ``W = L^{-T} V`` and ``U = L V = D_0 W``, ``U W^T = W^T U = I``,
+    ``C_0 = U diag(mu_0) U^T`` and ``R0 = U diag(r) U^T``, ``r = 1 - w
+    mu_0``.  If ``C_k = U diag(mu_k) U^T``, then ``D_k = U diag(d_k)
+    U^T`` and ``D_k^{-1} = W diag(1/d_k) W^T`` with ``d_k = w mu_k + r``,
+    ``K_k = U diag(beta_k s mu_k / d_k) W^T`` and ``E_k = U diag(eps_k)
+    W^T``, ``eps_k = 1 - beta_k s mu_k / d_k``, so ``C_{k+1}`` is diagonal
+    too, with ``mu_{k+1} = eps_k^2 mu_k``.  With ``e_k = prod_{j<k} eps_j``:
 
         P_k = W diag(e_k^2) U^T,   Q_k = U diag(e_k) W^T,
         P_k D_k^{-1} Q_k = W diag(e_k^3 / d_k) W^T,
@@ -190,10 +186,10 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
     # a diverging ensemble overflows here; the factor's and B's finite
     # checks report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cross, hh = analysis_moments(pred, h_pred, work)
-        denom, factor = factor_denominator(hh, weight, state.noise_term,
-                                           GAIN_FAILURES)
-        mu, W = whitened_spectrum(hh, factor)
+        cross, hh = analysis_moments(pred, h_pred)
+        denom, inverse = factor_denominator(hh, weight, state.noise_term,
+                                            GAIN_FAILURES)
+        mu, W = whitened_spectrum(hh, inverse)
         try:
             phi, f, e = _pass_weights(mu, schedule.betas, scale, weight,
                                       record is not None)
@@ -208,7 +204,7 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
             U, W_mean = denom @ W, W.T @ innov.mean(axis=1)
             for k in range(schedule.kappa):
                 record.residuals[k] = np.linalg.norm(
-                    np.matmul(cross_W * f[k], W_innov, out=work))
+                    (cross_W * f[k]) @ W_innov)
                 record.innovation_norms[k] = np.linalg.norm(
                     U @ (e[k] * W_mean))
     return additive_update(pred, B, y, h_pred)

@@ -84,8 +84,9 @@ class ParticleNoise:
     step ``stride * dt_ref`` integrate the same fine Brownian path as a
     run at ``dt_ref``.
 
-    The object owns its panel and increment buffers, sized at the first
-    call, so a steady-state step allocates nothing here.
+    The object owns its panel (and, with ``stride > 1``, a second panel
+    for the fine draws), sized at the first call, so a steady-state step
+    allocates nothing here.
     """
 
     def __init__(self, seed: int, n_particles: int, stride: int = 1):
@@ -95,9 +96,8 @@ class ParticleNoise:
         self.seed, self.N, self.stride = int(seed), int(n_particles), int(stride)
         self._stream = RngStream(self.seed, STEP_BASE)  # restarted per fine step
         self._step = 0  # next unread fine step
-        # the (N, m) unit panel, the (N, m) fine panel of a stride sum, the
-        # (m, N) increments
-        self._panel = self._fine = self._out = None
+        # the (N, m) unit panel and the (N, m) fine panel of a stride sum
+        self._panel = self._fine = None
 
     def _unit_panel(self, k0: int, out: np.ndarray) -> np.ndarray:
         """Unit draw of the step starting at fine step ``k0``, into ``out``."""
@@ -113,17 +113,19 @@ class ParticleNoise:
     def increments(self, m: int, dt: float) -> np.ndarray:
         """Next step's increments, shape (m, N): column j ~ N(0, dt I_m).
 
-        The result is a buffer of this object, valid until the next call.
+        The unit panel is scaled by ``sqrt(dt)`` in place, and the result
+        is its transpose: an F-contiguous view of this object's panel,
+        valid until the next call, which overwrites it.
         """
         if dt <= 0 or m < 1:
             raise ValueError(f"need dt > 0 and m >= 1, got dt={dt}, m={m}")
-        if self._out is None or self._out.shape[0] != m:
+        if self._panel is None or self._panel.shape[1] != m:
             self._panel = np.empty((self.N, m))
-            self._out = np.empty((m, self.N))
             self._fine = np.empty((self.N, m)) if self.stride > 1 else None
         k0, self._step = self._step, self._step + self.stride
         panel = self._unit_panel(k0, self._panel)
-        return np.multiply(np.sqrt(dt), panel.T, out=self._out)
+        panel *= np.sqrt(dt)
+        return panel.T
 
 
 def particle_streams(seed: int, n_particles: int, stride: int = 1) -> ParticleNoise:

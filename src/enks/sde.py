@@ -28,7 +28,10 @@ def _em(model: ProcessModel, x: np.ndarray, t: float, dt: float,
     ``dB`` holds one increment per column, shape (m, N), and is not read
     when m = 0.  A diffusion that is a scaled selection
     (``model.selection``) is applied by slices, with the bits of the dense
-    product.  Overflow is left to the caller's finiteness check.
+    product.  A dense diffusion multiplies a C-ordered ``dB``: the noise's
+    increments are an F-ordered view, and at some shapes BLAS sums
+    ``F @ dB`` on that view in another order.  Overflow is left to the
+    caller's finiteness check.
     """
     out = np.multiply(model.drift_ensemble(x, t), dt, out=out)
     out += x
@@ -37,7 +40,7 @@ def _em(model: ProcessModel, x: np.ndarray, t: float, dt: float,
             rows, cols, scale = model.selection
             out[rows] += scale * dB[cols]
         else:
-            out += model.constant_diffusion @ dB
+            out += model.constant_diffusion @ np.ascontiguousarray(dB)
     return out
 
 

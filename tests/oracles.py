@@ -60,6 +60,25 @@ def gain_oracle(pred, h_pred, prev_x_mean, prev_h_mean, t_i, t_prev, alpha,
     return numerator @ np.linalg.inv(denom)
 
 
+def centred_solve_gain(pred, h_pred, scale, weight, noise_term):
+    """The analysis gain from centred moments and one LU solve.
+
+        G = scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1},
+
+    with both ensembles centred on their means and the denominator solved
+    by ``np.linalg.solve``.  ``enks.core.analysis_gain`` reads the state
+    ensemble uncentred and applies the inverse of the denominator's
+    Cholesky factor instead; this form's rounding scales with the rows'
+    spreads, not their means.
+    """
+    X = np.asarray(pred, dtype=float)
+    H = np.asarray(h_pred, dtype=float)
+    Xd = X - X.mean(axis=1, keepdims=True)
+    Hd = H - H.mean(axis=1, keepdims=True)
+    denom = weight * (Hd @ Hd.T) + noise_term
+    return scale * np.linalg.solve(denom, (Xd @ Hd.T).T).T
+
+
 def enks_gain_cap(dt, N, alpha):
     """Bound ``dt (N-1)/(N alpha)`` on the measured EnKS gain's eigenvalues.
 

@@ -14,8 +14,8 @@ from enks.errors import NumericFailure
 from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
 from enks.rng import RngStream, particle_streams
 
-from oracles import (brute_covariance, enks_gain_cap, exact_moment_ensemble,
-                     gain_oracle, scalar_kalman_series)
+from oracles import (brute_covariance, centred_solve_gain, enks_gain_cap,
+                     exact_moment_ensemble, gain_oracle, scalar_kalman_series)
 
 
 def identity_meas(n, nu=1.0, dt=0.1):
@@ -27,12 +27,15 @@ class TestEnsembleMean:
     """The ensemble mean the kernel centres on, read through its gain."""
 
     def test_single_column(self):
-        # copies of one column average to that column exactly, so the
-        # centred state is exactly zero and so is the gain, however the
-        # measurements spread
+        # the measurements of copies of one column are copies of one
+        # column too, and these few-bit entries average to themselves
+        # exactly, so the centred image Hd is exactly zero and so is the
+        # gain; the kernel never centres the state, so an image that is
+        # not a function of the state (a random h) would leave a gain of
+        # rounding size
         v = np.array([[1.5], [-2.0], [3.0]])
         pred = np.tile(v, (1, 4))
-        h = RngStream(21, 0).standard_normal((2, 4))
+        h = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, -1.0]]) @ pred
         G = analysis_gain(pred, h, 1.0, 1.0, np.eye(2), GAIN_FAILURES)
         assert np.array_equal(G, np.zeros((3, 2)))
 
@@ -229,6 +232,47 @@ class TestComputeGain:
         expected = cap * lam / (lam + 1.0 / alpha)
         assert np.allclose(eig, np.sort(expected), rtol=0, atol=TOL * cap)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), q=st.integers(1, 4), N=st.integers(2, 60),
+           ratio=st.floats(0.0, 100.0), dt=st.floats(1e-3, 1.0),
+           alpha=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_analysis_gain_matches_the_centred_solve(self, n, q, N, ratio, dt,
+                                                     alpha, seed):
+        # the kernel reads the state uncentred, X Hd^T, and applies the
+        # inverse of the denominator's factor; the reference centres both
+        # ensembles and LU-solves.  Each state row's mean is up to `ratio`
+        # (at most 100, as on frame50's stiffness rows) times its spread,
+        # so the kernel's rounding scales with the row's full norm: row i
+        # of the gain agrees to TOL of scale |X_i| |Hd| |D^{-1}|, a bound
+        # on that row built from the uncentred X_i.  Over 100,000 draws
+        # from these ranges the largest miss was 1.4e-12 of that bound
+        TOL = 1e-11
+        rng = np.random.default_rng(seed)
+        spread = 10.0 ** rng.uniform(-2, 2, (n, 1))
+        pred = spread * (ratio * rng.uniform(-1, 1, (n, 1))
+                         + rng.standard_normal((n, N)))
+        h_spread = 10.0 ** rng.uniform(-2, 2, (q, 1))
+        h = h_spread * (ratio * rng.uniform(-1, 1, (q, 1))
+                        + rng.standard_normal((q, N)))
+        A = rng.standard_normal((q, q))
+        noise = 10.0 ** rng.uniform(-2, 2) * (A @ A.T + 0.1 * np.eye(q))
+        scale, weight = dt / N, alpha / (N - 1)
+        G = analysis_gain(pred, h, scale, weight, noise, GAIN_FAILURES)
+        expected = centred_solve_gain(pred, h, scale, weight, noise)
+        Hd = h - h.mean(axis=1, keepdims=True)
+        denom = weight * (Hd @ Hd.T) + noise
+        bound = (scale * np.linalg.norm(pred, axis=1) * np.linalg.norm(Hd, 2)
+                 * np.linalg.norm(np.linalg.inv(denom), 2))
+        miss = np.linalg.norm(G - expected, axis=1)
+        assert np.all(miss <= TOL * bound), miss / bound
+        # measurements that do not spread (Hd = 0: rows of one integer,
+        # whose mean is exact) give an exactly zero gain, as they do in
+        # the reference
+        flat = np.repeat(rng.integers(-100, 100, (q, 1)).astype(float), N, 1)
+        assert np.array_equal(
+            analysis_gain(pred, flat, scale, weight, noise, GAIN_FAILURES),
+            np.zeros((n, q)))
+
     def test_dimension_mismatch(self):
         cfg = FilterConfig(dt=0.1, alpha=0.5)
         with pytest.raises(ValueError):
@@ -245,10 +289,12 @@ class TestComputeGain:
             compute_gain(pred, h, cfg, -0.5 * np.eye(1))
 
     def test_non_finite_numerator_is_a_numeric_failure(self):
-        # state means overflow to inf, so the numerator is NaN while the
-        # denominator stays finite; the solve must pass it on silently
+        # the uncentred cross moment X Hd^T of entries of 1e308 against
+        # measurement deviations of 10 and more overflows to inf, while the
+        # denominator stays finite; the products with the factor's inverse
+        # must pass it on silently
         pred = np.array([[1e308, 1e308, -1e308], [0.0, 1.0, -1.0]])
-        h = np.array([[0.1, 0.2, 0.4]])
+        h = np.array([[10.0, 30.0, -40.0]])
         cfg = FilterConfig(dt=0.1, alpha=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -325,8 +371,8 @@ class TestGainFailures:
     @pytest.mark.parametrize("failures", [GAIN_FAILURES, enkf.GAIN_FAILURES])
     def test_finite_denominator_with_overflowing_cross_product(self,
                                                                failures):
-        # one huge state row centres exactly (its mean is 0) and overflows
-        # only in Xd Hd^T; the denominator is finite and positive definite
+        # one huge state row overflows only in the cross moment X Hd^T;
+        # the denominator is finite and positive definite
         pred = np.array([[1e308, -1e308, 0.0], [0.0, 1.0, -1.0]])
         h = np.array([[10.0, -10.0, 0.0], [1.0, 0.0, -1.0]])
         message = self.failure(pred, h, np.eye(2), failures)

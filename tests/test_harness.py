@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from enks import core, harness, iterative
+from enks.benchmarks import build_problem
 from enks.core import FilterConfig, FilterState, enks_step, make_initial_state
 from enks.enkf import EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
@@ -16,7 +17,8 @@ from enks.harness import (FILTER_KINDS, ExperimentConfig, convergence_sweep,
                           run_experiment, run_filter_series)
 from enks.iterative import iterate_update, iterative_enks_step, make_schedule
 from enks.record import load_csv
-from enks.rng import STEP_BASE, PERTURBATION_STREAM, RngStream, particle_streams
+from enks.rng import (INIT_ENSEMBLE_STREAM, PERTURBATION_STREAM, STEP_BASE,
+                      RngStream, particle_streams)
 from enks.sde import predict_ensemble
 
 from oracles import FixedNoise, StepKeyedNoise
@@ -390,16 +392,17 @@ class TestRunFilterSeries:
         assert during == [2] * len(series)
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
-    def test_one_cholesky_and_one_solve_per_analysis(self, kind):
+    def test_one_cholesky_and_one_inverse_per_analysis(self, kind):
         # cost guard: each analysis (an enks or enkf step, an enks-iter
         # step at kappa = 1, an enks-iter pass on the pendulum's map)
         # checks its denominator with one Cholesky factorization and
-        # solves with one LU solve, both numpy's LAPACK gufuncs called
-        # directly.  An enks-iter step on a linear map at kappa >= 2
-        # factors its first denominator, diagonalizes the whitened moment
-        # with one inverse and one symmetric eigensolve, and solves
-        # nothing.  The EnKF factors R once per run besides, through
-        # np.linalg.cholesky, and nothing goes through np.linalg.solve
+        # inverts the factor once, both numpy's LAPACK gufuncs called
+        # directly, and solves nothing.  An enks-iter step on a linear map
+        # at kappa >= 2 factors and inverts its first denominator,
+        # diagonalizes the whitened moment with one symmetric eigensolve,
+        # and solves nothing.  The EnKF factors R once per run besides,
+        # through np.linalg.cholesky, and nothing goes through
+        # np.linalg.solve
         cases = ([("frame4-damaged", 1), ("frame4-damaged", 3),
                   ("frame4-damaged", 10), ("pendulum", 3)]
                  if kind == "enks-iter" else [("frame4-damaged", 3)])
@@ -410,8 +413,8 @@ class TestRunFilterSeries:
                             "solve": 0}
             else:
                 passes = kappa if kind == "enks-iter" else 1
-                per_step = {"cholesky_lo": passes, "inv": 0, "eigh_lo": 0,
-                            "solve": passes}
+                per_step = {"cholesky_lo": passes, "inv": passes,
+                            "eigh_lo": 0, "solve": 0}
             lapack = mock.Mock(wraps=core._umath_linalg)
             with mock.patch.object(core, "_umath_linalg", lapack), \
                     mock.patch.object(np.linalg, "cholesky",
@@ -456,13 +459,14 @@ class TestRunFilterSeries:
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_step_peak_memory_stays_under_2_5_ensembles(self, kind):
         # cost guard: past its first two steps, a frame20-damaged step
-        # (n = 80, N = 300) allocates at its peak less than two and a half
+        # (n = 80, N = 700) allocates at its peak less than two and a half
         # ensembles' bytes: the drift, the new ensemble and arrays of the
-        # measurement and noise sizes.  The prediction, the centred
-        # ensemble and the update live in the run's scratch.  Measured:
-        # 1.74x (enks, enkf) and 2.34x (enks-iter); 2.57x for enks when it
-        # predicts into a new array; 4.8x, 5.3x and 4.8x when a step makes
-        # its own prediction, centred copy and update arrays.
+        # measurement size.  The prediction lives in the run's scratch and
+        # the increments in the noise's panel, and the analysis centres
+        # only the measurement image.  Measured: 1.73x for each filter;
+        # 2.57x for enks when it predicts into a new array; 4.8x, 5.3x
+        # and 4.8x when a step makes its own prediction, centred copy and
+        # update arrays.
         problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
                                                       0.06)
         name = {"enks": "enks_step", "enks-iter": "iterative_enks_step",
@@ -486,6 +490,28 @@ class TestRunFilterSeries:
         assert len(peaks) == len(series) == 6
         assert max(peaks[2:]) < 2.5 * ens0.nbytes, [p / ens0.nbytes
                                                      for p in peaks]
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_run_peak_memory_stays_under_5_ensembles(self, kind):
+        # cost guard over a whole frame20-damaged run (n = 80, q = m = 60,
+        # N = 700, 6 steps): at its peak the run holds its one scratch, the
+        # noise's (N, m) panel, the old and the new ensemble and a step's
+        # temporaries, less than five ensembles' bytes besides ens0.
+        # Measured: 4.51-4.54x for the three filters; 6.26-6.29x with a
+        # two-ensemble scratch and an (m, N) increment buffer besides the
+        # panel
+        problem, series, ens0, fcfg = self.setup_data("frame20-damaged", 700,
+                                                      0.06)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_filter_series(kind, problem, series, ens0, fcfg,
+                              schedule=make_schedule(10))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 6
+        assert peak < 5 * ens0.nbytes, peak / ens0.nbytes
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_failure_carries_filter_step_and_particle(self, kind):
@@ -663,7 +689,7 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
                                        FixedNoise(dB), perturb(),
                                        t1).ensemble,
         "enkf_update": lambda: enkf_update(pred, h_pred, y, enkf_cfg,
-                                           perturb(), state.work[1]),
+                                           perturb()),
     }
     inputs = (ens, pred, h_pred, y, dB)
     before = [a.copy() for a in inputs]
@@ -674,3 +700,27 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
         assert np.array_equal(a, b)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept) and np.array_equal(second, kept)
+
+
+@pytest.mark.parametrize("problem_id, N", [("frame20-damaged", 700),
+                                           ("frame50", 800)])
+def test_initial_ensemble_is_one_array_with_the_bits_of_its_formula(problem_id,
+                                                                    N):
+    # set-up draws one (n, N) panel and scales and shifts it in place: the
+    # bits of mean + spread * draw, with about one ensemble's bytes at its
+    # peak (plus about 64 KB that a stream's generator takes).  Measured:
+    # 1.14x at frame20-damaged and 1.05x at frame50; 2.14x and 2.05x with
+    # the formula's temporaries
+    problem = build_problem(problem_id)
+    draw = RngStream(5, INIT_ENSEMBLE_STREAM).standard_normal(
+        (problem.init_mean.size, N))
+    expected = (problem.init_mean[:, None]
+                + problem.init_spread[:, None] * draw)
+    tracemalloc.start()
+    try:
+        ens = initial_ensemble(problem, N, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ens, expected)
+    assert peak < 1.25 * ens.nbytes, peak / ens.nbytes

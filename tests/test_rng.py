@@ -60,13 +60,20 @@ def test_counter_advances_within_stream():
 
 def test_particle_streams_keying():
     # fine step k is one (N, m) draw from the stream keyed STEP_BASE + k,
-    # row j for particle j; a second noise of the same seed replays it
+    # row j for particle j; a second noise of the same seed replays it.
+    # The increments are the F-contiguous transpose of the noise's own
+    # panel, scaled in place, so the next call overwrites them
     noise, again = particle_streams(seed=3, n_particles=4), particle_streams(3, 4)
+    previous = None
     for k, dt in enumerate([0.5, 0.25, 2.0]):
         panel = RngStream(3, STEP_BASE + k).standard_normal((4, 2))
         dB = noise.increments(2, dt)
         assert np.array_equal(dB, np.sqrt(dt) * panel.T)
-        assert dB.flags.c_contiguous
+        assert dB.flags.f_contiguous and not dB.flags.c_contiguous
+        if previous is not None:
+            assert np.shares_memory(previous, dB)
+            assert np.array_equal(previous, dB)
+        previous = dB
         assert np.array_equal(again.increments(2, dt), dB)
     assert not np.array_equal(particle_streams(4, 4).increments(2, 0.5),
                               particle_streams(3, 4).increments(2, 0.5))

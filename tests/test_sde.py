@@ -148,6 +148,26 @@ class TestPredictEnsemble:
         out = predict_ensemble(model, ens, 0.0, 0.1, FixedNoise(dB))
         assert np.array_equal(out, ens + (-ens) * 0.1 + F @ dB)
 
+    @pytest.mark.parametrize("shape", [(1, 3, 50), (4, 3, 600),
+                                       (16, 12, 300), (200, 150, 800)])
+    def test_dense_diffusion_gives_the_bits_of_c_ordered_increments(self,
+                                                                    shape):
+        # the noise hands out the transpose of its (N, m) panel; at some
+        # shapes (the first and third here, with numpy 2.4.6's OpenBLAS at
+        # one thread or two) F @ dB on that F-ordered view sums in another
+        # order than on a C-ordered copy, and the prediction keeps the
+        # copy's bits
+        n, m, N = shape
+        rng = np.random.default_rng(n)
+        F = rng.standard_normal((n, m))
+        model = ProcessModel(n=n, m=m, drift_ensemble=lambda x, t: -x,
+                             constant_diffusion=F)
+        assert model.selection is None
+        ens = rng.standard_normal((n, N))
+        dB = np.ascontiguousarray(particle_streams(8, N).increments(m, 0.1))
+        out = predict_ensemble(model, ens, 0.0, 0.1, particle_streams(8, N))
+        assert np.array_equal(out, ens + (-ens) * 0.1 + F @ dB)
+
     @pytest.mark.parametrize("F, selection", [
         (np.zeros((3, 2)), (slice(0, 0), slice(0, 0), [])),
         (np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]]),
