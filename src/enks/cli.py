@@ -21,14 +21,17 @@ import numpy as np
 from .configfile import experiment_config, parse_config_file
 from .errors import ConfigError, NumericFailure
 from .harness import convergence_sweep, make_twin_data, run_experiment
-from .record import _fmt, emit_dataset, load_dataset
+from .record import emit_dataset, emit_sweep, load_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_command(sub, name: str, fn, help_: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``, run by ``fn``, with the flags all commands share."""
+    p = sub.add_parser(name, help=help_)
+    p.set_defaults(fn=fn)
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--problem", help="problem id")
     p.add_argument("--filter", action="append", dest="filters",
@@ -40,6 +43,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="run seed")
     p.add_argument("--horizon", type=float, help="run length T")
     p.add_argument("--out", help="output directory")
+    return p
 
 
 def _build_cfg(args, force_filters=None):
@@ -71,7 +75,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _build_cfg(args)
-    data = load_dataset(args.data) if getattr(args, "data", None) else None
+    data = load_dataset(args.data) if args.data else None
     record = run_experiment(cfg, data=data)
     summary = record.summary_rmse()
     print(f"problem={cfg.problem} seed={record.seed} "
@@ -90,13 +94,7 @@ def cmd_sweep(args) -> int:
     except ValueError as err:
         raise ConfigError(f"bad --values {args.values!r}: {err}") from err
     report = convergence_sweep(cfg, args.variable, values, args.repeats)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{args.variable}.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{args.variable},error_mean,error_std\n")
-        for v, m, s in zip(report.values, report.mean_errors, report.std_errors):
-            fh.write(f"{_fmt(v)},{_fmt(m)},{_fmt(s)}\n")
+    path = emit_sweep(report, Path(cfg.out_dir) / f"sweep_{args.variable}.csv")
     print(f"{args.variable}-sweep over {values}: "
           f"log-log slope = {report.slope:.4f} (intercept {report.intercept:.3f})")
     print(f"per-value errors written to {path}")
@@ -113,9 +111,8 @@ def cmd_compare(args) -> int:
     header = f"{'channel':>10s} " + " ".join(f"{n:>12s}" for n in names)
     print(header)
     for c in range(record.n_channels):
-        label = record.channel_names[c] if c < len(record.channel_names) else str(c)
-        row = f"{label:>10s} " + " ".join(f"{summary[n][c]:12.5g}" for n in names)
-        print(row)
+        print(f"{record.channel_names[c]:>10s} "
+              + " ".join(f"{summary[n][c]:12.5g}" for n in names))
     print(f"{'mean':>10s} " + " ".join(f"{np.mean(summary[n]):12.5g}" for n in names))
     return EXIT_OK
 
@@ -125,28 +122,17 @@ def main(argv=None) -> int:
         prog="enks",
         description="Ensemble Kushner-Stratonovich filtering benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate synthetic truth and data")
-    _add_common(p_sim)
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_run = sub.add_parser("run", help="run filters on a twin experiment")
-    _add_common(p_run)
+    _add_command(sub, "simulate", cmd_simulate,
+                 "generate synthetic truth and data")
+    p_run = _add_command(sub, "run", cmd_run, "run filters on a twin experiment")
     p_run.add_argument("--data", help="directory with a 'simulate' dataset to "
                                       "filter instead of regenerating")
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="convergence sweep")
-    _add_common(p_sweep)
+    p_sweep = _add_command(sub, "sweep", cmd_sweep, "convergence sweep")
     p_sweep.add_argument("--variable", choices=("N", "dt"), required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
     p_sweep.add_argument("--repeats", type=int, default=5)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="multi-filter summary table")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
+    _add_command(sub, "compare", cmd_compare, "multi-filter summary table")
 
     args = parser.parse_args(argv)
     try:

@@ -121,9 +121,10 @@ def step_work(ensemble: np.ndarray) -> np.ndarray:
 
 
 def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
-                       cfg: FilterConfig, t0: float = 0.0) -> FilterState:
-    """Initial FilterState, with the noise term of ``meas`` and ``cfg.alpha``."""
-    return FilterState(t_curr=t0, ensemble=validate_ensemble(ensemble),
+                       cfg: FilterConfig) -> FilterState:
+    """Initial FilterState at time 0, with the noise term of ``meas`` and
+    ``cfg.alpha``."""
+    return FilterState(t_curr=0.0, ensemble=validate_ensemble(ensemble),
                        noise_term=(1.0 - cfg.alpha) * meas.sigma_gram)
 
 
@@ -264,18 +265,16 @@ def gain_weights(cfg: FilterConfig, N: int) -> tuple[float, float]:
     return cfg.dt / N, cfg.alpha / (N - 1)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-           ) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` of two 2-D float arrays, with its bits.
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b)`` of two 2-D float arrays, with its bits.
 
     With an inner dimension of 1 numpy's ``matmul`` runs an unblocked
     loop, several times slower than BLAS through ``np.dot`` on a
-    ``(1, 2000)`` row; with a wider one ``matmul`` is the faster.  ``out``
-    must be C-contiguous, as ``np.dot`` requires.
+    ``(1, 2000)`` row; with a wider one ``matmul`` is the faster.
     """
     if a.shape[1] == 1:
-        return np.dot(a, b, out=out)
-    return np.matmul(a, b, out=out)
+        return np.dot(a, b)
+    return np.matmul(a, b)
 
 
 def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,

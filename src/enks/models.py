@@ -39,15 +39,13 @@ def require_finite(ens: np.ndarray, message: str, t: Optional[float] = None
         raise NumericFailure(message, t=t, particle=particle)
 
 
-def validate_ensemble(ens: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+def validate_ensemble(ens: np.ndarray) -> np.ndarray:
     """Check an ensemble array: 2-d, N >= 2 columns, finite entries."""
     ens = np.asarray(ens, dtype=float)
     if ens.ndim != 2:
         raise ValueError(f"ensemble must be 2-d (n, N), got shape {ens.shape}")
     if ens.shape[1] < 2:
         raise ValueError(f"ensemble needs at least 2 particles, got {ens.shape[1]}")
-    if n is not None and ens.shape[0] != n:
-        raise ValueError(f"ensemble has {ens.shape[0]} rows, model expects {n}")
     if not all_finite(ens):
         raise ValueError("ensemble contains non-finite entries")
     return ens

@@ -1,13 +1,13 @@
 """Run records, error metrics, CSV persistence, and SVG line charts.
 
-Besides the run record's rows CSV, the dataset that ``enks simulate``
-writes and ``enks run --data`` reads is persisted here: its truth and
-measurement series, its noise levels and its seed.
-
-The rows CSV is the deterministic artifact of a run: identical configs
-must produce byte-identical files, so floats are written with shortest
-round-trip formatting and nothing time- or host-dependent goes in.  The
-summary (which includes wall time) lives in a separate file.
+Every table is written by one of two writers.  The long table
+``step,time,channel,<columns>``, one row per step and channel, holds a
+run's rows CSV and a dataset's truth and measurement series, and one
+reader loads and checks both.  The per-channel tables (the run summary,
+a dataset's noise levels, a sweep's errors) go through a row writer.
+Floats are written in shortest round-trip form, and nothing time- or
+host-dependent goes in the rows CSV, so identical configs give
+byte-identical files; the summary holds the wall time.
 """
 
 from __future__ import annotations
@@ -86,106 +86,122 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def emit_csv(record: RunRecord, path) -> Path:
-    """Write the rows CSV: step,time,channel,truth,<filter>_mean,<filter>_std.
+_BLOCK_ROWS = 4096
 
-    One row per (step, channel), filters in record order, header
-    mandatory, UTF-8 with newline-only line endings.
-    """
+
+def _write_long(path, steps, times, columns: dict) -> Path:
+    """Write ``step,time,channel,<columns>``, one row per (step, channel),
+    from ``columns``: name -> (channels, M) array.  Rows are formatted
+    column by column, a block of about ``_BLOCK_ROWS`` at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = record.filters
-    header = ["step", "time", "channel", "truth"]
-    for name in names:
-        header += [f"{name}_mean", f"{name}_std"]
-    # Python lists of Python floats: indexing an array makes a numpy scalar
-    truth = record.truth.tolist()
-    series = [(record.filter_means[name].tolist(),
-               record.filter_stds[name].tolist()) for name in names]
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    n = arrays[0].shape[0]
+    steps = np.asarray(steps).tolist()
+    times = np.asarray(times, dtype=float).tolist()
+    block = max(1, _BLOCK_ROWS // max(n, 1))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, (step, t) in enumerate(zip(record.steps.tolist(),
-                                          record.times.tolist())):
-            for c in range(record.n_channels):
-                row = [str(step), _fmt(t), str(c), _fmt(truth[c][i])]
-                for means, stds in series:
-                    row.append(_fmt(means[c][i]))
-                    row.append(_fmt(stds[c][i]))
-                fh.write(",".join(row) + "\n")
+        fh.write(",".join(["step", "time", "channel", *columns]) + "\n")
+        for i in range(0, len(steps), block):
+            j = i + block
+            lead = [f"{s},{t!r},{c}" for s, t in zip(steps[i:j], times[i:j])
+                    for c in range(n)]
+            # repr of a Python float is the shortest round-trip decimal
+            cells = [map(repr, a[:, i:j].T.ravel().tolist()) for a in arrays]
+            fh.writelines(",".join(row) + "\n" for row in zip(lead, *cells))
     return path
 
 
-def load_csv(path) -> RunRecord:
-    """Inverse of :func:`emit_csv` (summary fields are not persisted)."""
+def _read_long(path, kind: str) -> tuple:
+    """Inverse of :func:`_write_long`: ``(steps, times, columns)``.
+
+    A header that does not start ``step,time,channel`` or repeats a name,
+    a row of another width, a cell that does not parse, channels other
+    than ``0..n-1`` and a missing or repeated (step, channel) row are each
+    a ``ConfigError`` naming the file, the row and ``kind``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["step", "time", "channel", "truth"]:
-            raise ValueError(f"unrecognized CSV header in {path}")
-        names = [col[:-5] for col in header[4:] if col.endswith("_mean")]
-        rows = list(reader)
-    if not rows:
-        return RunRecord(steps=np.zeros(0, dtype=int), times=np.zeros(0),
-                         truth=np.zeros((1, 0)),
-                         filter_means={n: np.zeros((1, 0)) for n in names},
-                         filter_stds={n: np.zeros((1, 0)) for n in names})
-    steps = sorted({int(r[0]) for r in rows})
-    channels = sorted({int(r[2]) for r in rows})
-    step_pos = {s: i for i, s in enumerate(steps)}
-    M, n = len(steps), len(channels)
-    times = np.zeros(M)
-    truth = np.zeros((n, M))
-    means = {name: np.zeros((n, M)) for name in names}
-    stds = {name: np.zeros((n, M)) for name in names}
-    for r in rows:
-        i = step_pos[int(r[0])]
-        c = int(r[2])
-        times[i] = float(r[1])
-        truth[c, i] = float(r[3])
-        for k, name in enumerate(names):
-            means[name][c, i] = float(r[4 + 2 * k])
-            stds[name][c, i] = float(r[5 + 2 * k])
-    return RunRecord(steps=np.asarray(steps), times=times, truth=truth,
-                     filter_means=means, filter_stds=stds)
+        header = next(reader, [])
+        if (header[:3] != ["step", "time", "channel"]
+                or len(set(header)) < len(header)):
+            raise ConfigError(f"unrecognized {kind} header in {path}")
+        cells = {}
+        for line, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, not {len(header)}")
+                key = int(row[0]), int(row[2])
+                if key in cells:
+                    raise ValueError(f"repeats step {key[0]}, channel {key[1]}")
+                cells[key] = [float(row[1]), *map(float, row[3:])]
+            except ValueError as err:
+                raise ConfigError(f"malformed {kind} row {line} in {path}: "
+                                  f"{err}") from err
+    steps = sorted({s for s, _ in cells})
+    n = len({c for _, c in cells})
+    try:
+        table = np.array([cells[s, c] for s in steps for c in range(n)])
+    except KeyError as err:
+        raise ConfigError(f"malformed {kind} table {path}: no row for step "
+                          "{}, channel {}".format(*err.args[0])) from None
+    table = table.reshape(len(steps), n, len(header) - 2).transpose(2, 1, 0)
+    times = table[0, 0].copy() if n else np.zeros(0)
+    columns = np.ascontiguousarray(table[1:])
+    return np.array(steps, dtype=int), times, dict(zip(header[3:], columns))
+
+
+def _write_rows(path, header: Sequence[str], rows) -> Path:
+    """Write ``header`` and ``rows``: floats through :func:`_fmt`, anything
+    else through ``str``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
+    return path
+
+
+def emit_csv(record: RunRecord, path) -> Path:
+    """Write the rows CSV, the long table with columns ``truth`` and each
+    filter's ``<filter>_mean`` and ``<filter>_std``, in record order."""
+    columns = {"truth": record.truth}
+    for name in record.filters:
+        columns[f"{name}_mean"] = record.filter_means[name]
+        columns[f"{name}_std"] = record.filter_stds[name]
+    return _write_long(path, record.steps, record.times, columns)
+
+
+def load_csv(path) -> RunRecord:
+    """Inverse of :func:`emit_csv` (summary fields are not persisted); a
+    header-only file gives one channel and no steps."""
+    steps, times, columns = _read_long(path, "CSV")
+    names = [col[:-5] for col in columns if col.endswith("_mean")]
+    if list(columns) != ["truth"] + [f"{n}_{s}" for n in names
+                                     for s in ("mean", "std")]:
+        raise ConfigError(f"unrecognized CSV header in {path}")
+    if steps.size == 0:
+        columns = {col: np.zeros((1, 0)) for col in columns}
+    return RunRecord(steps=steps, times=times, truth=columns["truth"],
+                     filter_means={n: columns[f"{n}_mean"] for n in names},
+                     filter_stds={n: columns[f"{n}_std"] for n in names})
 
 
 def emit_series_csv(path, times, values) -> Path:
     """Write a dataset series, ``values`` (channels, M) at ``times``, as
     rows ``step,time,channel,value``."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time,channel,value\n")
-        for i, t in enumerate(times):
-            for c in range(values.shape[0]):
-                fh.write(f"{i + 1},{_fmt(t)},{c},{_fmt(values[c, i])}\n")
-    return path
+    return _write_long(path, np.arange(1, len(times) + 1), times,
+                       {"value": values})
 
 
 def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`emit_series_csv`: ``(times, values)``.
-
-    A dataset file is user input, so a bad header or row is a
-    ``ConfigError``.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["step", "time", "channel", "value"]:
-            raise ConfigError(f"unrecognized dataset header in {path}")
-        rows = list(reader)
-    try:
-        steps = sorted({int(r[0]) for r in rows})
-        channels = sorted({int(r[2]) for r in rows})
-        pos = {s: i for i, s in enumerate(steps)}
-        times = np.zeros(len(steps))
-        values = np.zeros((len(channels), len(steps)))
-        for r in rows:
-            i = pos[int(r[0])]
-            times[i] = float(r[1])
-            values[int(r[2]), i] = float(r[3])
-    except (ValueError, IndexError) as err:
-        raise ConfigError(f"malformed dataset row in {path}: {err}") from err
-    return times, values
+    """Inverse of :func:`emit_series_csv`: ``(times, values)``; a bad
+    header or row is a ``ConfigError``."""
+    _, times, columns = _read_long(path, "dataset")
+    if list(columns) != ["value"]:
+        raise ConfigError(f"unrecognized dataset header in {path}")
+    return times, columns["value"]
 
 
 def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
@@ -194,23 +210,19 @@ def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
     (series at ``series.times``), ``noise_std.csv`` (rows
     ``channel,noise_std``) and ``seed.txt``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     emit_series_csv(out / "truth.csv", series.times, truth)
     emit_series_csv(out / "measurements.csv", series.times, series.values)
-    with open(out / "noise_std.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("channel,noise_std\n")
-        for c, s in enumerate(np.atleast_1d(noise_std)):
-            fh.write(f"{c},{_fmt(s)}\n")
+    noise = np.atleast_1d(np.asarray(noise_std, dtype=float)).tolist()
+    _write_rows(out / "noise_std.csv", ["channel", "noise_std"],
+                enumerate(noise))
     (out / "seed.txt").write_text(f"{seed}\n", encoding="utf-8")
     return out
 
 
 def load_dataset(data_dir) -> tuple:
-    """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``.
-
-    ``seed`` is None for a dataset without ``seed.txt``.  A missing file
-    or a malformed row is a ``ConfigError``.
-    """
+    """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``,
+    ``seed`` None without ``seed.txt``.  A missing file, a bad header or a
+    malformed row is a ``ConfigError``."""
     data_dir = Path(data_dir)
     for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
         if not (data_dir / name).exists():
@@ -218,10 +230,13 @@ def load_dataset(data_dir) -> tuple:
     _, truth = load_series_csv(data_dir / "truth.csv")
     times, values = load_series_csv(data_dir / "measurements.csv")
     noise_path = data_dir / "noise_std.csv"
+    lines = noise_path.read_text(encoding="utf-8").splitlines()
+    if lines[:1] != ["channel,noise_std"]:
+        raise ConfigError(f"unrecognized dataset header in {noise_path}")
     try:
-        noise_std = np.array([float(l.split(",")[1])
-                              for l in noise_path.read_text().splitlines()[1:]])
-    except (ValueError, IndexError) as err:
+        noise_std = np.array([float(s) for _, s in
+                              (line.split(",") for line in lines[1:])])
+    except ValueError as err:
         raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
     seed_path = data_dir / "seed.txt"
     seed = None
@@ -238,9 +253,8 @@ def load_dataset(data_dir) -> tuple:
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def emit_linechart(record: RunRecord, channels: Sequence[int], path,
-                   width: int = 800, height: int = 480) -> Path:
-    """Write an SVG line chart: truth plus every filter, per channel.
+def emit_linechart(record: RunRecord, channels: Sequence[int], path) -> Path:
+    """Write an 800x480 SVG line chart: truth plus every filter, per channel.
 
     One polyline per (filter, channel) and one per truth channel, with
     labeled axes and a legend.  Raises ``ValueError`` for an empty or
@@ -255,11 +269,12 @@ def emit_linechart(record: RunRecord, channels: Sequence[int], path,
     if record.times.size == 0:
         raise ValueError("record has no rows to plot")
 
-    series = [("truth", c, record.truth[c]) for c in channels]
-    for name in record.filters:
-        series += [(name, c, record.filter_means[name][c]) for c in channels]
+    labels = ["truth"] + record.filters
+    series = [(li, vals[c]) for li, vals in
+              enumerate([record.truth, *record.filter_means.values()])
+              for c in channels]
 
-    finite_vals = np.concatenate([s[2][np.isfinite(s[2])] for s in series])
+    finite_vals = np.concatenate([v[np.isfinite(v)] for _, v in series])
     lo = float(finite_vals.min()) if finite_vals.size else 0.0
     hi = float(finite_vals.max()) if finite_vals.size else 1.0
     if hi <= lo:
@@ -267,14 +282,10 @@ def emit_linechart(record: RunRecord, channels: Sequence[int], path,
     t0, t1 = float(record.times[0]), float(record.times[-1])
     if t1 <= t0:
         t1 = t0 + 1.0
+    width, height = 800, 480
     mleft, mright, mtop, mbot = 60, 20, 20, 45
     pw, ph = width - mleft - mright, height - mtop - mbot
-
-    def sx(t):
-        return mleft + (t - t0) / (t1 - t0) * pw
-
-    def sy(v):
-        return mtop + (hi - v) / (hi - lo) * ph
+    xs = mleft + (record.times - t0) / (t1 - t0) * pw
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -290,13 +301,14 @@ def emit_linechart(record: RunRecord, channels: Sequence[int], path,
         f'<text x="{mleft}" y="{mtop + ph + 16}" text-anchor="middle" font-size="11">{t0:.4g}</text>',
         f'<text x="{mleft + pw}" y="{mtop + ph + 16}" text-anchor="middle" font-size="11">{t1:.4g}</text>',
     ]
-    labels = ["truth"] + record.filters
-    for li, (name, c, vals) in enumerate(series):
-        color = _PALETTE[labels.index(name) % len(_PALETTE)]
-        dash = ' stroke-dasharray="5,3"' if name != "truth" else ""
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}"
-                       for t, v in zip(record.times, vals) if np.isfinite(v))
-        parts.append(f'<polyline fill="none" stroke="{color}"{dash} points="{pts}"/>')
+    for li, vals in series:
+        dash = ' stroke-dasharray="5,3"' if li else ""
+        ok = np.isfinite(vals)
+        ys = mtop + (hi - vals[ok]) / (hi - lo) * ph
+        pts = " ".join(f"{x:.2f},{y:.2f}"
+                       for x, y in zip(xs[ok].tolist(), ys.tolist()))
+        parts.append(f'<polyline fill="none" stroke="{_PALETTE[li % len(_PALETTE)]}"'
+                     f'{dash} points="{pts}"/>')
     for li, name in enumerate(labels):
         color = _PALETTE[li % len(_PALETTE)]
         y = mtop + 14 + 16 * li
@@ -313,14 +325,17 @@ def emit_linechart(record: RunRecord, channels: Sequence[int], path,
 
 def emit_summary(record: RunRecord, path) -> Path:
     """Write the per-channel RMSE summary (includes wall time and seed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     summary = record.summary_rmse()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("channel," + ",".join(f"{n}_rmse" for n in record.filters)
-                 + ",seed,wall_time\n")
-        for c in range(record.n_channels):
-            row = [str(c)] + [_fmt(summary[n][c]) for n in record.filters]
-            row += [str(record.seed), f"{record.wall_time:.3f}"]
-            fh.write(",".join(row) + "\n")
-    return path
+    return _write_rows(
+        path, ["channel", *(f"{n}_rmse" for n in record.filters), "seed",
+               "wall_time"],
+        ([c, *(summary[n][c] for n in record.filters), record.seed,
+          f"{record.wall_time:.3f}"] for c in range(record.n_channels)))
+
+
+def emit_sweep(report, path) -> Path:
+    """Write a :class:`enks.harness.ConvergenceReport` as rows
+    ``<variable>,error_mean,error_std``."""
+    return _write_rows(path, [report.variable, "error_mean", "error_std"],
+                       zip(report.values.tolist(), report.mean_errors.tolist(),
+                           report.std_errors.tolist()))

@@ -2,7 +2,7 @@ import pytest
 
 from enks.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from enks.configfile import (ConfigError, experiment_config, parse_config_file)
-from enks.harness import ExperimentConfig
+from enks.harness import ExperimentConfig, convergence_sweep
 
 POPULATION_SEED = 2   # bounded truth through T = 5
 DIVERGING_SEED = 1    # truth overflows before T = 8
@@ -177,6 +177,22 @@ class TestCli:
         assert code == EXIT_CONFIG
         assert "malformed dataset row" in capsys.readouterr().err
 
+    def test_dataset_with_a_deleted_measurement_row_exits_2(self, tmp_path,
+                                                            capsys):
+        # a missing (step, channel) row is refused, not read as 0.0
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "frame4-damaged", "--seed", "0",
+                     "--horizon", "0.2", "--out", str(data)]) == EXIT_OK
+        lines = (data / "measurements.csv").read_text().splitlines(True)
+        step, _, channel = lines[5].split(",")[:3]
+        (data / "measurements.csv").write_text("".join(lines[:5] + lines[6:]))
+        code = main(["run", "--problem", "frame4-damaged", "--seed", "0",
+                     "--ensemble", "20", "--horizon", "0.2",
+                     "--data", str(data), "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert (f"no row for step {step}, channel {channel}"
+                in capsys.readouterr().err)
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),
@@ -212,13 +228,26 @@ class TestCli:
         assert (a / "measurements.csv").read_bytes() == \
             (b / "measurements.csv").read_bytes()
 
-    def test_sweep_command(self, tmp_path, capsys):
+    def test_sweep_command(self, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def sweep(*args):
+            reports.append(convergence_sweep(*args))
+            return reports[-1]
+
+        monkeypatch.setattr("enks.cli.convergence_sweep", sweep)
         code = main(["sweep", "--problem", "linear-gaussian", "--variable", "N",
                      "--values", "20,40,80", "--repeats", "5",
-                     "--horizon", "0.5", "--out", str(tmp_path)])
+                     "--horizon", "0.5", "--out", str(tmp_path / "sweep")])
         assert code == EXIT_OK
-        assert (tmp_path / "sweep_N.csv").exists()
         assert "slope" in capsys.readouterr().out
+        # the bytes of the writer that formatted each numpy scalar
+        rep, = reports
+        lines = ["N,error_mean,error_std"] + [
+            f"{repr(float(v))},{repr(float(m))},{repr(float(s))}"
+            for v, m, s in zip(rep.values, rep.mean_errors, rep.std_errors)]
+        assert (tmp_path / "sweep" / "sweep_N.csv").read_bytes() == \
+            ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_compare_command(self, tmp_path, capsys):
         code = main(["compare", "--problem", "population", "--ensemble", "100",
