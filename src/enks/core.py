@@ -44,7 +44,7 @@ its BLAS work in one library, which the run loop
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -95,29 +95,13 @@ class FilterState:
     that does not depend on the ensemble: ``(1 - alpha) sigma^T sigma``
     for the EnKS filters (formed by :func:`make_initial_state`) and ``R``
     for the EnKF.  It is formed once per run and carried from step to step.
-    ``work`` is the run's one :func:`step_work` scratch, carried the same
-    way; a state whose ensemble changes shape gets a new one.
+    A step leaves its state as it is, unless its caller lets it consume
+    the ensemble (:func:`forecast`).
     """
 
     t_curr: float
     ensemble: np.ndarray
     noise_term: np.ndarray
-    work: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.work is None or self.work.shape != self.ensemble.shape:
-            self.work = step_work(self.ensemble)
-
-
-def step_work(ensemble: np.ndarray) -> np.ndarray:
-    """Scratch of a run's steps, one array of the shape of the ensemble.
-
-    Each step predicts into it, and its analysis forms the new ensemble in
-    one new array, so the scratch is free once the step has returned: the
-    run loop forms the step's moments in it.  The scratch is never a
-    state's ensemble, so a state may be stepped more than once.
-    """
-    return np.empty(np.shape(ensemble))
 
 
 def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
@@ -298,34 +282,41 @@ def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
 
 
 def forecast(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
-             y: np.ndarray, dt: float, noise: ParticleNoise
+             y: np.ndarray, dt: float, noise: ParticleNoise,
+             consume: bool = False
              ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """The forecast every filter's step starts from.
 
     Checks that ``y`` has the measurement's length, predicts the ensemble
-    over ``dt`` into ``state.work`` and evaluates the measurement map
-    on the prediction at the new time.  Returns ``(y, t_new, pred,
-    h_pred)``, with ``y`` as a flat float array.
+    over ``dt`` and evaluates the measurement map on the prediction at the
+    new time.  Returns ``(y, t_new, pred, h_pred)``, with ``y`` as a flat
+    float array.  The prediction is one new array, unless ``consume`` is
+    set: then it is made in place over ``state.ensemble``, which the state
+    no longer holds after the step.  Only a caller that owns the state's
+    ensemble and never reads it again sets it, as
+    :func:`enks.harness.run_filter_series` does.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != meas.q:
         raise ValueError(f"measurement has length {y.size}, expected {meas.q}")
     t_new = state.t_curr + dt
     pred = predict_ensemble(proc, state.ensemble, state.t_curr, dt, noise,
-                            out=state.work)
+                            out=state.ensemble if consume else None)
     return y, t_new, pred, meas.evaluate(pred, t_new)
 
 
 def enks_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
-              y: np.ndarray, cfg: FilterConfig,
-              noise: ParticleNoise) -> FilterState:
+              y: np.ndarray, cfg: FilterConfig, noise: ParticleNoise,
+              consume: bool = False) -> FilterState:
     """Advance the filter one assimilation step.
 
-    :func:`forecast` over ``cfg.dt``, then assemble the gain and apply the
-    additive update, whose result is the step's one new ensemble.
+    :func:`forecast` over ``cfg.dt`` (in place over the state's ensemble
+    with ``consume``), then assemble the gain and apply the additive
+    update, whose result is the step's one new ensemble.
     """
-    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise,
+                                      consume)
     gain = compute_gain(pred, h_pred, cfg, state.noise_term)
     updated = additive_update(pred, gain, y, h_pred)
     require_finite(updated, "non-finite ensemble after update")
-    return FilterState(t_new, updated, state.noise_term, state.work)
+    return FilterState(t_new, updated, state.noise_term)

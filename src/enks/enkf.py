@@ -102,13 +102,16 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
 
 def enkf_step(state: FilterState, proc: ProcessModel, meas: MeasurementModel,
               y: np.ndarray, cfg: EnkfConfig, noise: ParticleNoise,
-              perturbation_stream: RngStream, dt: float) -> FilterState:
-    """:func:`enks.core.forecast` over ``dt``, then :func:`enkf_update`.
+              perturbation_stream: RngStream, dt: float,
+              consume: bool = False) -> FilterState:
+    """:func:`enks.core.forecast` over ``dt`` (in place over the state's
+    ensemble with ``consume``), then :func:`enkf_update`.
     ``state.noise_term`` must equal ``cfg.R``, the covariance the analysis
     uses; any other is a ``ValueError``."""
     if state.noise_term is not cfg.R and not np.array_equal(state.noise_term,
                                                             cfg.R):
         raise ValueError("an EnKF state's noise term must be its config's R")
-    y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise)
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, dt, noise,
+                                      consume)
     analysis = enkf_update(pred, h_pred, y, cfg, perturbation_stream)
-    return FilterState(t_new, analysis, state.noise_term, state.work)
+    return FilterState(t_new, analysis, state.noise_term)

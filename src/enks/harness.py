@@ -243,10 +243,13 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
     returns or raises.  The run starts no thread: each step draws its
     noise on the calling thread.  A step's ``NumericFailure``, or one from
     its moments, is re-raised with the filter kind, the step index and the
-    step's measurement time, its particle kept.  Each step's mean and
-    ``ddof=1`` std come from one mean, the deviations formed in the
-    state's ``work``, which holds the step's prediction and is free once
-    the step has returned.
+    step's measurement time, its particle kept.
+
+    ``ens0`` is left as it is: the run starts from its own copy, and each
+    step predicts in place over the run's ensemble (``consume``), so the
+    run keeps no scratch.  Once the step has returned, the consumed array
+    holds its dead prediction: the step's mean and ``ddof=1`` std are
+    formed from one mean with the deviations in it.
     """
     ens0 = validate_ensemble(ens0)
     n, N = ens0.shape
@@ -267,10 +270,11 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
 
         def step(state, y):
             return enkf_step(state, proc, meas, y, enkf_cfg, streams, perturb,
-                             cfg.dt)
+                             cfg.dt, consume=True)
     elif kind == "enks":
         def step(state, y):
-            return enks_step(state, proc, meas, y, cfg, streams)
+            return enks_step(state, proc, meas, y, cfg, streams,
+                             consume=True)
     elif kind == "enks-iter":
         if schedule is None:
             raise ValueError("enks-iter needs an annealing schedule")
@@ -278,21 +282,23 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         def step(state, y):
             state, trace = iterative_enks_step(state, proc, meas, y, cfg,
                                                streams, schedule,
-                                               trace=collect_traces)
+                                               trace=collect_traces,
+                                               consume=True)
             if collect_traces:
                 extra.append(trace)
             return state
     else:
         raise ValueError(f"unknown filter kind '{kind}'")
 
-    state = FilterState(0.0, ens0, noise_term)
+    state = FilterState(0.0, ens0.copy(), noise_term)
     with _one_blas_thread():
         for i in range(M):
             t = state.t_curr + cfg.dt
             try:
-                state = step(state, series.values[:, i])
+                prev, state = state, step(state, series.values[:, i])
                 means[:, i], stds[:, i] = row_moments(state.ensemble,
-                                                      state.work)
+                                                      prev.ensemble)
+                del prev  # one ensemble less while the next step predicts
             except NumericFailure as err:
                 raise NumericFailure(f"{kind} filter failed", t=t, step=i,
                                      particle=err.particle) from err

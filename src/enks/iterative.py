@@ -247,12 +247,15 @@ def _pass_weights(mu: np.ndarray, betas: tuple, scale: float, weight: float,
 def iterative_enks_step(state: FilterState, proc: ProcessModel,
                         meas: MeasurementModel, y: np.ndarray,
                         cfg: FilterConfig, noise: ParticleNoise,
-                        schedule: AnnealingSchedule, trace: bool = False
+                        schedule: AnnealingSchedule, trace: bool = False,
+                        consume: bool = False
                         ) -> tuple[FilterState, IterationTrace | None]:
     """One assimilation step with the annealed inner-iteration update;
-    it starts from :func:`enks.core.forecast`.  The step's trace is
-    computed only when ``trace`` is set, and is None otherwise."""
-    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise)
+    it starts from :func:`enks.core.forecast`, in place over the state's
+    ensemble with ``consume``.  The step's trace is computed only when
+    ``trace`` is set, and is None otherwise."""
+    y, t_new, pred, h_pred = forecast(state, proc, meas, y, cfg.dt, noise,
+                                      consume)
     updated, record = iterate_update(pred, h_pred, state, y, schedule, meas,
                                      cfg, t_new, trace=trace)
-    return FilterState(t_new, updated, state.noise_term, state.work), record
+    return FilterState(t_new, updated, state.noise_term), record

@@ -63,7 +63,8 @@ class ProcessModel:
         Brownian dimension.
     drift_ensemble : callable
         Drift ``B(X, t) -> (n, N)`` of an ensemble; a single path is a
-        one-column ensemble.
+        one-column ensemble.  The result is a new writable float array,
+        which the integrator may overwrite, or a view of ``X``.
     constant_diffusion : ndarray
         ``(n, m)`` diffusion matrix F.
 

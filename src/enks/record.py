@@ -221,14 +221,24 @@ def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
 
 def load_dataset(data_dir) -> tuple:
     """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``,
-    ``seed`` None without ``seed.txt``.  A missing file, a bad header or a
-    malformed row is a ``ConfigError``."""
+    ``seed`` None without ``seed.txt``.  A missing file, a bad header, a
+    malformed row, measurement times that are not strictly increasing and
+    truth times other than the measurement times are each a
+    ``ConfigError``."""
     data_dir = Path(data_dir)
     for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
         if not (data_dir / name).exists():
             raise ConfigError(f"dataset file missing: {data_dir / name}")
-    _, truth = load_series_csv(data_dir / "truth.csv")
+    truth_times, truth = load_series_csv(data_dir / "truth.csv")
     times, values = load_series_csv(data_dir / "measurements.csv")
+    try:
+        series = MeasurementSeries(times=times, values=values)
+    except ValueError as err:
+        raise ConfigError(f"malformed dataset {data_dir / 'measurements.csv'}"
+                          f": {err}") from err
+    if not np.array_equal(truth_times, times):
+        raise ConfigError(f"the times of {data_dir / 'truth.csv'} are not "
+                          f"those of {data_dir / 'measurements.csv'}")
     noise_path = data_dir / "noise_std.csv"
     lines = noise_path.read_text(encoding="utf-8").splitlines()
     if lines[:1] != ["channel,noise_std"]:
@@ -246,8 +256,7 @@ def load_dataset(data_dir) -> tuple:
         except ValueError as err:
             raise ConfigError(f"malformed dataset seed in {seed_path}: "
                               f"{err}") from err
-    return (truth, MeasurementSeries(times=times, values=values), noise_std,
-            seed)
+    return truth, series, noise_std, seed
 
 
 _PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]

@@ -25,16 +25,26 @@ def _em(model: ProcessModel, x: np.ndarray, t: float, dt: float,
     """One explicit Euler-Maruyama step ``x + b(x, t) dt + F dB`` of every
     column of ``x``, built in ``out`` (or one new array).
 
-    ``dB`` holds one increment per column, shape (m, N), and is not read
-    when m = 0.  A diffusion that is a scaled selection
-    (``model.selection``) is applied by slices, with the bits of the dense
-    product.  A dense diffusion multiplies a C-ordered ``dB``: the noise's
-    increments are an F-ordered view, and at some shapes BLAS sums
-    ``F @ dB`` on that view in another order.  Overflow is left to the
-    caller's finiteness check.
+    ``out`` may be ``x`` itself, which then holds the step: the model's
+    new drift array is scaled by ``dt`` in place (a drift that shares
+    memory with ``x`` is scaled into a new array) and added into ``x``;
+    IEEE addition commutes, so these are the bits of ``b dt + x``.  ``dB``
+    holds one increment per column, shape (m, N), and is not read when m
+    = 0.  A diffusion that is a scaled selection (``model.selection``) is
+    applied by slices, with the bits of the dense product.  A dense
+    diffusion multiplies a C-ordered ``dB``: the noise's increments are an
+    F-ordered view, and at some shapes BLAS sums ``F @ dB`` on that view
+    in another order.  Overflow is left to the caller's finiteness check.
     """
-    out = np.multiply(model.drift_ensemble(x, t), dt, out=out)
-    out += x
+    drift = model.drift_ensemble(x, t)
+    if out is not x:
+        out = np.multiply(drift, dt, out=out)
+        out += x
+    elif np.may_share_memory(drift, x):
+        out += drift * dt
+    else:
+        out += np.multiply(drift, dt, out=drift)
+    del drift  # freed before the diffusion makes its temporaries
     if model.m:
         if model.selection is not None:
             rows, cols, scale = model.selection
@@ -52,9 +62,10 @@ def predict_ensemble(model: ProcessModel, ens: np.ndarray, t_prev: float,
     Column j of the result is column j of ``ens`` stepped with column j of
     the step's increments from ``noise``; column order is preserved, so
     permuting the particles and their increments together permutes the
-    result.  The result is built in place in ``out``, a float array of the
-    shape of ``ens`` that does not alias it, or in one new array; ``ens``
-    and the increments are left as they are.
+    result.  The result is built in ``out``, a float array of the shape of
+    ``ens``, or in one new array.  ``out`` may be ``ens`` itself, which
+    then holds the prediction; any other ``out`` must not alias ``ens``,
+    and ``ens`` is left as it is.  The increments are never changed.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

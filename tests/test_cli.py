@@ -193,6 +193,29 @@ class TestCli:
         assert (f"no row for step {step}, channel {channel}"
                 in capsys.readouterr().err)
 
+    def test_dataset_with_two_measurement_times_swapped_exits_2(self,
+                                                                tmp_path,
+                                                                capsys):
+        # measurement times out of order are refused, not a traceback
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "population", "--seed",
+                     str(POPULATION_SEED), "--horizon", "1.0",
+                     "--out", str(data)]) == EXIT_OK
+        path = data / "measurements.csv"
+        lines = path.read_text().splitlines(True)
+        first, second = (line.split(",") for line in lines[2:4])
+        first[1], second[1] = second[1], first[1]
+        path.write_text("".join(lines[:2] + [",".join(first), ",".join(second)]
+                                + lines[4:]))
+        code = main(["run", "--problem", "population", "--seed",
+                     str(POPULATION_SEED), "--ensemble", "20",
+                     "--horizon", "1.0", "--data", str(data),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "times must be strictly increasing" in err
+        assert "measurements.csv" in err
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),

@@ -273,6 +273,15 @@ class TestDataset:
         assert np.array_equal(noise_std, [1 / 3, 1e-310])
         assert seed == 11
 
+    def test_truth_on_another_time_grid_is_a_config_error(self, tmp_path):
+        # a truth series whose times are not the measurements' is refused,
+        # however many rows it has
+        out = self.make(tmp_path / "data")
+        truth, series, _, _ = load_dataset(out)
+        emit_series_csv(out / "truth.csv", 7 * series.times, truth)
+        with pytest.raises(ConfigError, match="truth.csv"):
+            load_dataset(out)
+
     @pytest.mark.parametrize("text", [
         "channel,std\n0,0.5\n",
         "0,0.5\n1,0.5\n",

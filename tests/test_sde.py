@@ -137,6 +137,26 @@ class TestPredictEnsemble:
             dense = ens + model.drift_ensemble(ens, 0.3) * 0.01 + F @ dB
             assert np.array_equal(out, dense)
 
+    @pytest.mark.parametrize("F", [np.diag([0.3, 0.5]),
+                                   np.array([[1.0, 0.5], [0.0, 2.0]])],
+                             ids=["selection", "dense"])
+    @pytest.mark.parametrize("drift", [lambda x: -x * x[::-1], lambda x: x,
+                                       lambda x: x[::-1]],
+                             ids=["new", "itself", "view"])
+    def test_in_place_prediction_has_the_bits_of_a_new_array(self, drift, F):
+        # out=ens predicts over the ensemble itself with the bits of a
+        # prediction into a new array, also for a drift that is the
+        # ensemble or a view of it; the increments are left as they are
+        model = ProcessModel(n=2, m=2, drift_ensemble=lambda x, t: drift(x),
+                             constant_diffusion=F)
+        dB = RngStream(3, 2).standard_normal((2, 9))
+        ens = RngStream(4, 2).standard_normal((2, 9))
+        expected = predict_ensemble(model, ens, 0.0, 0.1, FixedNoise(dB))
+        kept = dB.copy()
+        out = predict_ensemble(model, ens, 0.0, 0.1, FixedNoise(dB), out=ens)
+        assert out is ens
+        assert np.array_equal(out, expected) and np.array_equal(dB, kept)
+
     def test_dense_diffusion_keeps_the_product(self):
         # two nonzeros in a row is no selection: prediction multiplies
         F = np.array([[1.0, 0.5], [0.0, 2.0]])
