@@ -6,6 +6,10 @@ by a shared gain matrix applied to its own innovation,
 
     x_j  <-  x_j + G (y - h(x_j)).
 
+:func:`additive_update` is that update, and the only one in the package:
+the iterative form's step gain and passes and the perturbed-observation
+EnKF (:mod:`enks.enkf`, one observation per particle) go through it too.
+
 With ``Xd = X - xbar`` and ``Hd = H - hbar`` the predicted ensemble and
 its measurement image centred on their means, the gain is
 
@@ -265,18 +269,26 @@ def additive_update(pred: np.ndarray, gain: np.ndarray, y: np.ndarray,
                     h_pred: np.ndarray) -> np.ndarray:
     """Shift every particle by the gain applied to its own innovation.
 
-    Column j of the result is ``pred[:, j] + G (y - h_pred[:, j])``; there
-    is no weighting and no resampling.
+    Column j of the result is ``pred[:, j] + G (y_j - h_pred[:, j])``,
+    with ``y_j`` either the one observation ``y`` of shape (q,) or column
+    j of a ``y`` of shape (q, N), one per particle (the EnKF's perturbed
+    observations).  Any other shape of ``y`` is a ``ValueError``.  There
+    is no weighting and no resampling.  This is every filter's update:
+    the EnKS step, each pass of the iterative step and the EnKF's
+    analysis.  The result is one new array, ``G (y - h)`` with ``pred``
+    added into it.
     """
     pred = np.asarray(pred, dtype=float)
     gain = np.asarray(gain, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
     h_pred = np.asarray(h_pred, dtype=float)
     if gain.shape != (pred.shape[0], h_pred.shape[0]):
         raise ValueError(f"gain shape {gain.shape} inconsistent with ensembles")
-    if h_pred.shape != (y.size, pred.shape[1]):
-        raise ValueError("h_pred shape inconsistent with y and pred")
-    out = matmul(gain, y[:, None] - h_pred)
+    if h_pred.shape != (gain.shape[1], pred.shape[1]):
+        raise ValueError("h_pred shape inconsistent with gain and pred")
+    if y.shape not in (h_pred.shape[:1], h_pred.shape):
+        raise ValueError(f"y shape {y.shape} is neither (q,) nor (q, N)")
+    out = matmul(gain, (y[:, None] if y.ndim == 1 else y) - h_pred)
     out += pred  # pred + G (y - h), with the same bits, in one new array
     return out
 

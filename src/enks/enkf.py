@@ -8,8 +8,10 @@ independently perturbed copy of the observation,
     eps_j ~ N(0, R).
 
 The gain comes from ``enks.core.analysis_gain``, the kernel of the EnKS
-gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``,
-and the update is the step's one new ensemble-sized array.
+gain, with ``C_xh (C_hh + R)^{-1} = Xd Hd^T/(N-1) (Hd Hd^T/(N-1) + R)^{-1}``.
+The update is the EnKS's own additive update, ``enks.core.additive_update``,
+with one perturbed observation ``y + eps_j`` per member; it is the step's
+one new ensemble-sized array.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FilterState, analysis_gain, forecast, matmul
+from .core import FilterState, additive_update, analysis_gain, forecast, matmul
 from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise, RngStream
 
@@ -59,9 +61,11 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
                 cfg: EnkfConfig, stream: RngStream) -> np.ndarray:
     """Perturbed-observation analysis of a forecast ensemble.
 
-    The analysis is one new array, ``G (y + eps - h)`` with ``pred`` added
-    into it (the bits of ``pred + G (y + eps - h)``); the inputs are left
-    as they are.
+    The perturbed observations ``y + eps`` are formed in the perturbation
+    array and handed, one column per member, to
+    :func:`enks.core.additive_update`, whose one new array is the analysis
+    (the bits of ``pred + G ((y + eps) - h)``); the inputs are left as
+    they are.
 
     Parameters
     ----------
@@ -75,27 +79,23 @@ def enkf_update(pred: np.ndarray, h_pred: np.ndarray, y: np.ndarray,
     stream : RngStream
         Source of the observation perturbations (q draws per member).
     """
-    pred = np.asarray(pred, dtype=float)
-    h_pred = np.asarray(h_pred, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
-    n, N = pred.shape
+    N = np.shape(pred)[1]
     q = y.size
     if N < 2:
         raise ValueError("the analysis needs at least 2 particles")
-    if h_pred.shape != (q, N):
-        raise ValueError(f"h_pred shape {h_pred.shape} != ({q}, {N})")
+    if np.shape(h_pred) != (q, N):
+        raise ValueError(f"h_pred shape {np.shape(h_pred)} != ({q}, {N})")
     if cfg.R.shape != (q, q):
         raise ValueError("R dimension does not match the observation")
 
     weight = 1.0 / (N - 1)
     gain = analysis_gain(pred, h_pred, weight, weight, cfg.R, GAIN_FAILURES)
 
-    # the perturbed innovation y + eps - h, formed in the perturbation
-    innov = matmul(cfg.chol_R, stream.standard_normal((q, N)))
-    innov += y[:, None]
-    innov -= h_pred
-    analysis = matmul(gain, innov)
-    analysis += pred
+    # the perturbed observations y + eps, formed in the perturbation
+    perturbed = matmul(cfg.chol_R, stream.standard_normal((q, N)))
+    perturbed += y[:, None]
+    analysis = additive_update(pred, gain, perturbed, h_pred)
     require_finite(analysis, "non-finite analysis ensemble")
     return analysis
 

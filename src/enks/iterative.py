@@ -17,7 +17,8 @@ the measured moment whitened by the first denominator, so one
 eigendecomposition of it gives all kappa passes in closed form, as a
 recursion on q numbers run on Python floats, and the step gain as one
 product in that basis, with no solve.  Other maps, and one undamped pass,
-run the passes on the iterate itself.
+run the passes on the iterate itself, each pass one
+:func:`enks.core.additive_update` of the one before, from the prediction.
 
 The per-pass trace (increment and mean-innovation norms) is computed only
 on request: ``trace=True`` here, ``collect_traces`` in
@@ -100,11 +101,12 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
 
     When ``meas.linear`` is set and kappa >= 2 the passes run on moments
     (:func:`_linear_passes`): one eigendecomposition gives every pass,
-    and the result is one additive update of ``pred``.  Otherwise the
-    iterate is one copy of ``pred``, updated in place by every pass, and
-    each later pass re-evaluates the measurement map at ``t`` on it; with
-    kappa = 1 that is :func:`enks.core.enks_step`'s gain and update, bit
-    for bit.  Either way neither ``pred`` nor ``h_pred`` changes.
+    and the result is one additive update of ``pred``.  Otherwise every
+    pass is one :func:`enks.core.additive_update` of the iterate, starting
+    from ``pred``, with the damped gain ``beta_k G_k``, and each later
+    pass re-evaluates the measurement map at ``t`` on its new iterate;
+    with kappa = 1 that is :func:`enks.core.enks_step`'s gain and update,
+    bit for bit.  Either way neither ``pred`` nor ``h_pred`` changes.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     pred = np.asarray(pred, dtype=float)
@@ -116,19 +118,17 @@ def iterate_update(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
         ens = _linear_passes(pred, h_k, state, y, schedule, cfg, record)
         require_finite(ens, "non-finite iterate")
         return ens, record
-    ens = pred.copy()
-    innov = np.empty_like(h_k)
+    ens = pred
     for k, beta in enumerate(schedule.betas):
         if k:
             h_k = meas.evaluate(ens, t)
-        gain = compute_gain(ens, h_k, cfg, state.noise_term)
-        np.subtract(y[:, None], h_k, out=innov)
-        incr = matmul(beta * gain, innov)
-        ens += incr
-        require_finite(ens, "non-finite iterate")
+        gain = beta * compute_gain(ens, h_k, cfg, state.noise_term)
         if record is not None:
-            record.residuals[k] = np.linalg.norm(incr)
+            innov = y[:, None] - h_k
+            record.residuals[k] = np.linalg.norm(matmul(gain, innov))
             record.innovation_norms[k] = np.linalg.norm(innov.mean(axis=1))
+        ens = additive_update(ens, gain, y, h_k)
+        require_finite(ens, "non-finite iterate")
     return ens, record
 
 

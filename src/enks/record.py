@@ -117,37 +117,42 @@ def _read_long(path, kind: str) -> tuple:
 
     A header that does not start ``step,time,channel`` or repeats a name,
     a row of another width, a cell that does not parse, channels other
-    than ``0..n-1`` and a missing or repeated (step, channel) row are each
-    a ``ConfigError`` naming the file, the row and ``kind``."""
+    than ``0..n-1``, a missing or repeated (step, channel) row and a time
+    other than the one its step's first row gives are each a
+    ``ConfigError`` naming the file, the row and ``kind``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if (header[:3] != ["step", "time", "channel"]
                 or len(set(header)) < len(header)):
             raise ConfigError(f"unrecognized {kind} header in {path}")
-        cells = {}
+        cells, times = {}, {}
         for line, row in enumerate(reader, start=2):
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, not {len(header)}")
-                key = int(row[0]), int(row[2])
+                key, t = (int(row[0]), int(row[2])), float(row[1])
                 if key in cells:
                     raise ValueError(f"repeats step {key[0]}, channel {key[1]}")
-                cells[key] = [float(row[1]), *map(float, row[3:])]
+                if key[0] not in times:
+                    times[key[0]] = t
+                elif times[key[0]] != t:
+                    raise ValueError(f"time {t!r} is not step {key[0]}'s "
+                                     f"time {times[key[0]]!r}")
+                cells[key] = [float(x) for x in row[3:]]
             except ValueError as err:
                 raise ConfigError(f"malformed {kind} row {line} in {path}: "
                                   f"{err}") from err
-    steps = sorted({s for s, _ in cells})
+    steps = sorted(times)
     n = len({c for _, c in cells})
     try:
         table = np.array([cells[s, c] for s in steps for c in range(n)])
     except KeyError as err:
         raise ConfigError(f"malformed {kind} table {path}: no row for step "
                           "{}, channel {}".format(*err.args[0])) from None
-    table = table.reshape(len(steps), n, len(header) - 2).transpose(2, 1, 0)
-    times = table[0, 0].copy() if n else np.zeros(0)
-    columns = np.ascontiguousarray(table[1:])
-    return np.array(steps, dtype=int), times, dict(zip(header[3:], columns))
+    table = table.reshape(len(steps), n, len(header) - 3).transpose(2, 1, 0)
+    return (np.array(steps, dtype=int), np.array([times[s] for s in steps]),
+            dict(zip(header[3:], np.ascontiguousarray(table))))
 
 
 def _write_rows(path, header: Sequence[str], rows) -> Path:

@@ -92,3 +92,10 @@ def test_patch_table_traces_every_filter_step(tracing):
         assert "core.additive_update" in under["enks"], problem
         assert "iterative.iterate_update" in under["enks-iter"], problem
         assert "enkf.enkf_update" in under["enkf"], problem
+        # every pass of the pendulum's loop is one additive update, which
+        # iterative.passes_per_step counts; on a linear map the step is one
+        passes = sum(spans[s[tracing.PARENT]][tracing.NAME]
+                     == "iterative.iterate_update" for s in spans
+                     if s[tracing.NAME] == "core.additive_update")
+        assert passes == steps * (1 if problem == "linear-gaussian"
+                                  else cfg.kappa), problem

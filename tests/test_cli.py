@@ -193,6 +193,27 @@ class TestCli:
         assert (f"no row for step {step}, channel {channel}"
                 in capsys.readouterr().err)
 
+    def test_dataset_with_a_channel_at_another_time_exits_2(self, tmp_path,
+                                                           capsys):
+        # every row of a step carries the step's time; a channel row whose
+        # time differs is refused, not read at its step's first time
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "frame4-damaged", "--seed", "0",
+                     "--horizon", "0.2", "--out", str(data)]) == EXIT_OK
+        path = data / "measurements.csv"
+        lines = path.read_text().splitlines(True)
+        cells = lines[2].split(",")
+        assert cells[0] == "1" and cells[2] == "1"
+        cells[1] = "99.0"
+        path.write_text("".join(lines[:2] + [",".join(cells)] + lines[3:]))
+        code = main(["run", "--problem", "frame4-damaged", "--seed", "0",
+                     "--ensemble", "20", "--horizon", "0.2",
+                     "--data", str(data), "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed dataset row 3" in err
+        assert "measurements.csv" in err
+
     def test_dataset_with_two_measurement_times_swapped_exits_2(self,
                                                                 tmp_path,
                                                                 capsys):

@@ -396,6 +396,28 @@ class TestAdditiveUpdate:
                               np.array([2.0]), np.array([[1.0]]))
         assert out[0, 0] == pytest.approx(1.5)
 
+    def test_one_observation_per_particle(self):
+        # a (q, N) y gives each particle its own observation, as the
+        # EnKF's perturbed observations do
+        rng = np.random.default_rng(5)
+        pred = rng.standard_normal((3, 6))
+        h = rng.standard_normal((2, 6))
+        G = rng.standard_normal((3, 2))
+        y = rng.standard_normal((2, 6))
+        out = additive_update(pred, G, y, h)
+        for j in range(6):
+            assert np.allclose(out[:, j], pred[:, j] + G @ (y[:, j] - h[:, j]),
+                               rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (3,), (6,), (3, 6),
+                                       (2, 6, 1)])
+    def test_y_of_another_shape_is_a_value_error(self, shape):
+        # y is (q,) or (q, N), with q = 2 and N = 6; (q, 1) and a
+        # transposed y are refused too
+        with pytest.raises(ValueError, match="y shape"):
+            additive_update(np.zeros((3, 6)), np.zeros((3, 2)),
+                            np.zeros(shape), np.zeros((2, 6)))
+
     @given(st.permutations(list(range(6))))
     @settings(max_examples=25, deadline=None)
     def test_permutation_equivariance(self, perm):

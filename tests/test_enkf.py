@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from enks.core import FilterState
-from enks.enkf import EnkfConfig, enkf_step, enkf_update
+from enks.core import FilterState, additive_update, analysis_gain
+from enks.enkf import GAIN_FAILURES, EnkfConfig, enkf_step, enkf_update
 from enks.errors import NumericFailure
 from enks.models import MeasurementModel, ProcessModel
 from enks.rng import RngStream, particle_streams
@@ -89,6 +89,25 @@ class TestEnkfUpdate:
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
         assert np.array_equal(out, enkf_update(pred, h, y, EnkfConfig(R=R),
                                                RngStream(7, 4)))
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_update_is_the_additive_update_of_perturbed_observations(self, q):
+        # replaying the perturbation stream: the analysis is, bit for bit,
+        # the EnKS's additive update with one observation chol(R) z_j + y
+        # per member and the gain of the 1/(N-1)-weighted kernel
+        rng = np.random.default_rng(8)
+        N = 9
+        pred = rng.standard_normal((4, N))
+        h = pred[:q] + 0.3 * rng.standard_normal((q, N))
+        y = rng.standard_normal(q)
+        A = rng.standard_normal((q, q))
+        cfg = EnkfConfig(R=A @ A.T + q * np.eye(q))
+        out = enkf_update(pred, h, y, cfg, RngStream(11, 4))
+        gain = analysis_gain(pred, h, 1 / (N - 1), 1 / (N - 1), cfg.R,
+                             GAIN_FAILURES)
+        z = RngStream(11, 4).standard_normal((q, N))
+        assert np.array_equal(out, additive_update(
+            pred, gain, cfg.chol_R @ z + y[:, None], h))
 
     def test_shape_checks(self):
         cfg = EnkfConfig(R=np.eye(2))

@@ -516,6 +516,28 @@ class TestRunFilterSeries:
         assert len(series) == 6
         assert peak < 4 * ens0.nbytes, peak / ens0.nbytes
 
+    def test_pendulum_pass_loop_peak_memory_stays_under_5_ensembles(self):
+        # cost guard over a pendulum enks-iter run (n = 4, q = 1, N =
+        # 20,000, 6 steps, kappa = 10), whose passes run on the ensemble:
+        # each pass is one additive update of the previous iterate, which
+        # starts as the prediction, so the run holds the prediction, the
+        # iterate and the next one with a step's temporaries.  Measured:
+        # 4.51x; 5.51x when the loop updates a copy of the prediction in
+        # place
+        problem, series, ens0, fcfg = self.setup_data("pendulum", 20_000,
+                                                      0.06)
+        assert not problem.meas.linear
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_filter_series("enks-iter", problem, series, ens0, fcfg,
+                              schedule=make_schedule(10))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 6
+        assert peak < 5 * ens0.nbytes, peak / ens0.nbytes
+
     @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_run_leaves_ens0_unchanged(self, kind):
         # a run predicts over its own copy of ens0, never over the
@@ -560,14 +582,23 @@ class TestRunFilterSeries:
         # a non-finite particle in a step's analysis (particle 5 of step 3,
         # put into the update's result or the EnKF's perturbations) fails
         # the step's own finite check, which names the particle; the run
-        # re-raises it with the filter and the step
-        problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
-        assert problem.meas.linear  # enks-iter ends in one additive update
+        # re-raises it with the filter and the step.  On a linear map
+        # enks-iter ends in one additive update; on the pendulum's its
+        # pass loop checks each of its kappa = 3 updates, here the first
+        # of step 3
+        problems = ["linear-gaussian"] + (["pendulum"] if kind == "enks-iter"
+                                          else [])
+        for problem_id in problems:
+            self.check_analysis_failure(kind, problem_id)
+
+    def check_analysis_failure(self, kind, problem_id):
+        problem, series, ens0, fcfg = self.setup_data(problem_id, 8, 0.1)
+        passes = 1 if problem.meas.linear else 3
         calls = []
 
         def poisoned(x):
             calls.append(None)
-            if len(calls) == 4:
+            if len(calls) == 3 * passes + 1:
                 x[:, 5] = np.nan
             return x
 

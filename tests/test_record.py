@@ -43,6 +43,7 @@ MALFORMED_ROWS = {
     "long-row": ["1,0.1,0,{v}", "1,0.1,1,{v},5.0"],
     "short-row": ["1,0.1,0,{v}", "1,0.1"],
     "value": ["1,0.1,0,{v}", "1,0.1,1,abc"],
+    "other-time": ["1,0.1,0,{v}", "1,99.0,1,{v}"],
 }
 
 
@@ -172,6 +173,11 @@ class TestCsv:
                                             MALFORMED_ROWS["repeated-row"]]))
         with pytest.raises(ConfigError, match="row 4 in .*repeats step 1, "
                                               "channel 1"):
+            load_csv(path)
+        path.write_text("\n".join([head] + [r.format(v="1.0,2.0,0.5") for r in
+                                            MALFORMED_ROWS["other-time"]]))
+        with pytest.raises(ConfigError, match="row 3 in .*time 99.0 is not "
+                                              "step 1's time 0.1"):
             load_csv(path)
 
     def test_round_trip_survives_awkward_floats(self, tmp_path):
