@@ -5,7 +5,9 @@ Four twin-experiment identification problems (two shear frames, a
 nonlinear oscillator with a reaction measurement, and a population
 equation) plus a linear-Gaussian problem whose exact conditional moments
 come from a Kalman recursion on the EM-discretized model, and whose exact
-large-N EnKS moments come from the same recursion with the EnKS gain.
+large-N EnKS moments come from the same recursion with the EnKS gain: each
+oracle is its filter's own gain rule, :func:`enks.core.step_gain`, fed
+exact moments.
 :func:`build_problem` turns a problem id plus overrides into the
 :class:`Problem` a twin experiment runs: truth and filter models, the
 measurement map, the truth's start state and the initial-ensemble prior.
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import matmul
+from .core import matmul, step_gain
 from .errors import NumericFailure
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
 
@@ -354,36 +356,18 @@ def kalman_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
     """Exact posterior moments on the EM-discretized linear model.
 
     Transition ``I + A dt`` with process covariance ``F F^T dt``; one
-    predict/update per measurement time.
+    predict/update per measurement time with the Kalman gain ``P H^T (H P
+    H^T + R)^{-1}``.  This is the perturbed-observation EnKF's rule at N =
+    infinity: :func:`enks.core.step_gain` with scale 1, weight 1 and noise
+    term ``R``, on the exact moments (:func:`_exact_moments`).
 
     Returns
     -------
     means : ndarray, shape (n, M)
     covs : ndarray, shape (M, n, n)
     """
-    n, q = spec.n, spec.q
-    a = np.eye(n) + spec.A * dt
-    Q = spec.F @ spec.F.T * dt
-    H, R = spec.H, spec.R
-    m = spec.x0_mean.copy()
-    P = spec.x0_cov.copy()
-    M = len(series)
-    means = np.empty((n, M))
-    covs = np.empty((M, n, n))
-    for i in range(M):
-        m = a @ m
-        P = a @ P @ a.T + Q
-        S = H @ P @ H.T + R
-        try:
-            K = np.linalg.solve(S.T, (P @ H.T).T).T
-        except np.linalg.LinAlgError as err:
-            raise NumericFailure("singular innovation covariance", step=i) from err
-        m = m + K @ (series.values[:, i] - H @ m)
-        P = (np.eye(n) - K @ H) @ P
-        P = 0.5 * (P + P.T)
-        means[:, i] = m
-        covs[i] = P
-    return means, covs
+    return _exact_moments(spec, series, dt, 1.0, 1.0, spec.R, (1.0,),
+                          perturbed=True)[:2]
 
 
 def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
@@ -398,12 +382,11 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
     N grows the sample moments tend to the moments ``(m, P)`` propagated
     here, which is the mean the EnKS converges to in N.  It differs from
     the Kalman mean of :func:`kalman_oracle` because this gain is not the
-    Kalman gain.  Per step:
-
-        predict   m <- a m,  P <- a P a^T + F F^T dt,  a = I + A dt
-        per beta  G = tc P H^T [alpha H P H^T + (1 - alpha) sigma^T sigma]^{-1}
-                  m <- m + beta G (y - H m)
-                  P <- (I - beta G H) P (I - beta G H)^T
+    Kalman gain.  This is the EnKS filters' own rule at N = infinity:
+    :func:`enks.core.step_gain` with scale ``tc``, weight ``alpha`` and
+    noise term ``(1 - alpha) sigma^T sigma`` on the exact moments
+    (:func:`_exact_moments`), with no ``B R B^T`` term, since the update
+    adds no perturbation.
 
     ``betas`` is ``(1.0,)`` for the non-iterative filter and
     ``make_schedule(kappa).betas`` for the iterative one.  ``tc`` is ``dt``;
@@ -418,38 +401,50 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
         Effective gain ``B`` of each whole step, ``m_post = m_pred +
         B (y - H m_pred)``; the Kalman gain is its counterpart.
     """
-    n, q = spec.n, spec.q
+    noise_term = (1.0 - alpha) * build_linear_gaussian(spec, dt)[1].sigma_gram
+    return _exact_moments(spec, series, dt, dt, alpha, noise_term,
+                          tuple(betas), perturbed=False)
+
+
+def _exact_moments(spec: LinearGaussianSpec, series: MeasurementSeries,
+                   dt: float, scale: float, weight: float,
+                   noise_term: np.ndarray, betas: tuple, perturbed: bool
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means (n, M), covariances (M, n, n) and step gains (M, n, q) of a
+    filter's rule on exact moments.  Per step:
+
+        predict   m <- a m,  P <- a P a^T + F F^T dt,  a = I + A dt
+        gain      B = step_gain(P H^T, H P H^T, noise_term, scale, weight,
+                                betas)
+        update    m <- m + B (y - H m)
+                  P <- (I - B H) P (I - B H)^T  [+ B R B^T if perturbed]
+
+    ``perturbed`` adds the spread of observations perturbed with
+    covariance ``R``.  A gain that fails raises the ``NumericFailure`` of
+    :func:`enks.core.step_gain`, with the step.
+    """
+    n, H, M = spec.n, spec.H, len(series)
     eye = np.eye(n)
     a = eye + spec.A * dt
     Q = spec.F @ spec.F.T * dt
-    H = spec.H
-    sigma = nu_from_noise_std(np.sqrt(np.diag(spec.R)), dt) * dt
-    noise_term = (1.0 - alpha) * sigma.T @ sigma
-    m = spec.x0_mean.copy()
-    P = spec.x0_cov.copy()
-    M = len(series)
-    means = np.empty((n, M))
-    covs = np.empty((M, n, n))
-    gains = np.empty((M, n, q))
+    m, P = spec.x0_mean, spec.x0_cov  # never written in place
+    means, covs = np.empty((n, M)), np.empty((M, n, n))
+    gains = np.empty((M, n, spec.q))
     for i in range(M):
-        m = a @ m
-        P = a @ P @ a.T + Q
-        y = series.values[:, i]
-        B = np.zeros((n, q))
-        for beta in betas:
-            denom = alpha * H @ P @ H.T + noise_term
+        # a diverging prior overflows here; step_gain's checks report it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m = a @ m
+            P = a @ P @ a.T + Q
             try:
-                G = beta * dt * np.linalg.solve(denom.T, (P @ H.T).T).T
-            except np.linalg.LinAlgError as err:
-                raise NumericFailure("singular gain denominator", step=i) from err
-            L = eye - G @ H
-            m = m + G @ (y - H @ m)
-            P = L @ P @ L.T
-            P = 0.5 * (P + P.T)
-            B = L @ B + G
-        means[:, i] = m
-        covs[i] = P
-        gains[i] = B
+                B = step_gain(P @ H.T, H @ P @ H.T, noise_term, scale,
+                              weight, betas)
+            except NumericFailure as err:
+                raise NumericFailure(str(err), step=i) from err
+        E = eye - B @ H
+        m = m + B @ (series.values[:, i] - H @ m)
+        P = E @ P @ E.T + (B @ spec.R @ B.T if perturbed else 0.0)
+        P = 0.5 * (P + P.T)
+        means[:, i], covs[i], gains[i] = m, P, B
     return means, covs, gains
 
 

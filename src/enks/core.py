@@ -25,16 +25,17 @@ left has the shape of the ensemble Kalman-Bucy gain ``C_xh (nu nu^T)^{-1}
 dt`` (Bergemann & Reich 2012), and :func:`analysis_gain` computes it for
 this filter, its iterative form and the perturbed-observation EnKF: the
 ensemble moments ``X Hd^T`` and ``Hd Hd^T`` (:func:`analysis_moments`),
-then one Cholesky factor ``L`` of the denominator ``D`` and its inverse,
-and ``D^{-1} = L^{-T} L^{-1}`` applied as two products: no solve.  Since
-``Hd 1 = 0``, ``X Hd^T = Xd Hd^T`` exactly, so the state ensemble is
-never centred.  In floating point the uncentred product rounds relative
-to the rows' means rather than their spreads: a row whose mean is 10^k
-times its spread loses about k digits in the cross moment.  The iterative
-form on a linear map takes the same moments and the same factor's inverse
-(:func:`factor_denominator`), whitens the measured moment by it
-(:func:`whitened_spectrum`) and forms its step gain in that basis
-(:mod:`enks.iterative`).
+then the step gain of :func:`step_gain`, one Cholesky factor ``L`` of the
+denominator ``D`` and its inverse, and ``D^{-1} = L^{-T} L^{-1}`` applied
+as two products: no solve.  Since ``Hd 1 = 0``, ``X Hd^T = Xd Hd^T``
+exactly, so the state ensemble is never centred.  In floating point the
+uncentred product rounds relative to the rows' means rather than their
+spreads: a row whose mean is 10^k times its spread loses about k digits
+in the cross moment.  :func:`step_gain` is the one rule from moments to
+a gain: the iterative form on a linear map hands it the same moments and
+its damping multipliers, and it whitens the measured moment by the
+factor's inverse and forms the passes' step gain in that basis; the
+exact large-N oracles of :mod:`enks.benchmarks` hand it exact moments.
 
 The gain's time is the assimilation step, ``tc = dt``, at every step.
 
@@ -170,21 +171,21 @@ def analysis_moments(pred: np.ndarray, h_pred: np.ndarray
     return pred @ Hd.T, Hd @ Hd.T
 
 
-def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray,
-                       failures: tuple) -> tuple[np.ndarray, np.ndarray]:
+def factor_denominator(hh: np.ndarray, weight: float, noise_term: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """The denominator ``D = weight hh + noise_term`` and ``L^{-1}``, the
     inverse of its lower Cholesky factor ``L``.
 
     ``L`` is numpy's LAPACK gufunc ``cholesky_lo``, which leaves a NaN
     factor when ``D`` is not positive definite; ``D`` is checked for
-    finiteness only then, to name the first or second of ``failures``
-    (:func:`analysis_gain`).  ``L^{-1}`` is the gufunc ``inv``, so that
+    finiteness only then, to name the first or second of
+    ``GAIN_FAILURES``.  ``L^{-1}`` is the gufunc ``inv``, so that
     ``D^{-1} = L^{-T} L^{-1}``.  It runs under the caller's ``errstate``.
     """
     denom = weight * hh + noise_term
     factor = _umath_linalg.cholesky_lo(denom)
     if not all_finite(factor):
-        raise NumericFailure(failures[1] if all_finite(denom) else failures[0])
+        raise NumericFailure(GAIN_FAILURES[1 if all_finite(denom) else 0])
     return denom, _umath_linalg.inv(factor)
 
 
@@ -203,29 +204,135 @@ def whitened_spectrum(hh: np.ndarray, inverse: np.ndarray
     return mu, inverse.T @ V
 
 
+def step_gain(cross: np.ndarray, hh: np.ndarray, noise_term: np.ndarray,
+              scale: float, weight: float, betas: tuple, *,
+              _trace: list | None = None) -> np.ndarray:
+    """The step gain ``B`` from second moments, shape (n, q).
+
+    This is the one rule that turns moments into a gain: every filter's
+    analysis (:func:`analysis_gain`), the iterative form's passes on a
+    linear map (:mod:`enks.iterative`) and both exact large-N oracles of
+    :mod:`enks.benchmarks` call it.  ``cross`` is the (n, q) cross moment
+    of state and measurement, ``hh`` the (q, q) measured moment and
+    ``betas`` the passes' damping multipliers.  The denominator ``D_0 =
+    weight hh + noise_term`` is checked and factored once, ``D_0 = L L^T``
+    (:func:`factor_denominator`); its failures are ``GAIN_FAILURES``.
+    One multiplier beta gives
+
+        B = (beta scale cross) L^{-T} L^{-1} = beta scale cross D_0^{-1},
+
+    two products and no solve.  Several give the step gain of kappa
+    damped passes on a linear map, each re-forming its gain from the
+    moments the pass before left, so that the last iterate is ``pred + B
+    (y - h(pred))``.  With ``s = scale``, ``w = weight``, ``R0`` the
+    noise term, ``cross_k`` and ``C_k`` pass k's moments (``cross_0 =
+    cross``, ``C_0 = hh``), ``A_k = beta_k s cross_k D_k^{-1}`` its damped
+    gain, ``D_k = w C_k + R0``, ``K_k = h(A_k) = beta_k s C_k D_k^{-1}``
+    and ``E_k = I - K_k``:
+
+        cross_{k+1} = (cross_k - A_k C_k) E_k^T = cross_k E_k^T E_k^T,
+        C_{k+1} = E_k C_k E_k^T,
+
+    since ``A_k C_k = cross_k K_k^T``.  So ``cross_k = cross_0 P_k`` with
+    ``P_0 = I``, ``P_{k+1} = P_k E_k^T E_k^T``.  Pass k's innovations are
+    ``Q_k (y - h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, and ``B =
+    sum_k A_k Q_k``, ``A_k Q_k = beta_k s cross_0 P_k D_k^{-1} Q_k``.
+
+    Every pass is diagonal in one basis.  Diagonalize ``L^{-1} C_0 L^{-T}
+    = V diag(mu_0) V^T`` (:func:`whitened_spectrum`); with ``W = L^{-T}
+    V`` and ``U = L V = D_0 W``, ``U W^T = W^T U = I``, ``C_0 = U
+    diag(mu_0) U^T`` and ``R0 = U diag(r) U^T``, ``r = 1 - w mu_0``.  If
+    ``C_k = U diag(mu_k) U^T``, then ``D_k^{-1} = W diag(1/d_k) W^T`` with
+    ``d_k = w mu_k + r``, and ``E_k = U diag(eps_k) W^T``, ``eps_k = 1 -
+    beta_k s mu_k / d_k``, so ``C_{k+1}`` is diagonal too, with ``mu_{k+1}
+    = eps_k^2 mu_k``.  With ``e_k = prod_{j<k} eps_j``:
+
+        P_k = W diag(e_k^2) U^T,   Q_k = U diag(e_k) W^T,
+        P_k D_k^{-1} Q_k = W diag(e_k^3 / d_k) W^T,
+
+    and ``B = cross W diag(Phi) W^T``, ``Phi = sum_k f_k``, ``f_k = beta_k
+    s e_k^3 / d_k``: a recursion on q numbers (:func:`_pass_weights`).  A
+    ``d_k`` of 0 is a later denominator that is not positive definite.
+    With several betas, a list ``_trace`` receives ``(W, U, f, e)``, f and
+    e of shape (kappa, q), from which :mod:`enks.iterative` reads its
+    per-pass trace without a second eigensolve.  It runs under the
+    caller's ``errstate``: a diverging input overflows here, and the
+    factor's and the gain's finite checks report it.
+    """
+    denom, inverse = factor_denominator(hh, weight, noise_term)
+    if len(betas) == 1:
+        gain = (betas[0] * scale * cross) @ inverse.T @ inverse
+    else:
+        mu, W = whitened_spectrum(hh, inverse)
+        try:
+            phi, f, e = _pass_weights(mu, betas, scale, weight,
+                                      _trace is not None)
+        except ZeroDivisionError:
+            raise NumericFailure(GAIN_FAILURES[1]) from None
+        gain = cross @ ((W * phi) @ W.T)
+        if _trace is not None:
+            _trace.append((W, denom @ W, f, e))
+    if not all_finite(gain):
+        raise NumericFailure(GAIN_FAILURES[2])
+    return gain
+
+
+def _pass_weights(mu: np.ndarray, betas: tuple, scale: float, weight: float,
+                  trace: bool
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """``Phi`` of :func:`step_gain` from the whitened spectrum ``mu``, and
+    with ``trace`` each pass's ``f_k`` and ``e_k``, shape (kappa, q).
+
+    The q directions are independent and the passes sequential, so the
+    recursion runs on Python floats, one direction at a time: on q
+    numbers a numpy call costs more than its arithmetic.  ``mu`` and ``r
+    = 1 - weight mu`` are clipped at 0, so that rounding cannot make a
+    ``d_k`` negative, and NaNs pass through.  A ``d_k`` of 0 raises
+    ``ZeroDivisionError``.
+    """
+    phi, per_pass = [], []
+    steps = [beta * scale for beta in betas]  # beta_k s
+    for m in mu.tolist():
+        m = max(m, 0.0)
+        r = max(1.0 - weight * m, 0.0)
+        e, total = 1.0, 0.0
+        for step in steps:
+            damp = step / (weight * m + r)  # beta_k s / d_k
+            f = damp * (e * e * e)
+            total += f
+            if trace:
+                per_pass.append((f, e))
+            eps = 1.0 - damp * m
+            m *= eps * eps
+            e *= eps
+        phi.append(total)
+    if not trace:
+        return np.array(phi), None, None
+    f, e = np.array(per_pass).reshape(len(phi), len(betas), 2).T
+    return np.array(phi), f, e
+
+
 def analysis_gain(pred: np.ndarray, h_pred: np.ndarray, scale: float,
                   weight: float, noise_term: np.ndarray,
                   failures: tuple) -> np.ndarray:
     """Gain ``scale Xd Hd^T (weight Hd Hd^T + noise_term)^{-1}``, shape (n, q).
 
-    The moments of :func:`analysis_moments`, then the denominator's
-    Cholesky factor checks that it is positive definite, and its inverse
-    ``L^{-1}`` (:func:`factor_denominator`) gives the gain as
-    ``(scale X Hd^T) L^{-T} L^{-1}``, with no solve.  ``failures`` holds
-    the ``NumericFailure`` messages for a non-finite denominator, a
-    denominator that is not positive definite and a non-finite gain.
-    Every filter's analysis runs through this kernel: the EnKS with
-    ``(tc/N, alpha/(N-1), (1-alpha) sigma^T sigma)`` (:func:`compute_gain`)
-    and the perturbed-observation EnKF with ``(1/(N-1), 1/(N-1), R)``.
-    Measurements that do not spread give a gain of exactly zero.
+    The moments of :func:`analysis_moments`, then :func:`step_gain` with
+    one undamped pass, under one ``errstate``.  ``failures`` holds the
+    ``NumericFailure`` messages for a non-finite denominator, a
+    denominator that is not positive definite and a non-finite gain, in
+    place of ``GAIN_FAILURES``.  Every filter's analysis runs through
+    this kernel: the EnKS with ``(tc/N, alpha/(N-1), (1-alpha) sigma^T
+    sigma)`` (:func:`compute_gain`) and the perturbed-observation EnKF
+    with ``(1/(N-1), 1/(N-1), R)``.  Measurements that do not spread give
+    a gain of exactly zero.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cross, hh = analysis_moments(pred, h_pred)
-        _, inverse = factor_denominator(hh, weight, noise_term, failures)
-        gain = (scale * cross) @ inverse.T @ inverse
-    if not all_finite(gain):
-        raise NumericFailure(failures[2])
-    return gain
+        try:
+            return step_gain(cross, hh, noise_term, scale, weight, (1.0,))
+        except NumericFailure as err:
+            raise NumericFailure(failures[GAIN_FAILURES.index(str(err))])
 
 
 def compute_gain(pred: np.ndarray, h_pred: np.ndarray, cfg: FilterConfig,

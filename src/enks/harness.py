@@ -37,7 +37,7 @@ from .record import RunRecord, emit_csv, emit_linechart, emit_summary
 from .rng import (FORCING_STREAM, INIT_ENSEMBLE_STREAM, MEASUREMENT_STREAM,
                   PERTURBATION_STREAM, TRUTH_STREAM, ParticleNoise, RngStream,
                   particle_streams)
-from .sde import clean_signal, simulate_truth, synth_measurements
+from .sde import clean_signal, finite_steps, simulate_truth, synth_measurements
 
 FILTER_KINDS = ("enks", "enks-iter", "enkf")
 # ExperimentConfig's real fields (unless None) must be finite, and >= 0
@@ -150,8 +150,11 @@ def make_twin_data(cfg: ExperimentConfig, problem: Optional[Problem] = None
     clean = None
     if problem.noise_std is None:
         clean = clean_signal(problem.meas, truth, grid)
-        noise_std = np.maximum(RELATIVE_NOISE_FRACTION * clean.std(axis=1),
-                               1e-12)
+        # a diverging signal's spread overflows; synth_measurements
+        # reports the measurements it makes from it
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise_std = np.maximum(RELATIVE_NOISE_FRACTION
+                                   * clean.std(axis=1), 1e-12)
     else:
         noise_std = np.broadcast_to(np.asarray(problem.noise_std, dtype=float),
                                     (problem.meas.q,))
@@ -504,7 +507,8 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
         grid = fine_grid[idx]
         prob_dt = problem.with_noise_std(noise_std, dt_v)
         clean = clean_signal(prob_dt.meas, truth_fine[:, idx], grid)
-        series = MeasurementSeries(times=grid, values=clean + eps_fine[:, idx])
+        series = MeasurementSeries(times=grid, values=finite_steps(
+            clean + eps_fine[:, idx], grid, "measurement synthesis failed"))
         return run_filter_series(kind, prob_dt, series,
                                  initial_ensemble(prob_dt, N, cfg.seed),
                                  FilterConfig(dt=dt_v, alpha=cfg.alpha,

@@ -16,8 +16,9 @@ pass's matrices are then functions of one symmetric ``(q, q)`` matrix,
 the measured moment whitened by the first denominator, so one
 eigendecomposition of it gives all kappa passes in closed form, as a
 recursion on q numbers run on Python floats, and the step gain as one
-product in that basis, with no solve.  Other maps, and one undamped pass,
-run the passes on the iterate itself, each pass one
+product in that basis, with no solve: :func:`enks.core.step_gain`, the
+rule the other filters and the large-N oracles use too.  Other maps, and
+one undamped pass, run the passes on the iterate itself, each pass one
 :func:`enks.core.additive_update` of the one before, from the prediction.
 
 The per-pass trace (increment and mean-innovation norms) is computed only
@@ -32,13 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GAIN_FAILURES, FilterConfig, FilterState,
-                   additive_update, analysis_moments, compute_gain,
-                   factor_denominator, forecast, gain_weights, matmul,
-                   whitened_spectrum)
-from .errors import NumericFailure
-from .models import (MeasurementModel, ProcessModel, all_finite,
-                     require_finite)
+from .core import (FilterConfig, FilterState, additive_update,
+                   analysis_moments, compute_gain, forecast, gain_weights,
+                   matmul, step_gain)
+from .models import MeasurementModel, ProcessModel, require_finite
 from .rng import ParticleNoise
 
 
@@ -141,107 +139,30 @@ def _linear_passes(pred: np.ndarray, h_pred: np.ndarray, state: FilterState,
 
     With ``h`` linear, ``h(X_k)`` of every iterate follows from
     ``h(pred)``, so every pass is (n, q) and (q, q) algebra on the moments
-    ``cross_k = Xd_k Hd_k^T`` and ``C_k = Hd_k Hd_k^T``, formed once from
-    ``pred`` and ``h_pred``.  With ``s = tc/N``, ``w = alpha/(N-1)``,
-    ``R0`` the noise term, ``A_k = beta_k G_k`` pass k's damped gain,
-    ``D_k = w C_k + R0`` its denominator, ``K_k = h(A_k) = beta_k s C_k
-    D_k^{-1}`` and ``E_k = I - K_k``:
-
-        cross_{k+1} = (cross_k - A_k C_k) E_k^T = cross_k E_k^T E_k^T,
-        C_{k+1} = E_k C_k E_k^T,
-
-    since ``A_k C_k = cross_k K_k^T``.  So ``cross_k = cross_0 P_k`` with
-    ``P_0 = I``, ``P_{k+1} = P_k E_k^T E_k^T``.  Pass k's innovations are
-    ``Q_k (y - h(pred))``, ``Q_0 = I``, ``Q_{k+1} = E_k Q_k``, so the last
-    iterate is one additive update ``pred + B (y - h(pred))`` with the
-    step gain ``B = sum_k A_k Q_k``, ``A_k Q_k = beta_k s cross_0 P_k
-    D_k^{-1} Q_k``.
-
-    Every pass is diagonal in one basis.  Factor ``D_0 = L L^T``, invert
-    ``L`` (:func:`enks.core.factor_denominator`) and diagonalize ``L^{-1}
-    C_0 L^{-T} = V diag(mu_0) V^T`` (:func:`enks.core.whitened_spectrum`);
-    with ``W = L^{-T} V`` and ``U = L V = D_0 W``, ``U W^T = W^T U = I``,
-    ``C_0 = U diag(mu_0) U^T`` and ``R0 = U diag(r) U^T``, ``r = 1 - w
-    mu_0``.  If ``C_k = U diag(mu_k) U^T``, then ``D_k = U diag(d_k)
-    U^T`` and ``D_k^{-1} = W diag(1/d_k) W^T`` with ``d_k = w mu_k + r``,
-    ``K_k = U diag(beta_k s mu_k / d_k) W^T`` and ``E_k = U diag(eps_k)
-    W^T``, ``eps_k = 1 - beta_k s mu_k / d_k``, so ``C_{k+1}`` is diagonal
-    too, with ``mu_{k+1} = eps_k^2 mu_k``.  With ``e_k = prod_{j<k} eps_j``:
-
-        P_k = W diag(e_k^2) U^T,   Q_k = U diag(e_k) W^T,
-        P_k D_k^{-1} Q_k = W diag(e_k^3 / d_k) W^T,
-
-    and ``B = cross_0 W diag(Phi) W^T``, ``Phi = sum_k beta_k s e_k^3 /
-    d_k`` over all kappa passes.  The passes are this recursion on q
-    numbers (:func:`_pass_weights`); ``mu`` and ``r`` are clipped at 0,
-    so that rounding cannot make a ``d_k`` negative.  The factor of
-    ``D_0`` is the first pass's positive-definiteness check, with its
-    failures; a ``d_k`` of 0 is a later denominator that is not positive
-    definite, and a non-finite ``B`` a non-finite gain.  Pass k's trace
-    is the norm of ``cross_0 W diag(f_k) W^T (y - h(pred))``, ``f_k =
-    beta_k s e_k^3 / d_k``, and that of ``U diag(e_k) W^T`` applied to
-    the mean innovation.
+    of ``pred`` and ``h_pred`` (:func:`enks.core.analysis_moments`), and
+    the last iterate is one additive update ``pred + B (y - h(pred))``
+    with the step gain ``B`` of :func:`enks.core.step_gain`, which
+    derives it.  In that derivation's notation, pass k's trace is the norm
+    of ``cross W diag(f_k) W^T (y - h(pred))``, and that of ``U diag(e_k)
+    W^T`` applied to the mean innovation.
     """
     scale, weight = gain_weights(cfg, pred.shape[1])
     # a diverging ensemble overflows here; the factor's and B's finite
     # checks report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cross, hh = analysis_moments(pred, h_pred)
-        denom, inverse = factor_denominator(hh, weight, state.noise_term,
-                                            GAIN_FAILURES)
-        mu, W = whitened_spectrum(hh, inverse)
-        try:
-            phi, f, e = _pass_weights(mu, schedule.betas, scale, weight,
-                                      record is not None)
-        except ZeroDivisionError:
-            raise NumericFailure(GAIN_FAILURES[1]) from None
-        B = cross @ ((W * phi) @ W.T)
-        if not all_finite(B):
-            raise NumericFailure(GAIN_FAILURES[2])
-        if record is not None:
-            innov = y[:, None] - h_pred
-            cross_W, W_innov = cross @ W, W.T @ innov
-            U, W_mean = denom @ W, W.T @ innov.mean(axis=1)
-            for k in range(schedule.kappa):
-                record.residuals[k] = np.linalg.norm(
-                    (cross_W * f[k]) @ W_innov)
-                record.innovation_norms[k] = np.linalg.norm(
-                    U @ (e[k] * W_mean))
+        passes = None if record is None else []
+        B = step_gain(cross, hh, state.noise_term, scale, weight,
+                      schedule.betas, _trace=passes)
+    if record is not None:
+        (W, U, f, e), = passes
+        innov = y[:, None] - h_pred
+        cross_W, W_innov = cross @ W, W.T @ innov
+        W_mean = W.T @ innov.mean(axis=1)
+        for k in range(schedule.kappa):
+            record.residuals[k] = np.linalg.norm((cross_W * f[k]) @ W_innov)
+            record.innovation_norms[k] = np.linalg.norm(U @ (e[k] * W_mean))
     return additive_update(pred, B, y, h_pred)
-
-
-def _pass_weights(mu: np.ndarray, betas: tuple, scale: float, weight: float,
-                  trace: bool
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``Phi`` of :func:`_linear_passes` from the whitened spectrum ``mu``,
-    and with ``trace`` each pass's ``f_k`` and ``e_k``, shape (kappa, q).
-
-    The q directions are independent and the passes sequential, so the
-    recursion runs on Python floats, one direction at a time: on q
-    numbers a numpy call costs more than its arithmetic.  ``mu`` and ``r
-    = 1 - weight mu`` are clipped at 0, and NaNs pass through.  A ``d_k``
-    of 0 raises ``ZeroDivisionError``.
-    """
-    phi, per_pass = [], []
-    steps = [beta * scale for beta in betas]  # beta_k s
-    for m in mu.tolist():
-        m = max(m, 0.0)
-        r = max(1.0 - weight * m, 0.0)
-        e, total = 1.0, 0.0
-        for step in steps:
-            damp = step / (weight * m + r)  # beta_k s / d_k
-            f = damp * (e * e * e)
-            total += f
-            if trace:
-                per_pass.append((f, e))
-            eps = 1.0 - damp * m
-            m *= eps * eps
-            e *= eps
-        phi.append(total)
-    if not trace:
-        return np.array(phi), None, None
-    f, e = np.array(per_pass).reshape(len(phi), len(betas), 2).T
-    return np.array(phi), f, e
 
 
 def iterative_enks_step(state: FilterState, proc: ProcessModel,

@@ -175,6 +175,7 @@ class MeasurementSeries:
     """Observed measurements on a strictly increasing time grid.
 
     ``values`` has shape ``(q, M)`` with column i observed at ``times[i]``.
+    A non-finite time or value is a ``ValueError``.
     """
 
     times: np.ndarray
@@ -185,6 +186,8 @@ class MeasurementSeries:
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.times.ndim != 1:
             raise ValueError("times must be 1-d")
+        if not (all_finite(self.times) and all_finite(self.values)):
+            raise ValueError("times and values must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if self.values.shape[1] != self.times.size:

@@ -13,6 +13,7 @@ byte-identical files; the summary holds the wall time.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -112,14 +113,17 @@ def _write_long(path, steps, times, columns: dict) -> Path:
     return path
 
 
-def _read_long(path, kind: str) -> tuple:
+def _read_long(path, kind: str, finite: bool = False) -> tuple:
     """Inverse of :func:`_write_long`: ``(steps, times, columns)``.
 
     A header that does not start ``step,time,channel`` or repeats a name,
-    a row of another width, a cell that does not parse, channels other
-    than ``0..n-1``, a missing or repeated (step, channel) row and a time
-    other than the one its step's first row gives are each a
-    ``ConfigError`` naming the file, the row and ``kind``."""
+    a row of another width, a cell that does not parse, a time that is
+    not finite, channels other than ``0..n-1``, a missing or repeated
+    (step, channel) row and a time other than the one its step's first
+    row gives are each a ``ConfigError`` naming the file, the row and
+    ``kind`` (the last names the first row too, since either may hold
+    the odd time); with ``finite`` so is a value cell that is not
+    finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -132,14 +136,18 @@ def _read_long(path, kind: str) -> tuple:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} fields, not {len(header)}")
                 key, t = (int(row[0]), int(row[2])), float(row[1])
+                values = [float(x) for x in row[3:]]
+                if not math.isfinite(t):
+                    raise ValueError(f"time {t!r} is not finite")
+                if finite and not all(map(math.isfinite, values)):
+                    raise ValueError(f"value {','.join(row[3:])} is not finite")
                 if key in cells:
                     raise ValueError(f"repeats step {key[0]}, channel {key[1]}")
-                if key[0] not in times:
-                    times[key[0]] = t
-                elif times[key[0]] != t:
+                first = times.setdefault(key[0], (t, line))
+                if first[0] != t:
                     raise ValueError(f"time {t!r} is not step {key[0]}'s "
-                                     f"time {times[key[0]]!r}")
-                cells[key] = [float(x) for x in row[3:]]
+                                     f"time {first[0]!r} of row {first[1]}")
+                cells[key] = values
             except ValueError as err:
                 raise ConfigError(f"malformed {kind} row {line} in {path}: "
                                   f"{err}") from err
@@ -151,7 +159,7 @@ def _read_long(path, kind: str) -> tuple:
         raise ConfigError(f"malformed {kind} table {path}: no row for step "
                           "{}, channel {}".format(*err.args[0])) from None
     table = table.reshape(len(steps), n, len(header) - 3).transpose(2, 1, 0)
-    return (np.array(steps, dtype=int), np.array([times[s] for s in steps]),
+    return (np.array(steps, dtype=int), np.array([times[s][0] for s in steps]),
             dict(zip(header[3:], np.ascontiguousarray(table))))
 
 
@@ -202,8 +210,8 @@ def emit_series_csv(path, times, values) -> Path:
 
 def load_series_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`emit_series_csv`: ``(times, values)``; a bad
-    header or row is a ``ConfigError``."""
-    _, times, columns = _read_long(path, "dataset")
+    header or row, a non-finite value among them, is a ``ConfigError``."""
+    _, times, columns = _read_long(path, "dataset", finite=True)
     if list(columns) != ["value"]:
         raise ConfigError(f"unrecognized dataset header in {path}")
     return times, columns["value"]
@@ -227,9 +235,10 @@ def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
 def load_dataset(data_dir) -> tuple:
     """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``,
     ``seed`` None without ``seed.txt``.  A missing file, a bad header, a
-    malformed row, measurement times that are not strictly increasing and
-    truth times other than the measurement times are each a
-    ``ConfigError``."""
+    malformed row, a truth, measurement or noise cell that is not finite,
+    measurement times that are not strictly increasing and truth times
+    other than the measurement times are each a ``ConfigError``, which
+    names the file and, for a row, the row."""
     data_dir = Path(data_dir)
     for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
         if not (data_dir / name).exists():
@@ -248,11 +257,16 @@ def load_dataset(data_dir) -> tuple:
     lines = noise_path.read_text(encoding="utf-8").splitlines()
     if lines[:1] != ["channel,noise_std"]:
         raise ConfigError(f"unrecognized dataset header in {noise_path}")
-    try:
-        noise_std = np.array([float(s) for _, s in
-                              (line.split(",") for line in lines[1:])])
-    except ValueError as err:
-        raise ConfigError(f"malformed dataset row in {noise_path}: {err}") from err
+    noise_std = np.empty(len(lines) - 1)
+    for i, line in enumerate(lines[1:]):
+        try:
+            _, cell = line.split(",")
+            noise_std[i] = float(cell)
+            if not math.isfinite(noise_std[i]):
+                raise ValueError(f"noise level {cell} is not finite")
+        except ValueError as err:
+            raise ConfigError(f"malformed dataset row {i + 2} in "
+                              f"{noise_path}: {err}") from err
     seed_path = data_dir / "seed.txt"
     seed = None
     if seed_path.exists():

@@ -121,11 +121,7 @@ def simulate_truth(model: ProcessModel, x0: np.ndarray, grid: np.ndarray,
         for i in range(start, grid.size):
             x = _em(model, x, t_prev[i], dts[i], dB[i - start, :, None],
                     traj[:, i:i + 1])
-    bad = ~np.isfinite(traj[:, start:]).all(axis=0)
-    if bad.any():
-        i = start + int(np.argmax(bad))
-        raise NumericFailure("truth simulation failed", t=grid[i], step=i)
-    return traj
+    return finite_steps(traj, grid, "truth simulation failed")
 
 
 def clean_signal(meas: MeasurementModel, traj: np.ndarray,
@@ -164,4 +160,21 @@ def synth_measurements(meas: MeasurementModel, traj: np.ndarray,
     if clean is None:
         clean = clean_signal(meas, traj, grid)
     eps = noise_std[:, None] * stream.standard_normal((meas.q, grid.size))
-    return MeasurementSeries(times=grid, values=clean + eps)
+    values = finite_steps(clean + eps, grid, "measurement synthesis failed")
+    return MeasurementSeries(times=grid, values=values)
+
+
+def finite_steps(values: np.ndarray, grid: np.ndarray,
+                 message: str) -> np.ndarray:
+    """``values``, one column per time of ``grid``, if every column is
+    finite; else ``NumericFailure(message)`` with the first non-finite
+    column's time and index.  A diverging truth overflows where it is
+    stepped, and its signal, or a noise level taken from that signal, can
+    overflow while the truth is finite: synthetic data that is not finite
+    is a numeric failure, not bad input.
+    """
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericFailure(message, t=grid[i], step=i)
+    return values

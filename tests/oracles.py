@@ -112,6 +112,31 @@ def scalar_kalman_series(m0, P0, a, Q, H, R, ys):
     return np.array(means), np.array(covs)
 
 
+def kalman_series(m0, P0, a, Q, H, R, ys):
+    """Textbook matrix Kalman recursion over a measurement sequence.
+
+    Per measurement ``y``: ``m <- a m``, ``P <- a P a^T + Q``; then ``K =
+    P H^T S^{-1}`` with ``S = H P H^T + R``, by ``np.linalg.solve``, and
+    ``m <- m + K (y - H m)``, ``P <- (I - K H) P``.  Returns means (M, n)
+    and covariances (M, n, n).
+    """
+    a, Q, H, R = (np.atleast_2d(np.asarray(v, dtype=float))
+                  for v in (a, Q, H, R))
+    m = np.asarray(m0, dtype=float).reshape(-1).copy()
+    P = np.atleast_2d(np.asarray(P0, dtype=float)).copy()
+    means, covs = [], []
+    for y in ys:
+        m = a @ m
+        P = a @ P @ a.T + Q
+        S = H @ P @ H.T + R
+        K = np.linalg.solve(S, H @ P).T  # S and P symmetric: (S^{-1} H P)^T
+        m = m + K @ (np.atleast_1d(y) - H @ m)
+        P = (np.eye(m.size) - K @ H) @ P
+        means.append(m.copy())
+        covs.append(P.copy())
+    return np.array(means), np.array(covs)
+
+
 def exact_moment_ensemble(m, P):
     """Deterministic 2n-column ensemble whose sample mean is m and whose
     sample covariance, (1/(N-1)) normalization, is exactly P."""

@@ -13,6 +13,7 @@ from enks.benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
                              nu_from_noise_std, scalar_linear_gaussian,
                              tridiagonal_stiffness, _storey_chain_apply)
 from enks.core import FilterConfig
+from enks.errors import NumericFailure
 from enks.harness import (ExperimentConfig, initial_ensemble, make_twin_data,
                           run_filter_series)
 from enks.iterative import make_schedule
@@ -20,7 +21,8 @@ from enks.models import MeasurementSeries, ProcessModel
 from enks.rng import RngStream
 from enks.sde import simulate_truth
 
-from oracles import GAIN_READINGS, enks_limit_series, gain_reading_limit
+from oracles import (GAIN_READINGS, enks_limit_series, gain_reading_limit,
+                     kalman_series)
 
 
 def state_drift(proc, x, t):
@@ -291,6 +293,33 @@ class TestKalmanOracle:
         means, covs = kalman_oracle(spec, series, 1.0)
         assert means[0, 0] == pytest.approx(1.0)
         assert covs[0, 0, 0] == pytest.approx(0.5)
+
+    def test_matches_the_textbook_recursion(self):
+        # the oracle is step_gain on exact moments with the covariance
+        # update (I - B H) P (I - B H)^T + B R B^T; the reference is the
+        # textbook solve and (I - K H) P, independent of the library
+        spec, dt, M = two_channel_spec(), 0.01, 500
+        vals = RngStream(7, 0).standard_normal((spec.q, M))
+        means, covs = kalman_oracle(
+            spec, MeasurementSeries(dt * np.arange(1, M + 1), vals), dt)
+        m_ref, P_ref = kalman_series(
+            spec.x0_mean, spec.x0_cov, np.eye(spec.n) + spec.A * dt,
+            spec.F @ spec.F.T * dt, spec.H, spec.R, vals.T)
+        assert np.allclose(means, m_ref.T, rtol=1e-9, atol=1e-12)
+        assert np.allclose(covs, P_ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("oracle", [kalman_oracle, enks_limit_oracle])
+def test_oracles_name_the_step_whose_gain_fails(oracle):
+    # a prior covariance of 1e308 doubles past the largest float in the
+    # first prediction (a = 1 + A dt = 2), so the first gain's
+    # denominator is not finite
+    spec = scalar_linear_gaussian(A=1.0, x0_cov=1e308)
+    series = MeasurementSeries(np.array([1.0, 2.0]), np.array([[0.5, 0.1]]))
+    with pytest.raises(NumericFailure,
+                       match="non-finite blended denominator step=0") as info:
+        oracle(spec, series, 1.0)
+    assert info.value.step == 0
 
 
 def two_channel_spec():

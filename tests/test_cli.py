@@ -237,6 +237,31 @@ class TestCli:
         assert "times must be strictly increasing" in err
         assert "measurements.csv" in err
 
+    @pytest.mark.parametrize("name, line, cell", [
+        ("measurements.csv", 2, "nan"), ("measurements.csv", 3, "inf"),
+        ("truth.csv", 4, "-inf"), ("noise_std.csv", 2, "nan")])
+    def test_dataset_with_a_non_finite_cell_exits_2(self, tmp_path, capsys,
+                                                    name, line, cell):
+        # a non-finite measurement, truth or noise cell is bad input: the
+        # run refuses it naming the file and the row, and no filter is
+        # blamed for it
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "frame4-damaged", "--seed", "0",
+                     "--horizon", "0.05", "--out", str(data)]) == EXIT_OK
+        path = data / name
+        lines = path.read_text().splitlines(True)
+        cells = lines[line - 1].rstrip("\n").split(",")
+        cells[-1] = cell
+        lines[line - 1] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        code = main(["run", "--problem", "frame4-damaged", "--seed", "0",
+                     "--ensemble", "20", "--data", str(data),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"malformed dataset row {line} in {path}" in err
+        assert "not finite" in err and "filter failed" not in err
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),
@@ -253,6 +278,20 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_overflowing_synthetic_measurements_exit_3(self, tmp_path, capsys,
+                                                       command):
+        # Euler-Maruyama at dt = 0.2 diverges on the frame; by T = 80 the
+        # truth is still finite (about 1e212) but the spread of its signal,
+        # which sets the relative noise level, overflows
+        code = main([command, "--problem", "frame4-damaged", "--dt", "0.2",
+                     "--horizon", "80", "--ensemble", "20",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert ("numeric failure: measurement synthesis failed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_writes_datasets(self, tmp_path):
         code = main(["simulate", "--problem", "population", "--horizon", "2.0",

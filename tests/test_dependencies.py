@@ -139,9 +139,9 @@ for q in (1, 50):
     A = a @ a.T + 0.1 * np.eye(q)
     L = lapack.cholesky_lo(A)
     same.append(np.array_equal(L, np.linalg.cholesky(A)))
-    # the inverse of a factor, and the whitening of
-    # iterative._linear_passes: the eigenpairs of a symmetric matrix from
-    # its lower triangle
+    # the inverse of a factor, and the whitening of core.step_gain's
+    # damped passes: the eigenpairs of a symmetric matrix from its lower
+    # triangle
     same.append(np.array_equal(lapack.inv(L), np.linalg.inv(L)))
     for ours, public in zip(lapack.eigh_lo(A), np.linalg.eigh(A)):
         same.append(np.array_equal(ours, public))

@@ -11,7 +11,7 @@ from enks.core import (GAIN_FAILURES, FilterConfig, FilterState,
                        additive_update, compute_gain, enks_step,
                        make_initial_state)
 from enks.errors import NumericFailure
-from enks import iterative
+from enks import core
 from enks.iterative import (AnnealingSchedule, iterate_update,
                             iterative_enks_step, make_schedule)
 from enks.models import MeasurementModel, ProcessModel
@@ -136,6 +136,24 @@ class TestIterateUpdate:
             iterative_enks_step(state, self.proc, self.meas, np.array([0.7]),
                                 cfg, particle_streams(3, N), make_schedule(kappa))
         assert counted.call_count == kappa
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_moments_route_factors_and_diagonalizes_once(self, trace):
+        # cost guard: the step gain and its per-pass trace come from one
+        # Cholesky factor, one inverse and one symmetric eigensolve, with
+        # traces or without
+        meas = replace(identity_meas(3), linear=True)
+        pred = RngStream(8, 0).standard_normal((3, 12))
+        state = make_state(0.0, 0.2 * meas.sigma_gram, n=3)
+        lapack = mock.Mock(wraps=core._umath_linalg)
+        with mock.patch.object(core, "_umath_linalg", lapack):
+            _, record = iterate_update(pred, pred.copy(), state,
+                                       np.array([0.5, -1.0, 2.0]),
+                                       make_schedule(4), meas,
+                                       FilterConfig(dt=0.1), 0.0, trace=trace)
+        assert (record is not None) == trace
+        assert [getattr(lapack, name).call_count
+                for name in ("cholesky_lo", "inv", "eigh_lo")] == [1, 1, 1]
 
     def test_trace_records_increment_and_mean_innovation(self):
         # on a frame4-damaged step, residuals[k] is the distance between
@@ -463,7 +481,7 @@ class TestMomentsRoute:
         pred = np.array([[0.0, 1.0]])
         state = make_state(0.0, 0.2 * np.eye(1))
         spectrum = (np.array([4.0]), np.eye(1))
-        with mock.patch.object(iterative, "whitened_spectrum",
+        with mock.patch.object(core, "whitened_spectrum",
                                return_value=spectrum), \
                 pytest.raises(NumericFailure, match=GAIN_FAILURES[1]):
             iterate_update(pred, pred.copy(), state, np.array([0.5]),
@@ -476,8 +494,8 @@ class TestMomentsRoute:
         # then gives d_k = r = 1 and an e_k that stays 1; weight * mu =
         # 1.5 gives r = 0, so d_k = weight * mu_k at every pass
         betas, scale, weight = (0.5, 1.0), 0.1, 0.25
-        phi, f, e = iterative._pass_weights(np.array([-0.3, 6.0]), betas,
-                                            scale, weight, True)
+        phi, f, e = core._pass_weights(np.array([-0.3, 6.0]), betas,
+                                       scale, weight, True)
         assert f.shape == e.shape == (2, 2)
         assert e[:, 0].tolist() == [1.0, 1.0]
         assert f[:, 0].tolist() == [0.5 * scale, 1.0 * scale]

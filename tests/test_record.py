@@ -257,6 +257,35 @@ class TestSeriesCsv:
             load_series_csv(path)
 
 
+@pytest.mark.parametrize("load", [load_csv, load_series_csv])
+@pytest.mark.parametrize("rows, match", [
+    # the step's time comes from its first row; a NaN there is named at
+    # that row, not at the next row of the step, whose time it cannot match
+    (["1,0.1,0", "2,nan,0", "2,0.2,1"], r"row 3 in .*bad.csv: time nan"),
+    # two finite times for one step: with two rows neither can be told
+    # the odd one, so the error names both
+    (["1,0.1,0", "1,0.1,1", "2,0.3,0", "2,0.2,1"],
+     r"row 5 in .*bad.csv: time 0.2 is not step 2's time 0.3 of row 4")])
+def test_odd_time_is_named_at_its_own_row(tmp_path, load, rows, match):
+    columns = ("truth,enks_mean,enks_std" if load is load_csv else "value")
+    v = ",".join(["1.0"] * len(columns.split(",")))
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([f"step,time,channel,{columns}"]
+                              + [f"{row},{v}" for row in rows]) + "\n")
+    with pytest.raises(ConfigError, match=match):
+        load(path)
+
+
+def test_measurement_series_refuses_non_finite_times_and_values():
+    MeasurementSeries(times=[0.1, 0.2], values=[[1.0, 2.0]])
+    for times, values in (([0.1, np.nan], [[1.0, 2.0]]),
+                          ([0.1, np.inf], [[1.0, 2.0]]),
+                          ([0.1, 0.2], [[1.0, np.nan]]),
+                          ([0.1, 0.2], [[-np.inf, 2.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSeries(times=times, values=values)
+
+
 class TestDataset:
     def make(self, out):
         times = np.array([0.1, 0.2, 0.3])
@@ -286,6 +315,21 @@ class TestDataset:
         truth, series, _, _ = load_dataset(out)
         emit_series_csv(out / "truth.csv", 7 * series.times, truth)
         with pytest.raises(ConfigError, match="truth.csv"):
+            load_dataset(out)
+
+    @pytest.mark.parametrize("name, line", [("measurements.csv", 3),
+                                            ("truth.csv", 5),
+                                            ("noise_std.csv", 3)])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_a_config_error_naming_its_row(
+            self, tmp_path, name, line, cell):
+        out = self.make(tmp_path / "data")
+        path = out / name
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + cell
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"row {line} in .*{name}: .* not finite"):
             load_dataset(out)
 
     @pytest.mark.parametrize("text", [
