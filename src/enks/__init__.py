@@ -11,10 +11,10 @@ from .benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
                          build_linear_gaussian, build_pendulum,
                          build_population, build_problem, build_shear_frame,
                          enks_limit_oracle, kalman_oracle,
-                         nu_from_noise_std, scalar_linear_gaussian,
-                         tridiagonal_stiffness)
+                         scalar_linear_gaussian, tridiagonal_stiffness)
 from .core import (FilterConfig, FilterState, additive_update, analysis_gain,
-                   compute_gain, enks_step, forecast, make_initial_state)
+                   compute_gain, enks_step, forecast, make_initial_state,
+                   noise_gram)
 from .enkf import EnkfConfig, enkf_step, enkf_update
 from .errors import NumericFailure
 from .harness import (ConvergenceReport, ExperimentConfig, convergence_sweep,
@@ -47,7 +47,7 @@ __all__ = [
     "enks_limit_oracle", "enks_step", "forecast",
     "initial_ensemble", "iterate_update", "iterative_enks_step",
     "kalman_oracle", "load_csv", "load_series_csv", "make_initial_state",
-    "make_schedule", "make_twin_data", "nu_from_noise_std", "particle_streams",
+    "make_schedule", "make_twin_data", "noise_gram", "particle_streams",
     "predict_ensemble", "rmse", "run_experiment", "run_filter_series",
     "scalar_linear_gaussian", "simulate_truth", "synth_measurements",
     "tridiagonal_stiffness",

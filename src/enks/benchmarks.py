@@ -28,21 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import matmul, step_gain
+from .core import matmul, noise_gram, step_gain
 from .errors import NumericFailure
 from .models import MeasurementModel, MeasurementSeries, ProcessModel
-
-
-def nu_from_noise_std(noise_std, dt: float) -> np.ndarray:
-    """Intensity matrix whose Brownian increment over dt has std noise_std.
-
-    A per-sample observation error eps ~ N(0, diag(noise_std^2)) matches a
-    Brownian measurement noise of intensity nu = diag(noise_std)/sqrt(dt).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    s = np.atleast_1d(np.asarray(noise_std, dtype=float))
-    return np.diag(s) / np.sqrt(dt)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +112,7 @@ def _storey_chain_apply(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
-                      param_diffusion: float = 0.01,
-                      meas_noise_std=1.0, dt: float = 0.01
+                      param_diffusion: float = 0.01
                       ) -> tuple[ProcessModel, MeasurementModel]:
     """Augmented-state model of a shear frame under known random forcing.
 
@@ -165,12 +152,8 @@ def build_shear_frame(spec: ShearFrameSpec, xi: float = 1.0,
                         constant_diffusion=F)
 
     channels = np.asarray(spec.measured_channels, dtype=int)
-    q = channels.size
-
-    meas = MeasurementModel(q=q, h=lambda x, t: x[dof + channels],
-                            nu=nu_from_noise_std(np.broadcast_to(
-                                np.asarray(meas_noise_std, dtype=float), (q,)), dt),
-                            dt_scale=dt, linear=True)
+    meas = MeasurementModel(q=channels.size, h=lambda x, t: x[dof + channels],
+                            linear=True)
     return proc, meas
 
 
@@ -205,8 +188,7 @@ class PendulumSpec:
 
 
 def build_pendulum(spec: PendulumSpec, xi: float = 1.0,
-                   param_diffusion: float = 0.01,
-                   meas_noise_std=1.0, dt: float = 0.01
+                   param_diffusion: float = 0.01
                    ) -> tuple[ProcessModel, MeasurementModel]:
     """Augmented model (x, v, k, c) with the base reaction measured.
 
@@ -235,9 +217,7 @@ def build_pendulum(spec: PendulumSpec, xi: float = 1.0,
     def h(x, t):
         return (x[3] * x[1] + x[2] * np.sin(x[0]))[None, :]
 
-    meas = MeasurementModel(q=1, h=h, nu=nu_from_noise_std(meas_noise_std, dt),
-                            dt_scale=dt)
-    return proc, meas
+    return proc, MeasurementModel(q=1, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +255,7 @@ def build_population(spec: PopulationSpec
 
     proc = ProcessModel(n=1, m=1, drift_ensemble=drift_ensemble,
                         constant_diffusion=np.array([[spec.proc_noise_std]]))
-    meas = MeasurementModel(
-        q=1, h=lambda x, t: x,
-        nu=nu_from_noise_std(spec.meas_noise_std, spec.dt), dt_scale=spec.dt,
-        linear=True)
-    return proc, meas
+    return proc, MeasurementModel(q=1, h=lambda x, t: x, linear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +313,14 @@ def scalar_linear_gaussian(A: float = -1.0, F: float = 1.0, H: float = 1.0,
                               x0_mean=[x0_mean], x0_cov=[[x0_cov]])
 
 
-def build_linear_gaussian(spec: LinearGaussianSpec, dt: float
+def build_linear_gaussian(spec: LinearGaussianSpec
                           ) -> tuple[ProcessModel, MeasurementModel]:
     A, F, H = spec.A, spec.F, spec.H
-
     proc = ProcessModel(n=spec.n, m=F.shape[1],
                         drift_ensemble=lambda x, t: matmul(A, x),
                         constant_diffusion=F)
-    noise_std = np.sqrt(np.diag(spec.R))
-    meas = MeasurementModel(q=spec.q, h=lambda x, t: matmul(H, x),
-                            nu=nu_from_noise_std(noise_std, dt), dt_scale=dt,
-                            linear=True)
-    return proc, meas
+    return proc, MeasurementModel(q=spec.q, h=lambda x, t: matmul(H, x),
+                                  linear=True)
 
 
 def kalman_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
@@ -390,8 +362,8 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
 
     ``betas`` is ``(1.0,)`` for the non-iterative filter and
     ``make_schedule(kappa).betas`` for the iterative one.  ``tc`` is ``dt``;
-    ``sigma`` is the scaled intensity :func:`build_linear_gaussian` gives
-    the filter.
+    ``sigma^T sigma`` is :func:`enks.core.noise_gram` of the levels
+    ``sqrt(diag(R))`` at ``dt``, as the filter forms it.
 
     Returns
     -------
@@ -401,7 +373,7 @@ def enks_limit_oracle(spec: LinearGaussianSpec, series: MeasurementSeries,
         Effective gain ``B`` of each whole step, ``m_post = m_pred +
         B (y - H m_pred)``; the Kalman gain is its counterpart.
     """
-    noise_term = (1.0 - alpha) * build_linear_gaussian(spec, dt)[1].sigma_gram
+    noise_term = (1.0 - alpha) * noise_gram(np.sqrt(np.diag(spec.R)), dt)
     return _exact_moments(spec, series, dt, dt, alpha, noise_term,
                           tuple(betas), perturbed=False)
 
@@ -470,21 +442,15 @@ class Problem:
     init_mean: np.ndarray
     init_spread: np.ndarray
     channel_names: list
-    # noise_std is per measurement channel; None means "1% of signal std",
-    # resolved by the harness once the truth trajectory exists.
+    # noise_std is the measurement noise, one level per measurement
+    # channel, shape (q,), from which each filter forms its noise term;
+    # None means "1% of signal std", resolved by the harness once the
+    # truth trajectory exists.
     noise_std: Optional[np.ndarray]
     kalman_spec: Optional[LinearGaussianSpec] = None
     default_N: int = 1000
     default_dt: float = 0.01
     default_horizon: float = 5.0
-
-    def with_noise_std(self, noise_std: np.ndarray, dt: float) -> "Problem":
-        """Finalize the measurement model for a resolved noise level."""
-        meas = replace(self.meas, nu=nu_from_noise_std(noise_std, dt),
-                       dt_scale=dt)
-        out = replace(self, meas=meas)
-        out.noise_std = np.asarray(noise_std, dtype=float)
-        return out
 
 
 def _frame_problem(name, dof, *, N, horizon, proc_noise, xi, dt,
@@ -497,10 +463,8 @@ def _frame_problem(name, dof, *, N, horizon, proc_noise, xi, dt,
     ``damaged_k``) reaches the run only through the truth's start state.
     """
     spec = default_frame_spec(dof, proc_noise=proc_noise)
-    build = dict(xi=xi, dt=dt,
-                 meas_noise_std=1.0 if meas_noise_std is None else meas_noise_std)
-    proc_f, meas = build_shear_frame(spec, param_diffusion=param_diffusion,
-                                     **build)
+    proc_f, meas = build_shear_frame(spec, xi=xi,
+                                     param_diffusion=param_diffusion)
     # truth: reference parameters, frozen: the filter's model without its
     # parameter diffusion, columns dof: of F
     F_truth = proc_f.constant_diffusion.copy()
@@ -533,7 +497,8 @@ def build_problem(problem: str, *, xi: float = 1.0, dt: Optional[float] = None,
     ``xi`` is the forcing randomness drawn once per run (frames and
     oscillator); ``proc_noise`` overrides the problem's process-noise
     intensity; ``meas_noise_std`` pins the measurement noise instead of
-    the 1%-of-signal rule.
+    the 1%-of-signal rule, one level for every channel or one per
+    channel.
     """
     def pick(override, default):
         return default if override is None else override
@@ -559,11 +524,8 @@ def build_problem(problem: str, *, xi: float = 1.0, dt: Optional[float] = None,
         spec = PendulumSpec(proc_noise=pick(proc_noise, 0.05))
         step = dt or 0.01
         proc_f, meas = build_pendulum(spec, xi=xi,
-                                      param_diffusion=param_diffusion,
-                                      meas_noise_std=pick(meas_noise_std, 1.0),
-                                      dt=step)
-        proc_t, _ = build_pendulum(spec, xi=xi, param_diffusion=0.0,
-                                   meas_noise_std=1.0, dt=step)
+                                      param_diffusion=param_diffusion)
+        proc_t, _ = build_pendulum(spec, xi=xi, param_diffusion=0.0)
         p = Problem(name="pendulum", proc_truth=proc_t, proc_filter=proc_f,
                     meas=meas, x0_truth=np.array([0.0, 0.0, spec.k, spec.c]),
                     init_mean=np.array([0.0, 0.0, spec.k, spec.c]),
@@ -587,7 +549,7 @@ def build_problem(problem: str, *, xi: float = 1.0, dt: Optional[float] = None,
             F=pick(proc_noise, 1.0),
             R=0.01 if meas_noise_std is None else _scalar(meas_noise_std) ** 2)
         step = dt or 0.01
-        proc, meas = build_linear_gaussian(spec, step)
+        proc, meas = build_linear_gaussian(spec)
         p = Problem(name="linear-gaussian", proc_truth=proc, proc_filter=proc,
                     meas=meas, x0_truth=None,  # drawn from the prior by the harness
                     init_mean=spec.x0_mean,
@@ -600,6 +562,8 @@ def build_problem(problem: str, *, xi: float = 1.0, dt: Optional[float] = None,
                          f"(expected one of {', '.join(PROBLEM_IDS)})")
     if init_spread_scale != 1.0:
         p.init_spread = p.init_spread * init_spread_scale
+    if p.noise_std is not None:
+        p.noise_std = np.full(p.meas.q, p.noise_std, dtype=float)
     return p
 
 

@@ -98,8 +98,9 @@ class FilterState:
 
     ``noise_term`` is the part of the :func:`analysis_gain` denominator
     that does not depend on the ensemble: ``(1 - alpha) sigma^T sigma``
-    for the EnKS filters (formed by :func:`make_initial_state`) and ``R``
-    for the EnKF.  It is formed once per run and carried from step to step.
+    for the EnKS filters (from :func:`noise_gram`) and ``R`` for the EnKF;
+    it may be any symmetric positive definite matrix.  It is formed once
+    per run and carried from step to step.
     A step leaves its state as it is, unless its caller lets it consume
     the ensemble (:func:`forecast`).
     """
@@ -109,12 +110,28 @@ class FilterState:
     noise_term: np.ndarray
 
 
-def make_initial_state(ensemble: np.ndarray, meas: MeasurementModel,
+def noise_gram(noise_std, dt: float) -> np.ndarray:
+    """``sigma^T sigma`` of per-channel noise levels over a step ``dt``.
+
+    A per-sample measurement error of std ``noise_std`` is a Brownian
+    measurement noise of intensity ``noise_std / sqrt(dt)``, and its
+    scaled intensity ``sigma`` is that intensity times ``dt``, so
+    ``sigma^T sigma = diag(noise_std^2) dt`` up to rounding.  This is the
+    one place the package forms it, with the bits of ``S^T S`` for ``S =
+    diag(noise_std) / sqrt(dt) * dt``.
+    """
+    s = np.atleast_1d(np.asarray(noise_std, dtype=float))
+    return np.diag((s / np.sqrt(dt) * dt) ** 2)
+
+
+def make_initial_state(ensemble: np.ndarray, noise_std,
                        cfg: FilterConfig) -> FilterState:
-    """Initial FilterState at time 0, with the noise term of ``meas`` and
-    ``cfg.alpha``."""
+    """Initial FilterState at time 0, with the EnKS noise term ``(1 -
+    alpha) sigma^T sigma`` of the per-channel levels ``noise_std`` at
+    ``cfg.dt`` (:func:`noise_gram`)."""
     return FilterState(t_curr=0.0, ensemble=validate_ensemble(ensemble),
-                       noise_term=(1.0 - cfg.alpha) * meas.sigma_gram)
+                       noise_term=(1.0 - cfg.alpha)
+                       * noise_gram(noise_std, cfg.dt))
 
 
 def row_mean(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import ctypes
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +28,8 @@ import numpy as np
 from .benchmarks import (PROBLEM_IDS, RELATIVE_NOISE_FRACTION,
                          LinearGaussianSpec, Problem, build_problem,
                          enks_limit_oracle, kalman_oracle)
-from .core import FilterConfig, FilterState, enks_step, row_moments
+from .core import (FilterConfig, FilterState, enks_step, noise_gram,
+                   row_moments)
 from .enkf import EnkfConfig, enkf_step
 from .errors import ConfigError, NumericFailure
 from .iterative import AnnealingSchedule, make_schedule, iterative_enks_step
@@ -155,10 +156,7 @@ def make_twin_data(cfg: ExperimentConfig, problem: Optional[Problem] = None
         with np.errstate(over="ignore", invalid="ignore"):
             noise_std = np.maximum(RELATIVE_NOISE_FRACTION
                                    * clean.std(axis=1), 1e-12)
-    else:
-        noise_std = np.broadcast_to(np.asarray(problem.noise_std, dtype=float),
-                                    (problem.meas.q,))
-    problem = problem.with_noise_std(noise_std, dt)
+        problem = replace(problem, noise_std=noise_std)
 
     series = synth_measurements(problem.meas, truth, grid,
                                 RngStream(cfg.seed, MEASUREMENT_STREAM),
@@ -263,12 +261,13 @@ def run_filter_series(kind: str, problem: Problem, series: MeasurementSeries,
         streams = particle_streams(cfg.seed, N)
     extra = [] if collect_traces else None
     proc, meas = problem.proc_filter, problem.meas
-    noise_term = (1.0 - cfg.alpha) * meas.sigma_gram  # the EnKF's is R
+    if problem.noise_std is None:
+        raise ValueError("the problem's noise level is not resolved")
+    noise_term = (1.0 - cfg.alpha) * noise_gram(problem.noise_std, cfg.dt)
 
     if kind == "enkf":
-        R = np.diag(np.asarray(problem.noise_std, dtype=float) ** 2)
-        enkf_cfg = EnkfConfig(R=R)
-        noise_term = enkf_cfg.R
+        enkf_cfg = EnkfConfig(R=np.diag(problem.noise_std ** 2))
+        noise_term = enkf_cfg.R  # the EnKF's noise term is R
         perturb = RngStream(cfg.seed, PERTURBATION_STREAM)
 
         def step(state, y):
@@ -317,9 +316,10 @@ def run_experiment(cfg: ExperimentConfig,
     :func:`enks.record.load_dataset`); the models are still rebuilt from the
     configuration, so the run's seed must be the one that generated the
     data for the forcing input to agree.  Each of these is a
-    ``ConfigError``: a dataset seed other than ``cfg.seed``, times that
-    are not the run's grid ``dt * (1, ..., M)``, and a set ``horizon``
-    that does not give the dataset's M steps.  A dataset seed of None
+    ``ConfigError``: shapes other than the problem's (``noise_std`` holds
+    one level per measurement channel), a dataset seed other than
+    ``cfg.seed``, times that are not the run's grid ``dt * (1, ..., M)``,
+    and a set ``horizon`` that does not give the dataset's M steps.  A dataset seed of None
     (a dataset saved without one) is not checked.
     """
     t_start = time.perf_counter()
@@ -332,10 +332,10 @@ def run_experiment(cfg: ExperimentConfig,
             raise ConfigError(f"loaded dataset was simulated with seed "
                               f"{data_seed}, not the run's seed {cfg.seed}")
         truth = np.atleast_2d(np.asarray(truth, dtype=float))
-        noise_std = np.asarray(noise_std, dtype=float).reshape(-1)
+        noise_std = np.asarray(noise_std, dtype=float)
         q = problem.meas.q
         if (truth.shape != (problem.proc_truth.n, len(series))
-                or series.values.shape[0] != q or noise_std.size not in (1, q)):
+                or series.values.shape[0] != q or noise_std.shape != (q,)):
             raise ConfigError("loaded dataset shape does not match the problem")
         if not np.allclose(series.times, dt * np.arange(1, len(series) + 1),
                            rtol=1e-9, atol=0.0):
@@ -345,7 +345,7 @@ def run_experiment(cfg: ExperimentConfig,
         if cfg.horizon is not None and steps != len(series):
             raise ConfigError(f"horizon={cfg.horizon} gives {steps} steps of "
                               f"dt={dt}, the loaded dataset has {len(series)}")
-        problem = problem.with_noise_std(np.broadcast_to(noise_std, (q,)), dt)
+        problem = replace(problem, noise_std=noise_std)
         grid = series.times
     tracked = cfg.tracked_channels
     if tracked is None:
@@ -496,21 +496,18 @@ def _dt_sweep_errors(cfg: ExperimentConfig, values: Sequence[float],
 
     if problem.noise_std is None:
         raise ConfigError("dt sweeps need a problem with explicit noise_std")
-    noise_std = np.broadcast_to(np.asarray(problem.noise_std, dtype=float),
-                                (problem.meas.q,))
-    eps_fine = noise_std[:, None] * RngStream(
+    eps_fine = problem.noise_std[:, None] * RngStream(
         cfg.seed, MEASUREMENT_STREAM).standard_normal((problem.meas.q, M_ref))
 
     def run_at(dt_v: float) -> np.ndarray:
         stride = int(round(dt_v / dt_ref))
         idx = np.arange(stride - 1, M_ref, stride)
         grid = fine_grid[idx]
-        prob_dt = problem.with_noise_std(noise_std, dt_v)
-        clean = clean_signal(prob_dt.meas, truth_fine[:, idx], grid)
+        clean = clean_signal(problem.meas, truth_fine[:, idx], grid)
         series = MeasurementSeries(times=grid, values=finite_steps(
             clean + eps_fine[:, idx], grid, "measurement synthesis failed"))
-        return run_filter_series(kind, prob_dt, series,
-                                 initial_ensemble(prob_dt, N, cfg.seed),
+        return run_filter_series(kind, problem, series,
+                                 initial_ensemble(problem, N, cfg.seed),
                                  FilterConfig(dt=dt_v, alpha=cfg.alpha,
                                               seed=cfg.seed),
                                  schedule=make_schedule(cfg.kappa),

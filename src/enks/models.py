@@ -109,11 +109,11 @@ def _selection(F: np.ndarray) -> Optional[tuple]:
 
 @dataclass
 class MeasurementModel:
-    """Measurement map Y = h(X, t) + noise with scaled intensity.
+    """Measurement map Y = h(X, t) + noise.
 
-    ``nu`` is the (time-constant) measurement-noise intensity of the
-    underlying Brownian noise; the scaled intensity entering the filter
-    denominator is ``sigma = nu * dt_scale``.
+    The map only: the noise level is the problem's per-channel
+    ``noise_std`` (:class:`enks.benchmarks.Problem`), from which each
+    filter forms its own noise term (:func:`enks.core.noise_gram`).
 
     Parameters
     ----------
@@ -123,10 +123,6 @@ class MeasurementModel:
         ``h(X, t) -> (q, N)`` of an ``(n, N)`` array whose columns are
         states; ``t`` is one time for every column or one time per
         column.  A single state is a one-column array.
-    nu : ndarray
-        ``(q, q)`` noise intensity matrix.
-    dt_scale : float
-        Step length used to scale the intensity, sigma = nu * dt_scale.
     linear : bool
         Set where a model is built when ``h`` is linear in the state:
         ``h(a X + b Z, t) = a h(X, t) + b h(Z, t)`` for every ``t``, so
@@ -137,30 +133,11 @@ class MeasurementModel:
 
     q: int
     h: Callable[[np.ndarray, float], np.ndarray]
-    nu: np.ndarray
-    dt_scale: float
     linear: bool = False
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("q must be >= 1")
-        if self.dt_scale <= 0:
-            raise ValueError("dt_scale must be positive")
-        nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
-        if nu.shape != (self.q, self.q):
-            raise ValueError(f"nu shape {nu.shape} != ({self.q}, {self.q})")
-        self.nu = nu
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Scaled noise intensity sigma = nu * dt_scale."""
-        return self.nu * self.dt_scale
-
-    @property
-    def sigma_gram(self) -> np.ndarray:
-        """sigma^T sigma, the squared scaled intensity in the blend."""
-        s = self.sigma
-        return s.T @ s
 
     def evaluate(self, ens: np.ndarray, t: float) -> np.ndarray:
         """h of an ensemble at time ``t``, shape (q, N)."""

@@ -221,7 +221,8 @@ def emit_dataset(out_dir, truth, series: MeasurementSeries, noise_std,
                  seed: int) -> Path:
     """Write a dataset directory: ``truth.csv`` and ``measurements.csv``
     (series at ``series.times``), ``noise_std.csv`` (rows
-    ``channel,noise_std``) and ``seed.txt``."""
+    ``channel,noise_std``, one per channel in channel order) and
+    ``seed.txt``."""
     out = Path(out_dir)
     emit_series_csv(out / "truth.csv", series.times, truth)
     emit_series_csv(out / "measurements.csv", series.times, series.values)
@@ -236,9 +237,10 @@ def load_dataset(data_dir) -> tuple:
     """Inverse of :func:`emit_dataset`: ``(truth, series, noise_std, seed)``,
     ``seed`` None without ``seed.txt``.  A missing file, a bad header, a
     malformed row, a truth, measurement or noise cell that is not finite,
-    measurement times that are not strictly increasing and truth times
-    other than the measurement times are each a ``ConfigError``, which
-    names the file and, for a row, the row."""
+    measurement times that are not strictly increasing, truth times other
+    than the measurement times, and a noise table other than one positive
+    level per measurement channel, in channel order, are each a
+    ``ConfigError``, which names the file and, for a row, the row."""
     data_dir = Path(data_dir)
     for name in ("truth.csv", "measurements.csv", "noise_std.csv"):
         if not (data_dir / name).exists():
@@ -257,13 +259,23 @@ def load_dataset(data_dir) -> tuple:
     lines = noise_path.read_text(encoding="utf-8").splitlines()
     if lines[:1] != ["channel,noise_std"]:
         raise ConfigError(f"unrecognized dataset header in {noise_path}")
-    noise_std = np.empty(len(lines) - 1)
-    for i, line in enumerate(lines[1:]):
+    q = values.shape[0]
+    noise_std = np.empty(q)
+    for i in range(max(q, len(lines) - 1)):
         try:
-            _, cell = line.split(",")
+            if i >= q:
+                raise ValueError(f"more levels than the {q} measurement "
+                                 "channels")
+            if i + 1 >= len(lines):
+                raise ValueError(f"no level for channel {i} of {q}")
+            channel, cell = lines[i + 1].split(",")
+            if int(channel) != i:
+                raise ValueError(f"channel {channel} where channel {i} "
+                                 "belongs")
             noise_std[i] = float(cell)
-            if not math.isfinite(noise_std[i]):
-                raise ValueError(f"noise level {cell} is not finite")
+            if not 0.0 < noise_std[i] < math.inf:
+                raise ValueError(f"noise level {cell} is not finite and "
+                                 "positive")
         except ValueError as err:
             raise ConfigError(f"malformed dataset row {i + 2} in "
                               f"{noise_path}: {err}") from err

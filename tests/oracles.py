@@ -26,6 +26,19 @@ def brute_covariance(columns):
     return out / (N - 1)
 
 
+def sigma_gram_oracle(noise_std, dt):
+    """``sigma^T sigma`` built as the intensity matrices it stands for.
+
+    A per-sample std ``s`` over a step ``dt`` is a Brownian measurement
+    noise of intensity ``nu = diag(s) / sqrt(dt)``; the scaled intensity
+    is ``sigma = nu dt``, and the blend reads ``sigma^T sigma`` as one
+    matrix product.
+    """
+    s = np.atleast_1d(np.asarray(noise_std, dtype=float))
+    S = np.diag(s) / np.sqrt(dt) * dt
+    return S.T @ S
+
+
 def gain_oracle(pred, h_pred, prev_x_mean, prev_h_mean, t_i, t_prev, alpha,
                 sigma_gram):
     """Straight-line evaluation of the displayed gain formula.

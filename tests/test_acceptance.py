@@ -249,7 +249,7 @@ def test_criterion_7_no_particle_collapse():
     ens0 = initial_ensemble(problem, 100, BOUNDED_POPULATION_SEED)
     from enks.rng import particle_streams
     streams = particle_streams(BOUNDED_POPULATION_SEED, 100)
-    state = make_initial_state(ens0, problem.meas, fcfg)
+    state = make_initial_state(ens0, problem.noise_std, fcfg)
     for i in range(1000):
         state = enks_step(state, problem.proc_filter, problem.meas,
                           series.values[:, i], fcfg, streams)

@@ -10,7 +10,7 @@ from enks.benchmarks import (PROBLEM_IDS, LinearGaussianSpec, PendulumSpec,
                              build_shear_frame,
                              default_frame_spec, enks_limit_oracle,
                              frame_truth_x0, kalman_oracle,
-                             nu_from_noise_std, scalar_linear_gaussian,
+                             scalar_linear_gaussian,
                              tridiagonal_stiffness, _storey_chain_apply)
 from enks.core import FilterConfig
 from enks.errors import NumericFailure
@@ -225,7 +225,7 @@ class TestLinearGaussian:
     def test_constant_truth_for_zero_fields(self):
         spec = LinearGaussianSpec(A=[[0.0]], F=[[0.0]], H=[[1.0]], R=[[0.1]],
                                   x0_mean=[1.0], x0_cov=[[0.0]])
-        proc, _ = build_linear_gaussian(spec, dt=0.1)
+        proc, _ = build_linear_gaussian(spec)
         grid = 0.1 * np.arange(1, 20)
         traj = simulate_truth(proc, np.array([1.0]), grid, RngStream(0, 0))
         assert np.allclose(traj, 1.0)
@@ -233,7 +233,7 @@ class TestLinearGaussian:
     def test_ou_stationary_variance(self):
         # A = -1, F = 1: long-run variance F^2 / (2|A|) = 0.5
         spec = scalar_linear_gaussian()
-        proc, _ = build_linear_gaussian(spec, dt=0.01)
+        proc, _ = build_linear_gaussian(spec)
         grid = 0.01 * np.arange(1, 60_001)
         traj = simulate_truth(proc, np.array([0.0]), grid, RngStream(10, 0))
         tail = traj[0, 10_000:]
@@ -433,14 +433,6 @@ def test_gain_readings_table():
         assert np.allclose(table[reading], row, rtol=0, atol=5e-5), reading
 
 
-def test_nu_from_noise_std_consistency():
-    # increments of a Brownian noise with this intensity reproduce the
-    # requested per-sample standard deviation
-    nu = nu_from_noise_std([0.1, 0.3], 0.1)
-    incr_cov = nu @ nu.T * 0.1
-    assert np.allclose(np.sqrt(np.diag(incr_cov)), [0.1, 0.3])
-
-
 def test_truth_reproducibility():
     spec = PopulationSpec()
     proc, _ = build_population(spec)
@@ -459,9 +451,6 @@ def test_measurement_map_declared_linear_is_linear(problem_id):
     problem = build_problem(problem_id)
     meas, n = problem.meas, problem.proc_filter.n
     assert meas.linear == (problem_id != "pendulum")
-    # the harness finalizes the noise level through with_noise_std
-    assert problem.with_noise_std(np.full(meas.q, 0.3), 0.02).meas.linear \
-        == meas.linear
     if not meas.linear:
         return
     rng = RngStream(21, 0)

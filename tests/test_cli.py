@@ -262,6 +262,45 @@ class TestCli:
         assert f"malformed dataset row {line} in {path}" in err
         assert "not finite" in err and "filter failed" not in err
 
+    @pytest.mark.parametrize("edit, line, message", [
+        pytest.param(edit, line, message, id=edit)
+        for edit, line, message in (
+            ("zero", 2, "noise level 0.0 is not finite and positive"),
+            ("negative", 2, "noise level -1.0 is not finite and positive"),
+            ("swapped", 2, "channel 1 where channel 0 belongs"),
+            ("unknown-channel", 5, "channel 7 where channel 3 belongs"),
+            ("short", 3, "no level for channel 1 of 4"),
+            ("long", 6, "more levels than the 4 measurement channels"))])
+    def test_dataset_with_a_bad_noise_table_exits_2(self, tmp_path, capsys,
+                                                    edit, line, message):
+        # noise_std.csv holds one positive level per measurement channel,
+        # in channel order; anything else is refused naming the file and
+        # the row, not read as another channel's level, broadcast to
+        # every channel or run as if the level were 1
+        data = tmp_path / "data"
+        assert main(["simulate", "--problem", "frame4-damaged", "--seed", "0",
+                     "--horizon", "0.05", "--out", str(data)]) == EXIT_OK
+        path = data / "noise_std.csv"
+        lines = path.read_text().splitlines(True)
+        if edit in ("zero", "negative"):
+            lines[1] = "0," + ("0.0" if edit == "zero" else "-1.0") + "\n"
+        elif edit == "swapped":
+            lines[1], lines[2] = lines[2], lines[1]
+        elif edit == "unknown-channel":
+            lines[4] = "7," + lines[4].split(",")[1]
+        elif edit == "short":
+            lines = lines[:2]
+        else:
+            lines.append("4,0.5\n")
+        path.write_text("".join(lines))
+        code = main(["run", "--problem", "frame4-damaged", "--seed", "0",
+                     "--filter", "enks", "--filter", "enkf",
+                     "--ensemble", "20", "--data", str(data),
+                     "--out", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"malformed dataset row {line} in {path}: {message}" in err
+
     def test_run_population(self, tmp_path, capsys):
         code = main(["run", "--problem", "population", "--ensemble", "200",
                      "--horizon", "2.0", "--seed", str(POPULATION_SEED),

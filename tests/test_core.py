@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enks.core import (GAIN_FAILURES, FilterConfig, additive_update,
                        analysis_gain, compute_gain, enks_step,
-                       make_initial_state, row_mean, row_moments)
+                       make_initial_state, noise_gram, row_mean, row_moments)
 from enks import enkf
 from enks.benchmarks import enks_limit_oracle, scalar_linear_gaussian
 from enks.errors import NumericFailure
@@ -15,12 +15,33 @@ from enks.models import MeasurementModel, MeasurementSeries, ProcessModel
 from enks.rng import RngStream, particle_streams
 
 from oracles import (brute_covariance, centred_solve_gain, enks_gain_cap,
-                     exact_moment_ensemble, gain_oracle, scalar_kalman_series)
+                     exact_moment_ensemble, gain_oracle, scalar_kalman_series,
+                     sigma_gram_oracle)
 
 
-def identity_meas(n, nu=1.0, dt=0.1):
-    return MeasurementModel(q=n, h=lambda x, t: x, nu=nu * np.eye(n),
-                            dt_scale=dt)
+def identity_meas(n):
+    return MeasurementModel(q=n, h=lambda x, t: x)
+
+
+class TestNoiseGram:
+    """``noise_gram`` is the blend's ``sigma^T sigma``, the scaled
+    intensity of a Brownian measurement noise with the levels' std over
+    one step."""
+
+    def test_bits_of_the_scaled_intensity_product(self):
+        rng = np.random.default_rng(27)
+        for q in range(1, 51):
+            for dt in (0.005, 0.01, 0.03, 0.1, 0.3, 1.0, 2.5):
+                s = rng.uniform(1e-3, 3.0, q)
+                gram = noise_gram(s, dt)
+                assert np.array_equal(gram, sigma_gram_oracle(s, dt)), (q, dt)
+                assert np.allclose(gram, np.diag(s ** 2) * dt, rtol=1e-15,
+                                   atol=0)
+
+    def test_levels_as_a_list_or_one_number(self):
+        assert np.array_equal(noise_gram([0.1, 0.3], 0.1),
+                              sigma_gram_oracle(np.array([0.1, 0.3]), 0.1))
+        assert noise_gram(0.2, 0.01).shape == (1, 1)
 
 
 class TestEnsembleMean:
@@ -431,21 +452,24 @@ class TestAdditiveUpdate:
         assert np.allclose(out[:, perm], out_p)
 
 
+# an intensity of 1 over dt = 0.01
+OU_NOISE_STD = np.array([0.1])
+
+
 def ou_problem(n=1):
     proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                         constant_diffusion=np.eye(1))
-    meas = identity_meas(1, nu=1.0, dt=0.01)
-    return proc, meas
+    return proc, identity_meas(1)
 
 
 class TestEnksStep:
     def test_zero_spread_zero_fields_time_advance_only(self):
         proc = ProcessModel(n=2, m=0, drift_ensemble=lambda x, t: 0.0 * x,
                             constant_diffusion=np.zeros((2, 0)))
-        meas = identity_meas(2, nu=1.0, dt=0.1)
+        meas = identity_meas(2)
         ens = np.tile(np.array([[1.0], [2.0]]), (1, 4))
         cfg = FilterConfig(dt=0.1, alpha=0.8)
-        state = make_initial_state(ens, meas, cfg)
+        state = make_initial_state(ens, np.full(2, np.sqrt(0.1)), cfg)
         new = enks_step(state, proc, meas, np.array([5.0, 5.0]), cfg,
                         particle_streams(0, 4))
         assert np.array_equal(new.ensemble, ens)
@@ -458,7 +482,7 @@ class TestEnksStep:
         N = 1000
         ens = 2.1 + 0.1 * RngStream(5, 2).standard_normal((1, N))
         cfg = FilterConfig(dt=0.1, alpha=0.8, seed=5)
-        state = make_initial_state(ens, meas, cfg)
+        state = make_initial_state(ens, [spec.meas_noise_std], cfg)
         new = enks_step(state, proc, meas, np.array([2.15]), cfg,
                         particle_streams(5, N))
         assert np.isfinite(new.ensemble).all()
@@ -469,7 +493,7 @@ class TestEnksStep:
         N = 64
         ens = RngStream(9, 2).standard_normal((1, N))
         cfg = FilterConfig(dt=0.01, alpha=0.8, seed=9)
-        state = make_initial_state(ens, meas, cfg)
+        state = make_initial_state(ens, OU_NOISE_STD, cfg)
         streams = particle_streams(9, N)
         for i in range(50):
             state = enks_step(state, proc, meas, np.array([0.1]), cfg, streams)
@@ -482,7 +506,7 @@ class TestEnksStep:
         def run():
             ens = RngStream(4, 2).standard_normal((1, N))
             cfg = FilterConfig(dt=0.01, alpha=0.8, seed=4)
-            state = make_initial_state(ens, meas, cfg)
+            state = make_initial_state(ens, OU_NOISE_STD, cfg)
             streams = particle_streams(4, N)
             for i in range(20):
                 state = enks_step(state, proc, meas, np.array([0.5]), cfg, streams)
@@ -495,11 +519,9 @@ class TestEnksStep:
         # exact one-step Kalman posterior mean for the same measurement
         proc, meas = ou_problem()
         N, dt, R = 2000, 0.01, 0.01
-        meas = MeasurementModel(q=1, h=lambda x, t: x,
-                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt)
         ens = RngStream(17, 2).standard_normal((1, N))  # prior N(0, 1)
         cfg = FilterConfig(dt=dt, alpha=0.8, seed=17)
-        state = make_initial_state(ens, meas, cfg)
+        state = make_initial_state(ens, [np.sqrt(R)], cfg)
         y = 0.4
         new = enks_step(state, proc, meas, np.array([y]), cfg,
                         particle_streams(17, N))

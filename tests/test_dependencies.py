@@ -44,19 +44,18 @@ from enks import (EnkfConfig, FilterConfig, FilterState, build_problem,
                   RngStream)
 
 dt, N = 0.01, 16
-problem = build_problem("frame4-damaged", dt=dt)
+problem = build_problem("frame4-damaged", dt=dt, meas_noise_std=0.1)
 q = problem.meas.q
-problem = problem.with_noise_std(np.full(q, 0.1), dt)
 proc, meas = problem.proc_filter, problem.meas
 ens = (problem.init_mean[:, None]
        + problem.init_spread[:, None] * RngStream(0, 2).standard_normal(
            (problem.init_mean.size, N)))
 y = meas.h(problem.init_mean[:, None], dt)[:, 0]
 cfg = FilterConfig(dt=dt)
-enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
+enks_step(make_initial_state(ens, problem.noise_std, cfg), proc, meas, y, cfg,
           particle_streams(0, N))
-iterative_enks_step(make_initial_state(ens, meas, cfg), proc, meas, y, cfg,
-                    particle_streams(0, N), make_schedule(3))
+iterative_enks_step(make_initial_state(ens, problem.noise_std, cfg), proc,
+                    meas, y, cfg, particle_streams(0, N), make_schedule(3))
 enkf_cfg = EnkfConfig(R=0.01 * np.eye(q))
 enkf_step(FilterState(0.0, ens, enkf_cfg.R), proc, meas, y, enkf_cfg,
           particle_streams(0, N), RngStream(0, 3), dt)

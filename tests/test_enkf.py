@@ -125,8 +125,8 @@ class TestEnkfUpdate:
             EnkfConfig(R=np.diag([1.0, 0.0]))  # singular
 
 
-def identity_meas(n, dt=0.01):
-    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt)
+def identity_meas(n):
+    return MeasurementModel(q=n, h=lambda x, t: x)
 
 
 class TestEnkfStep:
@@ -146,8 +146,7 @@ class TestEnkfStep:
         # full-scale ensemble on the 50-storey frame, a few steps
         from enks.benchmarks import build_shear_frame, default_frame_spec, frame_truth_x0
         spec = default_frame_spec(50)
-        proc, meas = build_shear_frame(spec, xi=0.7, param_diffusion=0.01,
-                                       meas_noise_std=0.05, dt=0.01)
+        proc, meas = build_shear_frame(spec, xi=0.7, param_diffusion=0.01)
         N = 800
         rng = RngStream(1, 2)
         x0 = frame_truth_x0(spec)
@@ -166,8 +165,7 @@ class TestEnkfStep:
     def test_frame20_config_runs(self):
         from enks.benchmarks import build_shear_frame, default_frame_spec, frame_truth_x0
         spec = default_frame_spec(20)
-        proc, meas = build_shear_frame(spec, xi=0.7, param_diffusion=0.01,
-                                       meas_noise_std=0.05, dt=0.01)
+        proc, meas = build_shear_frame(spec, xi=0.7, param_diffusion=0.01)
         N = 300
         x0 = frame_truth_x0(spec)
         ens = x0[:, None] + 0.5 * RngStream(2, 2).standard_normal((80, N))
@@ -221,8 +219,7 @@ class TestEnkfStep:
         proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                             constant_diffusion=np.eye(1))
         dt, R, M = 0.01, 0.01, 150
-        meas = MeasurementModel(q=1, h=lambda x, t: x,
-                                nu=np.array([[np.sqrt(R / dt)]]), dt_scale=dt)
+        meas = MeasurementModel(q=1, h=lambda x, t: x)
         data_rng = RngStream(77, 0)
         truth = [float(data_rng.standard_normal())]
         for _ in range(M):

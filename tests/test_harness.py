@@ -556,6 +556,17 @@ class TestRunFilterSeries:
         assert np.array_equal(first[1], second[1])
 
     @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_unresolved_noise_level_is_a_value_error(self, kind):
+        # a frame's 1%-of-signal level exists only once make_twin_data has
+        # seen the truth; a run of the unresolved problem is refused before
+        # its first step, not run at some level or failed as numerics
+        problem, series, ens0, fcfg = self.setup_data("frame4-damaged", 12,
+                                                      0.1)
+        with pytest.raises(ValueError, match="noise level is not resolved"):
+            run_filter_series(kind, replace(problem, noise_std=None), series,
+                              ens0, fcfg, schedule=make_schedule(3))
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
     def test_failure_carries_filter_step_and_particle(self, kind):
         problem, series, ens0, fcfg = self.setup_data("linear-gaussian", 8, 0.1)
         proc = problem.proc_filter
@@ -665,8 +676,7 @@ class TestRunFilterSeries:
         growth = np.array([[99.0 / dt], [0.0]])
         proc = ProcessModel(n=2, m=1, drift_ensemble=lambda x, t: growth * x,
                             constant_diffusion=np.zeros((2, 1)))
-        meas = MeasurementModel(q=1, h=lambda x, t: x[1:], nu=np.eye(1),
-                                dt_scale=dt, linear=True)
+        meas = MeasurementModel(q=1, h=lambda x, t: x[1:], linear=True)
         problem = Problem(name="two-state", proc_truth=proc, proc_filter=proc,
                           meas=meas, x0_truth=np.zeros(2),
                           init_mean=np.zeros(2), init_spread=np.ones(2),
@@ -719,7 +729,7 @@ def test_steps_leave_their_inputs_unchanged(problem_id, name):
     h_pred = meas.evaluate(pred, t1)
     assert (h_pred is pred) == (problem_id == "population")
     y = series.values[:, 0]
-    state = make_initial_state(ens, meas, fcfg)
+    state = make_initial_state(ens, problem.noise_std, fcfg)
     enkf_cfg = EnkfConfig(R=np.diag(problem.noise_std ** 2))
     enkf_state = FilterState(0.0, ens, enkf_cfg.R)
     assert state.ensemble is ens and enkf_state.ensemble is ens

@@ -59,8 +59,8 @@ def make_state(t_curr, noise_term, n=1):
                        noise_term=np.atleast_2d(noise_term))
 
 
-def identity_meas(n, dt=0.1):
-    return MeasurementModel(q=n, h=lambda x, t: x, nu=np.eye(n), dt_scale=dt)
+def identity_meas(n):
+    return MeasurementModel(q=n, h=lambda x, t: x)
 
 
 class TestIterativeGain:
@@ -105,7 +105,8 @@ class TestIterateUpdate:
     def setup_method(self):
         self.proc = ProcessModel(n=1, m=1, drift_ensemble=lambda x, t: -x,
                                  constant_diffusion=np.eye(1))
-        self.meas = identity_meas(1, dt=0.01)
+        self.meas = identity_meas(1)
+        self.noise_std = np.array([0.1])  # an intensity of 1 over dt = 0.01
 
     def test_kappa_one_reduces_to_noniterative_bitwise(self):
         N = 32
@@ -113,10 +114,10 @@ class TestIterateUpdate:
         y = np.array([0.7])
         cfg = FilterConfig(dt=0.01, alpha=0.8, seed=3)
 
-        s_plain = make_initial_state(ens0.copy(), self.meas, cfg)
+        s_plain = make_initial_state(ens0.copy(), self.noise_std, cfg)
         out_plain = enks_step(s_plain, self.proc, self.meas, y, cfg,
                               particle_streams(3, N))
-        s_iter = make_initial_state(ens0.copy(), self.meas, cfg)
+        s_iter = make_initial_state(ens0.copy(), self.noise_std, cfg)
         out_iter, trace = iterative_enks_step(s_iter, self.proc, self.meas, y,
                                               cfg, particle_streams(3, N),
                                               make_schedule(1), trace=True)
@@ -129,7 +130,7 @@ class TestIterateUpdate:
         N, kappa = 8, 4
         cfg = FilterConfig(dt=0.01, alpha=0.8, seed=3)
         state = make_initial_state(RngStream(3, 2).standard_normal((1, N)),
-                                   self.meas, cfg)
+                                   self.noise_std, cfg)
         evaluate = MeasurementModel.evaluate
         with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
                                side_effect=evaluate) as counted:
@@ -144,7 +145,7 @@ class TestIterateUpdate:
         # traces or without
         meas = replace(identity_meas(3), linear=True)
         pred = RngStream(8, 0).standard_normal((3, 12))
-        state = make_state(0.0, 0.2 * meas.sigma_gram, n=3)
+        state = make_state(0.0, 0.2 * 0.1 ** 2 * np.eye(3), n=3)
         lapack = mock.Mock(wraps=core._umath_linalg)
         with mock.patch.object(core, "_umath_linalg", lapack):
             _, record = iterate_update(pred, pred.copy(), state,
@@ -182,7 +183,7 @@ class TestIterateUpdate:
         y = series.values[:, 0]
         traces = []
         for meas in (replace(problem.meas, linear=False), problem.meas):
-            state = make_initial_state(ens0, meas, fcfg)
+            state = make_initial_state(ens0, problem.noise_std, fcfg)
             with mock.patch.object(MeasurementModel, "evaluate", autospec=True,
                                    side_effect=record):
                 new, trace = iterative_enks_step(state, problem.proc_filter,
@@ -226,7 +227,7 @@ class TestIterateUpdate:
         ens0 = initial_ensemble(problem, N, seed)
         outs = []
         for trace in (False, True):
-            state = make_initial_state(ens0.copy(), problem.meas, fcfg)
+            state = make_initial_state(ens0.copy(), problem.noise_std, fcfg)
             new, record = iterative_enks_step(
                 state, problem.proc_filter, problem.meas, series.values[:, 0],
                 fcfg, particle_streams(seed, N), make_schedule(10),
@@ -242,7 +243,7 @@ class TestIterateUpdate:
         # two (the increment and the mean innovation)
         N, kappa = 16, 4
         ens = RngStream(8, 2).standard_normal((1, N))
-        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
+        state = make_state(0.01, 0.2 * 0.01 ** 2)
         cfg = FilterConfig(dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         calls, norm = [], np.linalg.norm
@@ -262,7 +263,7 @@ class TestIterateUpdate:
         # every particle already produces the observation: all passes no-op
         N = 8
         ens = np.tile(np.array([[1.5]]), (1, N))
-        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
+        state = make_state(0.01, 0.2 * 0.01 ** 2)
         cfg = FilterConfig(dt=0.01, alpha=0.8)
         h = self.meas.evaluate(ens, state.t_curr)
         out, trace = iterate_update(ens, h, state, np.array([1.5]),
@@ -275,7 +276,7 @@ class TestIterateUpdate:
     def test_trace_lengths_match_kappa(self):
         N = 16
         ens = RngStream(8, 2).standard_normal((1, N))
-        state = make_state(0.01, 0.2 * self.meas.sigma_gram)
+        state = make_state(0.01, 0.2 * 0.01 ** 2)
         cfg = FilterConfig(dt=0.01, alpha=0.8)
         for kappa in (1, 3, 10):
             h = self.meas.evaluate(ens, state.t_curr)
@@ -291,8 +292,8 @@ class TestIterateUpdate:
         N = 24
         ens = 2.1 + 0.05 * RngStream(12, 2).standard_normal((1, N))
         cfg = FilterConfig(dt=0.1, alpha=0.8)
-        meas = identity_meas(1, dt=0.1)
-        state = make_state(0.1, 0.2 * meas.sigma_gram)
+        meas = identity_meas(1)
+        state = make_state(0.1, 0.2 * 0.1 ** 2)
         out, trace = iterate_update(ens, meas.evaluate(ens, state.t_curr),
                                     state, np.array([2.3]),
                                     make_schedule(50), meas, cfg, state.t_curr,
@@ -338,7 +339,7 @@ class TestIterateUpdate:
             dt = grid[1] - grid[0]
             fcfg = FilterConfig(dt=dt, alpha=0.8, seed=seed)
             state = make_initial_state(initial_ensemble(problem, N, seed),
-                                       problem.meas, fcfg)
+                                       problem.noise_std, fcfg)
             new, trace = iterative_enks_step(state, problem.proc_filter,
                                              problem.meas, series.values[:, 0],
                                              fcfg, particle_streams(seed, N),
@@ -419,13 +420,13 @@ class TestMomentsRoute:
                       [0.4, 0.0, 0.0, 1.0]])
         nu = np.array([[1.0, 0.3, 0.1], [0.3, 0.8, -0.2],
                        [0.1, -0.2, 0.6]])
-        meas = MeasurementModel(q=3, h=lambda x, t: H @ x, nu=nu,
-                                dt_scale=0.3, linear=True)
+        meas = MeasurementModel(q=3, h=lambda x, t: H @ x, linear=True)
+        sigma = nu * 0.3
         cfg = FilterConfig(dt=0.1, alpha=0.8)
         pred = 1.0 + RngStream(5, N).standard_normal((4, N))
         h = meas.evaluate(pred, 0.0)
         y = np.array([1.2, 0.8, 1.1])
-        state = make_state(0.0, (1 - cfg.alpha) * meas.sigma_gram, n=4)
+        state = make_state(0.0, (1 - cfg.alpha) * sigma.T @ sigma, n=4)
         for kappa in (2, 3, 10, 25):
             outs = []
             for m in (meas, replace(meas, linear=False)):
@@ -448,8 +449,7 @@ class TestMomentsRoute:
         rng = np.random.default_rng(q * N)
         n = q + 2
         H = rng.standard_normal((q, n))
-        meas = MeasurementModel(q=q, h=lambda x, t: H @ x, nu=np.eye(q),
-                                dt_scale=0.1, linear=True)
+        meas = MeasurementModel(q=q, h=lambda x, t: H @ x, linear=True)
         pred = 1.0 + rng.standard_normal((n, N))
         h = meas.evaluate(pred, 0.0)
         y = H @ pred.mean(axis=1) + rng.standard_normal(q)
@@ -520,7 +520,7 @@ class TestMomentsRoute:
         meas = replace(identity_meas(2), linear=True)
         cfg = FilterConfig(dt=0.1, alpha=0.8)
         pred = np.tile(np.array([[1.5], [-0.25]]), (1, 6))
-        state = make_state(0.1, 0.2 * meas.sigma_gram, n=2)
+        state = make_state(0.1, 0.2 * 0.1 ** 2 * np.eye(2), n=2)
         out, trace = iterate_update(pred, pred.copy(), state,
                                     np.array([3.0, 1.0]),
                                     make_schedule(kappa), meas, cfg, 0.1,
@@ -539,9 +539,9 @@ class TestMomentsRoute:
         h, t_bad = problem.meas.h, series.times[2] - 0.5 * fcfg.dt
         late = np.nan if failure == 0 else 0.0
         meas = replace(problem.meas,
-                       h=lambda x, t: h(x, t) * (1.0 if t < t_bad else late),
-                       nu=problem.meas.nu if failure == 0
-                       else np.zeros_like(problem.meas.nu))
+                       h=lambda x, t: h(x, t) * (1.0 if t < t_bad else late))
+        if failure == 1:
+            problem = replace(problem, noise_std=0.0 * problem.noise_std)
         raised = []
         for m in (meas, replace(meas, linear=False)):
             with pytest.raises(NumericFailure) as info:
@@ -558,8 +558,7 @@ class TestMomentsRoute:
         # an unobserved state whose spread overflows the cross moment: the
         # first denominator is finite and the gain is not, and both routes
         # name the gain
-        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], nu=np.eye(1),
-                                dt_scale=0.1, linear=True)
+        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], linear=True)
         cfg = FilterConfig(dt=0.1, alpha=0.8)
         pred = np.array([[0.0, 1.0, 2.0, 3.0],
                          [1e308, -1e308, 1e308, -1e308]])

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enks.errors import ConfigError
 from enks.models import MeasurementSeries
@@ -344,6 +349,89 @@ class TestDataset:
         (out / "noise_std.csv").write_text(text)
         with pytest.raises(ConfigError, match="noise_std.csv"):
             load_dataset(out)
+
+
+# The edits of one dataset file the reader must either refuse, naming
+# the file, or read as what they mean.  A long table's row is
+# step,time,channel,value; a noise row is channel,noise_std.
+DATASET_FILES = ("truth.csv", "measurements.csv", "noise_std.csv")
+LONG_EDITS = ("delete", "repeat", "swap", "step", "time", "channel", "text",
+              "non-finite", "value")
+NOISE_EDITS = ("delete", "repeat", "swap", "channel", "text", "non-finite",
+               "value", "level")
+
+
+def edited_dataset(data, out):
+    """Write a small dataset to ``out``, make one drawn edit and return the
+    edited file with the ``[truth, values, noise_std]`` the reader should
+    give, or None where it should refuse the file."""
+    truth = np.array([[1.0, -0.5, 1 / 3], [2.0, 0.0, -1 / 7]])
+    series = MeasurementSeries(times=np.array([0.1, 0.2, 0.3]),
+                               values=truth + 0.25)
+    meant = [truth, series.values, np.array([0.1, 1 / 3])]
+    emit_dataset(out, truth, series, meant[2], 11)
+    k = data.draw(st.integers(0, 2))
+    path, noise_file = out / DATASET_FILES[k], k == 2
+    header, *rows = [line.split(",")
+                     for line in path.read_text().splitlines()]
+    edit = data.draw(st.sampled_from(NOISE_EDITS if noise_file
+                                     else LONG_EDITS))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if edit == "delete":
+        del rows[i]
+        meant = None
+    elif edit == "repeat":
+        rows.insert(data.draw(st.integers(0, len(rows))), list(rows[i]))
+        meant = None
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(rows) - 1).filter(lambda j: j != i))
+        rows[i], rows[j] = rows[j], rows[i]
+        if noise_file:
+            meant = None  # the levels come in channel order
+    elif edit in ("step", "time", "channel"):
+        col = header.index(edit)
+        old = float(rows[i][col])
+        new = st.floats(allow_nan=False, allow_infinity=False) \
+            if edit == "time" else st.integers(-3, 9)
+        rows[i][col] = repr(data.draw(new.filter(lambda x: x != old)))
+        meant = None
+    elif edit in ("text", "non-finite"):
+        rows[i][data.draw(st.integers(0, len(header) - 1))] = data.draw(
+            st.sampled_from(("abc", "", "--1", "0x10") if edit == "text"
+                            else ("nan", "inf", "-inf")))
+        meant = None
+    else:
+        value = data.draw(st.floats(max_value=0.0) if edit == "level" else
+                          st.floats(allow_nan=False, allow_infinity=False))
+        rows[i][-1] = repr(value)
+        if noise_file and not 0.0 < value < np.inf:
+            meant = None
+        else:
+            meant[k] = meant[k].copy()
+            meant[k][(int(rows[i][0]),) if noise_file
+                     else (int(rows[i][2]), int(rows[i][0]) - 1)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+    return path, meant
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_edit_of_a_dataset_is_refused_or_read_as_it_means(data):
+    # every edit from the fixed set either raises a ConfigError that names
+    # the edited file, or loads as what it means: swapped rows of a long
+    # table give the same arrays, and a new finite value (a positive one
+    # for a noise level) is read as that value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, meant = edited_dataset(data, Path(tmp))
+        if meant is None:
+            with pytest.raises(ConfigError) as info:
+                load_dataset(path.parent)
+            assert str(path) in str(info.value)
+            return
+        truth, series, noise_std, seed = load_dataset(path.parent)
+    for got, want in zip((truth, series.values, noise_std), meant):
+        assert np.array_equal(got, want)
+    assert np.array_equal(series.times, [0.1, 0.2, 0.3]) and seed == 11
 
 
 def reference_polylines(rec, channels):

@@ -308,15 +308,14 @@ class TestCleanSignal:
                               clean_signal_oracle(problem.meas, truth, grid))
 
     def test_shape_check(self):
-        meas = MeasurementModel(q=2, h=lambda x, t: x[:1], nu=np.eye(2),
-                                dt_scale=0.1)
+        meas = MeasurementModel(q=2, h=lambda x, t: x[:1])
         with pytest.raises(ValueError, match="h returned shape"):
             clean_signal(meas, np.ones((3, 4)), 0.1 * np.arange(1, 5))
 
 
 class TestSynthMeasurements:
     def test_zero_noise_identity(self):
-        meas = MeasurementModel(q=2, h=lambda x, t: x, nu=np.eye(2), dt_scale=0.1)
+        meas = MeasurementModel(q=2, h=lambda x, t: x)
         traj = np.arange(8.0).reshape(2, 4)
         grid = 0.1 * np.arange(1, 5)
         series = synth_measurements(meas, traj, grid, RngStream(1, 1),
@@ -325,7 +324,7 @@ class TestSynthMeasurements:
         assert np.array_equal(series.times, grid)
 
     def test_deterministic_replay(self):
-        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], nu=np.eye(1), dt_scale=0.1)
+        meas = MeasurementModel(q=1, h=lambda x, t: x[:1])
         traj = np.ones((1, 5))
         grid = 0.1 * np.arange(1, 6)
         a = synth_measurements(meas, traj, grid, RngStream(3, 1), np.array([0.1]))
@@ -333,13 +332,13 @@ class TestSynthMeasurements:
         assert np.array_equal(a.values, b.values)
 
     def test_length_mismatch(self):
-        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], nu=np.eye(1), dt_scale=0.1)
+        meas = MeasurementModel(q=1, h=lambda x, t: x[:1])
         with pytest.raises(ValueError):
             synth_measurements(meas, np.ones((1, 4)), 0.1 * np.arange(1, 6),
                                RngStream(0, 0), np.array([0.1]))
 
     def test_negative_noise_rejected(self):
-        meas = MeasurementModel(q=1, h=lambda x, t: x[:1], nu=np.eye(1), dt_scale=0.1)
+        meas = MeasurementModel(q=1, h=lambda x, t: x[:1])
         with pytest.raises(ValueError):
             synth_measurements(meas, np.ones((1, 4)), 0.1 * np.arange(1, 5),
                                RngStream(0, 0), np.array([-0.1]))
